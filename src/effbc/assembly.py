@@ -3,11 +3,13 @@
 The discrete operator is multilinear elements with one-point (cell
 center) quadrature.  Because every cell shares one Jacobian, the element
 geometry collapses to a single d x 2^d weight matrix ``grid.phi`` and the
-constant-coefficient operator is diagonalized exactly by lateral FFTs:
-periodic lateral axes give a circulant structure, the vertical axis
-leaves one Hermitian tridiagonal system per lateral Fourier mode.  That
-factorization is used as the harmonic-extension initial guess and as the
-preconditioner of the nonlinear solvers.
+constant-coefficient operator is diagonalized exactly by fast transforms:
+periodic lateral axes give a circulant structure (FFT), and the vertical
+axis leaves one Hermitian Toeplitz tridiagonal per lateral Fourier mode,
+which a phase twist and a sine transform (DST) diagonalize.  The strip
+solve gives the harmonic-extension initial guess and the preconditioner of
+the linear and nonlinear strip solvers; the torus solve preconditions the
+cell problems.
 """
 
 from __future__ import annotations
@@ -80,91 +82,95 @@ def _element_matrix_identity(grid):
     return grid.cellvol * (grid.phi.T @ grid.phi)
 
 
-def _lateral_phases(grid, lat_shape):
-    thetas = []
-    for n in lat_shape:
-        thetas.append(2.0 * np.pi * np.arange(n) / n)
-    return np.meshgrid(*thetas, indexing="ij") if thetas else []
+def _mode_angles(shape, half=False):
+    """Angles 2 pi k / n of the discrete Fourier modes, one meshgrid array per
+    axis of ``shape``; ``half`` keeps only the n // 2 + 1 modes that rfftn
+    returns on the last axis."""
+    angles = [2.0 * np.pi * np.arange(n) / n for n in shape]
+    if half:
+        angles[-1] = angles[-1][: shape[-1] // 2 + 1]
+    return np.meshgrid(*angles, indexing="ij")
+
+
+def _stencil_symbol(grid, modes):
+    """Fourier symbol of the A = I element stencil, keyed by vertical offset.
+
+    ``modes`` holds the mode angles of the leading, Fourier-transformed grid
+    axes.  Corner pairs are grouped by their offset along the next axis, so
+    a strip gets the bands {-1, 0, 1} of one vertical tridiagonal per mode;
+    when every axis is transformed the single key 0 holds the whole symbol.
+    """
+    Ke = _element_matrix_identity(grid)
+    n = len(modes)
+    bands = {}
+    for ci, c in enumerate(grid.corners):
+        for cj, c2 in enumerate(grid.corners):
+            diff = np.subtract(c2, c)
+            key = int(diff[n]) if n < grid.d else 0
+            phase = np.exp(1j * sum(k * th for k, th in zip(diff, modes)))
+            bands[key] = bands.get(key, 0.0) + Ke[ci, cj] * phase
+    return bands
 
 
 class StripReferenceSolver:
     """Exact solver for the constant-coefficient (A = I) strip operator.
 
     Solves K_ref x = r on the free nodes (bottom Dirichlet, top either
-    natural or Dirichlet) by lateral FFT plus one tridiagonal solve per
-    Fourier mode, factorized once.
+    natural or Dirichlet).  A real lateral FFT leaves, per Fourier mode, a
+    Hermitian Toeplitz tridiagonal in the vertical with bands
+    (conj(a), t0, a); the natural top halves the last row to (conj(a), t0/2)
+    because the shear cross terms cancel over corner pairs.  The twist
+    x_k = exp(-i k arg a) y_k makes it the real symmetric (|a|, t0, |a|),
+    which sine transforms diagonalize (Buzbee, Golub and Nielson, SIAM J.
+    Numer. Anal. 7, 1970): DST-I for a Dirichlet top, eigenvalues
+    t0 + 2|a| cos(j pi / (n + 1)); DST-III then DST-II for the natural top
+    after doubling the last entry, eigenvalues t0 + 2|a| cos((j - 1/2) pi / n).
+
+    ``null_mask`` flags the lateral modes of the rfftn half spectrum on
+    which every band vanishes: hourglass modes of the one-point quadrature
+    (zero discrete energy), pseudo-inverted to zero.
     """
 
     def __init__(self, grid, top_dirichlet=False):
         self.grid = grid
         self.top_dirichlet = bool(top_dirichlet)
-        d = grid.d
-        Ke = _element_matrix_identity(grid)
         lat_shape = grid.lat_cells
-        self.lat_axes = tuple(range(1, d))  # axes of (N, *lat, levels) arrays
-        th = _lateral_phases(grid, lat_shape)
-        zero = np.zeros(lat_shape, dtype=complex)
-        T = {-1: zero.copy(), 0: zero.copy(), 1: zero.copy()}
-        Ttop = {-1: zero.copy(), 0: zero.copy()}
-        for ci, c in enumerate(grid.corners):
-            for cj, c2 in enumerate(grid.corners):
-                phase = np.ones(lat_shape, dtype=complex)
-                for ax in range(d - 1):
-                    diff = c2[ax] - c[ax]
-                    if diff:
-                        phase = phase * np.exp(1j * diff * th[ax])
-                delta = c2[-1] - c[-1]
-                T[delta] += Ke[ci, cj] * phase
-                if c[-1] == 1:
-                    Ttop[delta] += Ke[ci, cj] * phase
+        self.lat_axes = tuple(range(1, grid.d))  # axes of (N, *lat, levels) arrays
+        T = _stencil_symbol(grid, _mode_angles(lat_shape, half=True))
         nv = grid.n_vert
         n_free = nv - 1 if self.top_dirichlet else nv
         if n_free < 1:
             raise ValueError("strip too shallow for a free interior")
-        diag = np.empty((n_free,) + lat_shape, dtype=complex)
-        lower = np.empty_like(diag)
-        upper = np.empty_like(diag)
-        diag[:] = T[0]
-        lower[:] = T[-1]
-        upper[:] = T[1]
-        if not self.top_dirichlet:
-            diag[-1] = Ttop[0]
-            lower[-1] = Ttop[-1]
-        # Lateral modes on which every band vanishes are hourglass modes of
-        # the one-point quadrature (zero discrete energy); pseudo-invert.
-        scale = max(np.abs(b).max() for b in (T[-1], T[0], T[1]))
-        null = np.maximum.reduce(
-            [np.abs(b) for b in (T[-1], T[0], T[1], Ttop[-1], Ttop[0])]
-        ) <= 1e-12 * scale
-        self.null_mask = null
-        if null.any():
-            diag[:, null] = 1.0
-            lower[:, null] = 0.0
-            upper[:, null] = 0.0
-        self._keep = np.where(null, 0.0, 1.0)[..., None]
         self.n_free = n_free
-        # in-place LU of the Hermitian tridiagonal, vectorized over modes
-        self._denom = np.empty_like(diag)
-        self._l = np.zeros_like(diag)
-        self._upper = upper
-        self._denom[0] = diag[0]
-        for k in range(1, n_free):
-            self._l[k] = lower[k] / self._denom[k - 1]
-            self._denom[k] = diag[k] - self._l[k] * upper[k - 1]
+        a, t0 = np.abs(T[1]), T[0].real
+        scale = max(np.abs(b).max() for b in T.values())
+        self.null_mask = np.maximum(a, np.abs(T[0])) <= 1e-12 * scale
+        j = np.arange(1, n_free + 1)
+        if self.top_dirichlet:
+            theta, norm, self._dst_types = j * np.pi / (n_free + 1), 2.0 * (n_free + 1), (1, 1)
+        else:
+            theta, norm, self._dst_types = (j - 0.5) * np.pi / n_free, 2.0 * n_free, (3, 2)
+        mu = t0[..., None] + 2.0 * a[..., None] * np.cos(theta)
+        self._inv = np.divide(
+            1.0, mu * norm, out=np.zeros_like(mu), where=~self.null_mask[..., None]
+        )
+        # successive powers of exp(i arg a): a running product keeps the phase
+        # step between neighbouring levels exact to rounding at any height
+        step = np.exp(1j * np.angle(T[1]))[..., None]
+        twist = np.cumprod(np.broadcast_to(step, step.shape[:-1] + (n_free,)), axis=-1)
+        self._untwist = np.conj(twist)
+        if not self.top_dirichlet:
+            twist[..., -1] *= 2.0
+        self._twist = twist
 
     def solve_free(self, r_free):
         """Solve for the free-level block; r_free is (N, *lat, n_free)."""
-        rhat = np.fft.fftn(r_free, axes=self.lat_axes).astype(complex)
-        y = np.empty_like(rhat)
-        y[..., 0] = rhat[..., 0]
-        for k in range(1, self.n_free):
-            y[..., k] = rhat[..., k] - self._l[k] * y[..., k - 1]
-        x = np.empty_like(y)
-        x[..., -1] = y[..., -1] / self._denom[-1]
-        for k in range(self.n_free - 2, -1, -1):
-            x[..., k] = (y[..., k] - self._upper[k] * x[..., k + 1]) / self._denom[k]
-        x = x * self._keep
-        return np.real(np.fft.ifftn(x, axes=self.lat_axes))
+        from scipy import fft
+
+        t_in, t_out = self._dst_types
+        rhat = fft.rfftn(r_free, axes=self.lat_axes) * self._twist
+        y = fft.dst(fft.dst(rhat, type=t_in, axis=-1) * self._inv, type=t_out, axis=-1)
+        return fft.irfftn(y * self._untwist, s=self.grid.lat_cells, axes=self.lat_axes)
 
     def solve(self, r_full):
         """Solve with zero correction on fixed levels; r_full (N, *lat, levels)."""
@@ -200,24 +206,13 @@ class TorusReferenceSolver:
 
     def __init__(self, grid):
         self.grid = grid
-        d = grid.d
-        Ke = _element_matrix_identity(grid)
-        th = _lateral_phases(grid, grid.node_shape)
-        sigma = np.zeros(grid.node_shape, dtype=complex)
-        for ci, c in enumerate(grid.corners):
-            for cj, c2 in enumerate(grid.corners):
-                phase = np.ones(grid.node_shape, dtype=complex)
-                for ax in range(d):
-                    diff = c2[ax] - c[ax]
-                    if diff:
-                        phase = phase * np.exp(1j * diff * th[ax])
-                sigma += Ke[ci, cj] * phase
+        sigma = _stencil_symbol(grid, _mode_angles(grid.node_shape))[0]
         tol = 1e-12 * np.abs(sigma).max()
         self.null_mask = np.abs(sigma) <= tol
         inv = np.zeros_like(sigma)
         inv[~self.null_mask] = 1.0 / sigma[~self.null_mask]
         self._inv = inv
-        self.axes = tuple(range(1, d + 1))
+        self.axes = tuple(range(1, grid.d + 1))
 
     def solve(self, r):
         rhat = np.fft.fftn(r, axes=self.axes)

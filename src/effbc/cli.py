@@ -291,12 +291,14 @@ def cmd_discontinuity_demo(cfg: ExperimentConfig, rep: Reporter) -> int:
         f"gap delta={gap:.6f}, gap>0: {'PASS' if gap > 0 else 'FAIL'}"
     )
     print(line)
+    # the end angles are the e1 and e2 approaches solved above
     angles = np.linspace(0.0, np.pi / 2.0, 5)
-    Ls = []
-    for th in angles:
+    Ls = [float(lim1.value[0])]
+    for th in angles[1:-1]:
         eta = np.array([np.cos(th), np.sin(th), 0.0])
         lim = directional_limit(xi, eta, profile, op, tolerance=cfg.tolerance, tau=tau, n_lat=64)
         Ls.append(float(lim.value[0]))
+    Ls.append(float(lim2.value[0]))
     rep.write_csv("angle_sweep.csv", ["angle", "L"], [[a, l] for a, l in zip(angles, Ls)])
     panel1 = SvgPlot(title="shift profile of the far field", xlabel="s", ylabel="c*")
     panel1.add_line(profile.shifts, profile.values[:, 0])

@@ -251,13 +251,15 @@ def solution_text(solution):
     coord_names = [f"y{j + 1}" for j in range(grid.d)]
     val_names = [f"u{c + 1}" for c in range(N)]
     lines.append(",".join(idx_names + coord_names + val_names))
+    # one %-template per row; "%.17g" renders floats exactly as fmt does,
+    # nan and inf included.  Rows are joined one first-axis slab at a time.
+    row = ",".join(["%d"] * (grid.d - 1) + ["%.17g"] * (grid.d + N))
+    index = [a.ravel().tolist() for a in np.indices(grid.node_shape[1:])]
     coords = grid.node_coords()
-    it = np.ndindex(*grid.node_shape)
-    for idx in it:
-        row = [str(i) for i in idx]
-        row += [fmt(coords[(c,) + idx]) for c in range(grid.d)]
-        row += [fmt(solution.values[(c,) + idx]) for c in range(N)]
-        lines.append(",".join(row))
+    for i0 in range(grid.node_shape[0]):
+        floats = [a[i0].ravel().tolist() for a in (*coords, *solution.values)]
+        slab_row = f"{i0},{row}"
+        lines.append("\n".join(slab_row % r for r in zip(*index, *floats)))
     return "\n".join(lines) + "\n"
 
 

@@ -5,12 +5,13 @@ import os
 import numpy as np
 import pytest
 
-from effbc import ConfigError
+from effbc import ConfigError, identity_tensor, make_field, make_rational_direction
 from effbc.cli import main
 from effbc.config import load_config, parse_field, parse_operator
 from effbc.fields import LinearTensorField
 from effbc.operators import KinkPotential2D, RootKinkOperator
-from effbc.reports import canonical_json, fmt, parse_solution_text
+from effbc.reports import canonical_json, fmt, parse_solution_text, solution_text
+from effbc.solve import StripProblem, StripSolution, solve_strip
 
 
 BASE = {
@@ -232,9 +233,47 @@ def test_cli_discontinuity_demo(tmp_path, capsys):
     summary = json.loads((tmp_path / "demo" / "discontinuity.json").read_text())
     assert summary["gap_certificate"] > 0
     assert summary["L_e2"][0] > summary["L_e1"][0]
+    # the angle sweep's end points are the e1 and e2 limits themselves
+    lines = (tmp_path / "demo" / "angle_sweep.csv").read_text().splitlines()
+    assert float(lines[1].split(",")[1]) == summary["L_e1"][0]
+    assert float(lines[-1].split(",")[1]) == summary["L_e2"][0]
     manifest = json.loads((tmp_path / "demo" / "manifest.json").read_text())
     on_disk = sorted(f for f in os.listdir(out) if f != "manifest.json")
     assert manifest["files"] == on_disk
+
+
+def _solution_text_per_node(solution):
+    """The per-node serialization loop that solution_text replaced."""
+    grid = solution.grid
+    head = solution_text(solution).split("\n")[:6]
+    lines = list(head)
+    coords = grid.node_coords()
+    N = solution.values.shape[0]
+    for idx in np.ndindex(*grid.node_shape):
+        row = [str(i) for i in idx]
+        row += [fmt(coords[(c,) + idx]) for c in range(grid.d)]
+        row += [fmt(solution.values[(c,) + idx]) for c in range(N)]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "v,N,h", [([1, 2], 1, math.sqrt(5.0) / 20.0), ([1, 1, 1], 2, math.sqrt(2.0) / 12.0)]
+)
+def test_solution_text_matches_per_node_loop(v, N, h):
+    xi = make_rational_direction(v)
+    d = len(v)
+    prob = StripProblem(
+        xi=xi, operator=identity_tensor(d, n_components=N),
+        data=make_field(d, terms=[(1.0, [1] * d, "cos")], constant=0.25, n_components=N),
+        R=4 * h, h=h,
+    )
+    sol = solve_strip(prob)
+    specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324, -1.0 / 3.0, 1e300, 12345678.0]
+    vals = np.array(sol.values)
+    vals.flat[: len(specials)] = specials
+    for s in (sol, StripSolution(sol.problem, sol.grid, vals, sol.residual_norm, sol.iterations)):
+        assert solution_text(s) == _solution_text_per_node(s)
 
 
 def test_fmt_seventeen_digits():
