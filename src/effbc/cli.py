@@ -213,22 +213,15 @@ def cmd_sweep(cfg: ExperimentConfig, rep: Reporter) -> int:
         "sweep.json",
         {
             "alpha_hat": report.alpha_hat,
+            "alpha_range": report.alpha_range,
             "prefactor_hat": report.prefactor_hat,
             "pairs_used": report.pairs_used,
             "degenerate": report.degenerate,
             "rows": report.table(),
         },
     )
-    good = [r["prediction"] for r in report.rows if r["ok"]]
-    if len(good) >= 2 and not report.degenerate:
-        dn, dv = [], []
-        for i in range(len(good)):
-            for j in range(i + 1, len(good)):
-                gap = float(np.max(np.abs(good[i].value - good[j].value)))
-                dist = float(np.linalg.norm(good[i].n - good[j].n))
-                if gap > 0 and dist > 0:
-                    dn.append(dist)
-                    dv.append(gap)
+    if not report.degenerate:
+        dn, dv = np.array(report.pairs).T
         plot = SvgPlot(title="value modulus vs direction distance",
                        xlabel="|n1 - n2|", ylabel="|v1 - v2|", logy=True)
         plot.add_points(dn, dv)

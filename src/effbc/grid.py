@@ -9,6 +9,11 @@ single constant Jacobian.
 
 Gradients are evaluated once per cell at the cell center (one point
 quadrature); this is part of the definition of the discrete operator.
+There the reference gradient along axis a is the forward difference along
+a of the nodal values averaged over every other axis, so ``phys_gradient``
+is d difference-and-average passes, one per axis, and ``scatter_flux`` is
+their exact transpose.  Assembly still works per cell corner (``corners``,
+``_gather_corner`` and the weights ``phi``).
 """
 
 from __future__ import annotations
@@ -27,8 +32,53 @@ _DIV_TOL = 1e-9
 _MAX_SPACING = 1.0 / 8.0  # at least 8 cells per unit length
 
 
+def _along(ndim, axis, sl):
+    """Index tuple taking slice ``sl`` on ``axis`` and everything elsewhere."""
+    idx = [slice(None)] * ndim
+    idx[axis] = sl
+    return tuple(idx)
+
+
+_LO, _HI = slice(None, -1), slice(1, None)
+_FIRST, _LAST = slice(0, 1), slice(-1, None)
+
+
+def _pairsum(A, axis):
+    """Sum of neighbouring entries along axis: n + 1 -> n."""
+    return A[_along(A.ndim, axis, _HI)] + A[_along(A.ndim, axis, _LO)]
+
+
+def _spread(B, axis, sign):
+    """Transpose of _pairsum (sign 1) or of the forward difference (sign -1)
+    along axis: n -> n + 1."""
+    shape = list(B.shape)
+    shape[axis] += 1
+    out = np.empty(shape)
+    mid = out[_along(out.ndim, axis, slice(1, -1))]
+    lo, hi = B[_along(B.ndim, axis, _LO)], B[_along(B.ndim, axis, _HI)]
+    (np.add if sign > 0 else np.subtract)(lo, hi, out=mid)
+    # a plain negated copy: np.negative(..., out=) into this strided end
+    # slice returns wrong values with numpy 2.4
+    out[_along(out.ndim, axis, _FIRST)] = sign * B[_along(B.ndim, axis, _FIRST)]
+    out[_along(out.ndim, axis, _LAST)] = B[_along(B.ndim, axis, _LAST)]
+    return out
+
+
+def _combine(row, arrays, out=None):
+    """sum_j row[j] * arrays[j] over the non-zero entries of row."""
+    terms = [(m, a) for m, a in zip(row, arrays) if m]
+    acc = np.multiply(terms[0][1], terms[0][0], out=out)
+    for m, a in terms[1:]:
+        acc += m * a
+    return acc
+
+
 class _MeshBase:
-    """Shared cell-corner machinery; subclasses fix topology and geometry."""
+    """Shared cell calculus; subclasses fix topology and geometry.
+
+    ``periodic`` flags each grid axis: a periodic axis has as many nodes as
+    cells and wraps around, any other axis has one node more than cells.
+    """
 
     def _setup(self, edges):
         d = self.d
@@ -37,38 +87,68 @@ class _MeshBase:
         self.cellvol = abs(float(np.linalg.det(self.jacobian)))
         self.grad_map = np.linalg.inv(self.jacobian).T  # ref gradient -> physical
         self.corners = tuple(itertools.product((0, 1), repeat=d))
-        W = np.empty((d, 2**d))
+        ref_weights = np.empty((d, 2**d))
         for ci, c in enumerate(self.corners):
             for ax in range(d):
-                W[ax, ci] = (1.0 if c[ax] else -1.0) / 2.0 ** (d - 1)
-        self.ref_weights = W
-        self.phi = self.grad_map @ W  # physical gradient weights per corner
+                ref_weights[ax, ci] = (1.0 if c[ax] else -1.0) / 2.0 ** (d - 1)
+        self.phi = self.grad_map @ ref_weights  # physical gradient weights per corner
+        # the passes below add and subtract without the 1/2 of each average,
+        # which rides on the geometry factors instead
+        halves = 0.5 ** (d - 1)
+        self._gradient_map = self.grad_map * halves
+        self._flux_map = self.grad_map.T * (self.cellvol * halves)
 
     # topology hooks -----------------------------------------------------
     def _gather_corner(self, U, c):
         raise NotImplementedError
 
-    def _scatter_corner(self, out, c, contrib):
-        raise NotImplementedError
-
     # calculus -----------------------------------------------------------
-    def gather(self, U):
-        """Corner values per cell: list of 2^d arrays (..., *cell_shape)."""
-        return [self._gather_corner(U, c) for c in self.corners]
+    # A periodic axis is closed by appending its first node slice, so every
+    # pass is a slice sum or difference over n + 1 nodes and n cells.
+    def _wrap(self, U):
+        lead = U.ndim - self.d
+        E = np.empty(U.shape[:lead] + tuple(n + p for n, p in zip(U.shape[lead:], self.periodic)))
+        E[tuple(slice(0, n) for n in U.shape)] = U
+        for ax, p in enumerate(self.periodic):
+            if p:
+                axis = lead + ax
+                E[_along(E.ndim, axis, _LAST)] = E[_along(E.ndim, axis, _FIRST)]
+        return E
 
-    def ref_gradient(self, U):
-        corners = self.gather(U)
-        g = np.zeros((self.d,) + corners[0].shape)
-        for ci in range(len(self.corners)):
-            for ax in range(self.d):
-                w = self.ref_weights[ax, ci]
-                if w:
-                    g[ax] += w * corners[ci]
+    def _fold(self, E):
+        for ax, p in enumerate(self.periodic):
+            if p:
+                axis = E.ndim - self.d + ax
+                E[_along(E.ndim, axis, _FIRST)] += E[_along(E.ndim, axis, _LAST)]
+                E = E[_along(E.ndim, axis, _LO)]
+        return np.ascontiguousarray(E)
+
+    def _edge_sums(self, U):
+        """Per axis a, the forward difference along a of U summed over the
+        two nodes of every other axis: (d, ..., *cell_shape)."""
+        E = self._wrap(U)
+        lead = U.ndim - self.d
+        g = np.empty((self.d,) + U.shape[:lead] + self.cell_shape)
+        for a in range(self.d):
+            A = E
+            for b in range(self.d):
+                if b != a:
+                    A = _pairsum(A, lead + b)
+            axis = lead + a
+            np.subtract(A[_along(A.ndim, axis, _HI)], A[_along(A.ndim, axis, _LO)], out=g[a])
         return g
 
     def phys_gradient(self, U):
-        g = self.ref_gradient(U)
-        return np.tensordot(self.grad_map, g, axes=(1, 0))
+        """Physical cell-center gradient of nodal values U (..., *node_shape).
+
+        In reference coordinates the gradient along axis a is the forward
+        difference along a of U averaged over every other axis.
+        """
+        sums = self._edge_sums(U)
+        out = np.empty_like(sums)
+        for row, g in zip(self._gradient_map, out):
+            _combine(row, sums, out=g)
+        return out
 
     def scatter_flux(self, q):
         """Adjoint of phys_gradient including the cell volume weight.
@@ -77,18 +157,18 @@ class _MeshBase:
         entries are the partial derivatives of sum_cells vol * F(grad u)
         with respect to nodal values when q = DF(grad u).
         """
-        q_ref = np.tensordot(self.grad_map.T, q, axes=(1, 0)) * self.cellvol
-        out = np.zeros(q.shape[1:2] + self.node_shape)
-        for ci, c in enumerate(self.corners):
-            contrib = None
-            for ax in range(self.d):
-                w = self.ref_weights[ax, ci]
-                if not w:
-                    continue
-                piece = w * q_ref[ax]
-                contrib = piece if contrib is None else contrib + piece
-            self._scatter_corner(out, c, contrib)
-        return out
+        lead = q.ndim - 1 - self.d
+        total = None
+        for a in range(self.d):
+            B = _spread(_combine(self._flux_map[a], q), lead + a, -1)
+            for b in range(self.d):
+                if b != a:
+                    B = _spread(B, lead + b, 1)
+            if total is None:
+                total = B
+            else:
+                total += B
+        return self._fold(total)
 
     def apply_reference(self, U):
         """Discrete Laplacian (A = I) applied componentwise."""
@@ -129,6 +209,7 @@ class StripGrid(_MeshBase):
         self.node_shape = self.lat_cells + (self.n_vert + 1,)
         self.cell_shape = self.lat_cells + (self.n_vert,)
         self.origin = self.s * normal
+        self.periodic = (True,) * (self.d - 1) + (False,)
         self._setup(edges)
 
     # --- topology: lateral axes periodic, vertical axis sliced ----------
@@ -138,16 +219,6 @@ class StripGrid(_MeshBase):
             if c[ax]:
                 A = np.roll(A, -1, axis=A.ndim - self.d + ax)
         return A[..., 1:] if c[-1] else A[..., :-1]
-
-    def _scatter_corner(self, out, c, contrib):
-        A = contrib
-        for ax in range(self.d - 1):
-            if c[ax]:
-                A = np.roll(A, 1, axis=A.ndim - self.d + ax)
-        if c[-1]:
-            out[..., 1:] += A
-        else:
-            out[..., :-1] += A
 
     # --- coordinates -----------------------------------------------------
     def _coords(self, shape, offset):
@@ -205,6 +276,7 @@ class TorusGrid(_MeshBase):
             raise InvalidMeshError("need at least 2 cells per direction")
         self.node_shape = (self.n_cells,) * d
         self.cell_shape = self.node_shape
+        self.periodic = (True,) * d
         self._setup(np.eye(d) / self.n_cells)
         self.spacings = (1.0 / self.n_cells,) * d
 
@@ -214,13 +286,6 @@ class TorusGrid(_MeshBase):
             if c[ax]:
                 A = np.roll(A, -1, axis=A.ndim - self.d + ax)
         return A
-
-    def _scatter_corner(self, out, c, contrib):
-        A = contrib
-        for ax in range(self.d):
-            if c[ax]:
-                A = np.roll(A, 1, axis=A.ndim - self.d + ax)
-        out += A
 
     def cell_centers(self):
         idx = np.meshgrid(*[np.arange(self.n_cells)] * self.d, indexing="ij")

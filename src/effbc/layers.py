@@ -23,6 +23,7 @@ __all__ = [
     "BoundaryLayerResult",
     "ShiftProfile",
     "boundary_layer_limit",
+    "doubling_ladder",
     "ladder_limit",
     "shift_profile",
     "fit_decay",
@@ -125,6 +126,14 @@ def ladder_limit(problem_for_height, ladder, tolerance, stop_on_tolerance=True, 
     return result, solutions
 
 
+def doubling_ladder(start, stop):
+    """Heights start, 2 start, 4 start, ... up to the first one >= stop."""
+    ladder = [start]
+    while ladder[-1] < stop - 1e-12:
+        ladder.append(2.0 * ladder[-1])
+    return ladder
+
+
 def _mesh_for(xi, R, h):
     """Mesh keywords for a ladder rung: exact divisibility when h allows
     it, otherwise per-direction cell counts rounded up (d=3 directions
@@ -161,9 +170,7 @@ def boundary_layer_limit(
     """
     M = xi.period_bound
     if R_ladder is None:
-        R_ladder = [4.0 * M]
-        while R_ladder[-1] < max_factor * M - 1e-12:
-            R_ladder.append(2.0 * R_ladder[-1])
+        R_ladder = doubling_ladder(4.0 * M, max_factor * M)
     if h is None:
         h = min(0.125, M / 16.0)
 

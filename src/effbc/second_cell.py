@@ -28,7 +28,7 @@ from .lattice import (
     dirichlet_approximate,
     make_rational_direction,
 )
-from .layers import ShiftProfile, ladder_limit, shift_profile
+from .layers import ShiftProfile, doubling_ladder, ladder_limit, shift_profile
 from .solve import StripProblem
 
 __all__ = [
@@ -168,9 +168,7 @@ def directional_limit(
     if n_lat is None:
         n_lat = max(16, 2 * len(profile.shifts), int(math.ceil(8.0 * T)))
     h_t = T / n_lat
-    ladder = [4.0 * T]
-    while ladder[-1] < max_factor * T - 1e-12:
-        ladder.append(2.0 * ladder[-1])
+    ladder = doubling_ladder(4.0 * T, max_factor * T)
 
     def make(R):
         n_vert = int(round(R / h_t))
@@ -299,6 +297,8 @@ class SweepReport:
     prefactor_hat: float
     pairs_used: int
     degenerate: bool
+    pairs: list = field(default_factory=list)  # (dist, gap) of every fitted pair
+    alpha_range: list = field(default_factory=lambda: [float("nan")] * 2)
 
     def table(self):
         out = []
@@ -327,7 +327,9 @@ def continuity_sweep(operator, data, directions, Q=12, tolerance=1e-7, **kwargs)
 
     Pairs whose value difference sits below the combined error bars are
     excluded from the fit (they carry no signal about the modulus); rows
-    whose solve fails are flagged, never dropped silently.
+    whose solve fails are flagged, never dropped silently.  ``alpha_range``
+    is the range of the fitted exponent as every fitted gap moves within
+    its numeric bars.
     """
     rows = []
     for n in directions:
@@ -337,30 +339,36 @@ def continuity_sweep(operator, data, directions, Q=12, tolerance=1e-7, **kwargs)
         except EffbcError as exc:
             rows.append({"n": np.asarray(n, float).tolist(), "ok": False, "error": str(exc)})
     good = [r["prediction"] for r in rows if r["ok"]]
-    dn, dv = [], []
+    pairs, bars = [], []
     for i in range(len(good)):
         for j in range(i + 1, len(good)):
             gap = float(np.max(np.abs(good[i].value - good[j].value)))
             # the numeric bars separate signal from solver noise; the angle
             # term is the modulus under study and must not mask the fit
-            bars = good[i].numeric_bar + good[j].numeric_bar
+            bar = good[i].numeric_bar + good[j].numeric_bar
             dist = float(np.linalg.norm(good[i].n - good[j].n))
-            if gap > bars and dist > 0:
-                dn.append(dist)
-                dv.append(gap)
-    if len(dn) >= 2:
-        coeff = np.polyfit(np.log(dn), np.log(dv), 1)
-        alpha_hat = float(coeff[0])
-        pref = float(np.exp(coeff[1]))
-        degenerate = False
-    else:
-        alpha_hat = float("nan")
-        pref = float("nan")
-        degenerate = True
-    return SweepReport(
-        rows=rows, alpha_hat=alpha_hat, prefactor_hat=pref,
-        pairs_used=len(dn), degenerate=degenerate,
+            if gap > bar and dist > 0:
+                pairs.append((dist, gap))
+                bars.append(bar)
+    report = SweepReport(
+        rows=rows, alpha_hat=float("nan"), prefactor_hat=float("nan"),
+        pairs_used=len(pairs), degenerate=len(pairs) < 2, pairs=pairs,
     )
+    if not report.degenerate:
+        dn, dv = np.array(pairs).T
+        log_dn = np.log(dn)
+        coeff = np.polyfit(log_dn, np.log(dv), 1)
+        report.alpha_hat = float(coeff[0])
+        report.prefactor_hat = float(np.exp(coeff[1]))
+        # the fitted slope is linear in each log gap with the sign of
+        # log dist - mean, so moving every gap to the end of its bar that
+        # raises (lowers) the slope gives its exact extremes over the bars
+        up = np.sign(log_dn - log_dn.mean()) * np.array(bars)
+        report.alpha_range = [
+            float(np.polyfit(log_dn, np.log(dv - up), 1)[0]),
+            float(np.polyfit(log_dn, np.log(dv + up), 1)[0]),
+        ]
+    return report
 
 
 def subsolution_residual(y, z):

@@ -214,6 +214,29 @@ def test_cli_sweep(tmp_path):
     lines = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
     assert lines[0].startswith("n,value")
     assert len(lines) == 4
+    assert summary["degenerate"]
+    assert summary["alpha_range"] == [None, None]  # NaN, written as null
+    assert not (tmp_path / "sw" / "sweep.svg").exists()
+
+
+def test_cli_sweep_plots_the_fitted_pairs(tmp_path):
+    out = str(tmp_path / "sw")
+    path, _ = write_cfg(
+        tmp_path, experiment="sweep",
+        directions=[{"unit": [1.0, k]} for k in (6, 5, 4)],
+        limit={"tolerance": 1e-7, "sample_count": 8},
+        sweep={"Q": 6},
+        mesh=None,
+        out=out,
+    )
+    assert main(["--config", path, "sweep"]) == 0
+    summary = json.loads((tmp_path / "sw" / "sweep.json").read_text())
+    assert not summary["degenerate"]
+    # the plot shows exactly the pairs that the fit line was fitted to
+    svg = (tmp_path / "sw" / "sweep.svg").read_text()
+    assert svg.count("<circle") == summary["pairs_used"]
+    lo, hi = summary["alpha_range"]
+    assert lo <= summary["alpha_hat"] <= hi
 
 
 def test_cli_discontinuity_demo(tmp_path, capsys):

@@ -12,6 +12,7 @@ from effbc import (
     make_field,
     shift_profile,
 )
+from effbc.layers import doubling_ladder
 
 
 def test_laplace_cosine_limit_zero(xi_e2, data_cos1):
@@ -53,6 +54,15 @@ def test_decay_rate_rotated_direction(xi_12):
         R_ladder=[0.5 * M, 0.75 * M, 1.0 * M, 1.25 * M], stop_on_tolerance=False,
     )
     assert res.decay_rate == pytest.approx(2.0 * math.pi / M, rel=0.05)
+
+
+def test_doubling_ladder():
+    assert doubling_ladder(4.0, 64.0) == [4.0, 8.0, 16.0, 32.0, 64.0]
+    assert doubling_ladder(4.0, 5.0) == [4.0, 8.0]
+    assert doubling_ladder(4.0, 4.0) == [4.0]
+    # rungs of an irrational period are exact doublings of the first
+    M = math.sqrt(5.0)
+    assert doubling_ladder(4.0 * M, 64 * M) == [4.0 * M * 2**k for k in range(5)]
 
 
 def test_fit_decay_requires_points():

@@ -115,6 +115,7 @@ def test_sweep_constant_data_degenerate(laminate2):
     )
     assert report.degenerate
     assert all(r["ok"] for r in report.rows)
+    assert all(math.isnan(a) for a in report.alpha_range)
 
 
 def test_sweep_linear_positive_exponent(laminate2, data_diag):
@@ -126,6 +127,9 @@ def test_sweep_linear_positive_exponent(laminate2, data_diag):
     assert not report.degenerate
     assert report.alpha_hat > 0.0
     assert report.pairs_used >= 3
+    assert len(report.pairs) == report.pairs_used
+    lo, hi = report.alpha_range
+    assert lo <= report.alpha_hat <= hi
 
 
 def test_subsolution_residual_closed_form():
