@@ -9,7 +9,9 @@ axis leaves one Hermitian Toeplitz tridiagonal per lateral Fourier mode,
 which a phase twist and a sine transform (DST) diagonalize.  The strip
 solve gives the harmonic-extension initial guess and the preconditioner of
 the linear and nonlinear strip solvers; the torus solve preconditions the
-cell problems.
+cell problems.  The strip solvers apply the operator matrix free; the
+assembled matrix serves the torus cell problems of homogenization and the
+tests.
 """
 
 from __future__ import annotations

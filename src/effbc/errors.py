@@ -27,12 +27,15 @@ class OperatorInvalidError(EffbcError):
 class SolverFailureError(EffbcError):
     """Raised when an algebraic solve stagnates or diverges.
 
-    ``trace`` holds per-iteration diagnostics collected before the failure.
+    ``trace`` holds per-iteration diagnostics collected before the failure
+    (for Krylov solves, the relative residual after each iteration);
+    ``residual`` is the final true relative residual when one was computed.
     """
 
-    def __init__(self, message, trace=None):
+    def __init__(self, message, trace=None, residual=None):
         super().__init__(message)
         self.trace = trace if trace is not None else []
+        self.residual = residual
 
 
 class NonConvergedError(EffbcError):

@@ -144,7 +144,12 @@ def evaluate_field(field: PeriodicFieldExpr, y, derivative=None):
     if order == 0:
         out += field.constant.reshape((field.n_components,) + (1,) * (y.ndim - 1))
     for coef, k, phase in field.terms:
-        arg = np.tensordot(k.astype(float) * _TWO_PI, y, axes=(0, 0))
+        # k . y as an explicit d-term sum: a tensordot here is a BLAS gemv
+        # over every point, which wakes a second BLAS thread for no gain
+        arg = np.zeros(y.shape[1:])
+        for kj, yj in zip(k, y):
+            if kj:
+                arg += (_TWO_PI * float(kj)) * yj
         # differentiating rotates the phase by pi/2 per order and scales by 2 pi k_j
         shift = 0 if phase == "cos" else 3  # cos = shift 0, sin = shift 3 of the cycle d/dx cos
         factor = 1.0

@@ -18,13 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .assembly import TorusReferenceSolver, assemble_matrix
 from .errors import NonConvergedError, SolverFailureError
 from .fields import LinearTensorField, constant_field
 from .grid import TorusGrid
-from .solve import StripProblem, solve_linear
+from .solve import StripProblem, _krylov_solve, _symmetric_cells, solve_linear
 
 __all__ = [
     "HomogenizedTensor",
@@ -84,17 +83,12 @@ def _unit_gradient(d, N, j, beta, shape):
 
 
 def _torus_linear_solve(K, ref, b, symmetric, rtol=1e-11):
-    """Krylov solve of the (singular, consistent) torus system."""
+    """Krylov solve of the (singular, consistent) torus system K x = b."""
     shape = b.shape
-    M = spla.LinearOperator(
-        (b.size, b.size), matvec=lambda v: ref.solve(v.reshape(shape)).ravel()
+    x, _, _ = _krylov_solve(
+        lambda v: (K @ v.ravel()).reshape(shape), ref.solve, b, rtol, 600, symmetric, 100.0
     )
-    method = spla.cg if symmetric else spla.bicgstab
-    x, info = method(K, b.ravel(), rtol=rtol, atol=0.0, maxiter=600, M=M)
-    rel = np.linalg.norm(K @ x - b.ravel()) / max(np.linalg.norm(b.ravel()), 1e-30)
-    if info != 0 and rel > 100.0 * rtol:
-        raise SolverFailureError(f"cell corrector solve stalled at {rel:.2e}")
-    return ref.project_out_null(x.reshape(shape))
+    return ref.project_out_null(x)
 
 
 def homogenize_linear(A: LinearTensorField, h_cell=None) -> HomogenizedTensor:
@@ -107,7 +101,7 @@ def homogenize_linear(A: LinearTensorField, h_cell=None) -> HomogenizedTensor:
     K = assemble_matrix(grid, A)
     centers = grid.cell_centers()
     Ac = A(centers)  # (d, d, N, N, *cells)
-    symmetric = A.is_symmetric()
+    symmetric = _symmetric_cells(Ac)
     A0 = np.empty((d, d, N, N))
     chis = np.empty((d, N, N) + grid.node_shape)
     for j in range(d):

@@ -1,10 +1,12 @@
 """Strip problem container and the linear / nonlinear / monotone solvers.
 
-Linear N-component systems: sparse Galerkin assembly plus BiCGStab (the
-tensors need not be symmetric), preconditioned by the exact
-constant-coefficient FFT solve and started from the discrete harmonic
-extension of the boundary data, so iteration counts stay mesh
-independent.
+Linear N-component systems: a matrix-free Galerkin operator
+(scatter_flux of the cell tensor times phys_gradient), solved by
+preconditioned CG when the cell tensors are exactly symmetric and by
+BiCGStab otherwise, preconditioned by the exact constant-coefficient FFT
+solve and started from the discrete harmonic extension of the boundary
+data, so iteration counts stay mesh independent.  Success is gated on the
+true residual, never on the Krylov method's own flag.
 
 Variational nonlinear equations (flux = gradient of a convex density):
 monotone accelerated descent on the discrete energy, preconditioned by
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .assembly import StripReferenceSolver, assemble_matrix, strip_dof_partition
+from .assembly import StripReferenceSolver, _element_matrix_identity
 from .errors import NonConvergedError, SolverFailureError
 from .fields import LinearTensorField, PeriodicFieldExpr, evaluate_field
 from .grid import StripGrid, build_strip_grid
@@ -166,28 +168,128 @@ def nonlinear_energy(op, grid, U, centers, tau):
     return float(grid.cellvol * dens.sum())
 
 
-def _masked_residual(grid, op, U, centers, tau, top_dirichlet):
-    grads = grid.phys_gradient(U)
-    r = grid.scatter_flux(operator_flux(op, grads, centers, tau))
+def _zero_fixed(r, top_dirichlet):
+    """Zero the rows of the Dirichlet levels of r in place."""
     r[..., 0] = 0.0
     if top_dirichlet:
         r[..., -1] = 0.0
     return r
 
 
-class _IterCounter:
-    def __init__(self):
-        self.n = 0
+def _masked_residual(grid, op, U, centers, tau, top_dirichlet):
+    grads = grid.phys_gradient(U)
+    return _zero_fixed(grid.scatter_flux(operator_flux(op, grads, centers, tau)), top_dirichlet)
 
-    def __call__(self, _xk):
-        self.n += 1
+
+def _apply_tensor(grid, A, V):
+    """scatter_flux(A grad V) for cell tensors A (d, d, N, N, *cells): the
+    assembled Galerkin matrix times V, on every level, without the matrix."""
+    return grid.scatter_flux(np.einsum("abij...,bj...->ai...", A, grid.phys_gradient(V)))
+
+
+def _dot(u, v):
+    # einsum's own loop, not BLAS: a threaded ddot on long vectors wakes a
+    # second BLAS thread that then spins for no gain
+    return float(np.einsum("i,i->", u.ravel(), v.ravel()))
+
+
+def _norm(u):
+    return math.sqrt(_dot(u, u))
+
+
+def _pcg(matvec, precond, b, rtol, cap):
+    """Preconditioned CG from x = 0; returns x and the relative residual
+    (recursive) after each iteration."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    bnorm = _norm(b)
+    target = rtol * bnorm
+    history = []
+    p = rho_prev = None
+    for _ in range(cap):
+        z = precond(r)
+        rho = _dot(r, z)
+        if p is None:
+            p = z
+        else:
+            p *= rho / rho_prev
+            p += z
+        q = matvec(p)
+        alpha = rho / _dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+        rnorm = _norm(r)
+        history.append(rnorm / bnorm)
+        if not rnorm >= target:  # converged, or NaN: the caller's gate decides
+            break
+    return x, history
+
+
+def _symmetric_cells(A):
+    """Whether every cell tensor of A (d, d, N, N, *cells) is exactly
+    symmetric, A^{ab}_{ij} = A^{ba}_{ji}; then so is the discrete operator."""
+    return np.array_equal(A, np.swapaxes(np.swapaxes(A, 0, 1), 2, 3))
+
+
+def _krylov_solve(matvec, precond, b, rtol, cap, symmetric, slack):
+    """Solve matvec(x) = b from x = 0 on arrays of b's shape.
+
+    Preconditioned CG when the operator is symmetric, scipy's BiCGStab
+    otherwise.  Success is judged on the true residual |b - matvec(x)|,
+    never on the solver's own flag: a recursive residual can underflow far
+    below the true one.  Raises SolverFailureError when the true relative
+    residual exceeds slack * rtol; its trace is the relative residual after
+    each iteration (the recursive one for CG; for BiCGStab the true one of
+    each iterate, at one extra operator application per iteration).
+    Returns (x, iterations, true relative residual).
+    """
+    bnorm = _norm(b)
+    if bnorm == 0.0:
+        return np.zeros_like(b), 0, 0.0
+    if symmetric:
+        x, history = _pcg(matvec, precond, b, rtol, cap)
+        method = "CG"
+    else:
+        shape = b.shape
+
+        def flat(f):
+            return spla.LinearOperator(
+                (b.size, b.size), matvec=lambda v: f(v.reshape(shape)).ravel()
+            )
+
+        history = []
+
+        def record(xk):
+            history.append(_norm(b - matvec(xk.reshape(shape))) / bnorm)
+
+        x, _ = spla.bicgstab(
+            flat(matvec), b.ravel(), rtol=rtol, atol=0.0, maxiter=cap,
+            M=flat(precond), callback=record,
+        )
+        x = x.reshape(shape)
+        method = "BiCGStab"
+    rel = _norm(matvec(x) - b) / bnorm
+    if not rel <= slack * rtol:
+        raise SolverFailureError(
+            f"{method} stalled at rel residual {rel:.3e} after {len(history)} iterations",
+            trace=history,
+            residual=rel,
+        )
+    return x, len(history), rel
 
 
 def solve_linear(problem: StripProblem) -> StripSolution:
-    """Galerkin solve of the linear system on the strip.
+    """Galerkin solve of the linear system on the strip, matrix free.
 
-    BiCGStab to relative residual problem.rtol, capped at 20 sqrt(n_free)
-    iterations; fails loudly with the iteration trace on stagnation.
+    The operator is applied as scatter_flux(A grad V) with A evaluated once
+    at the cell centers; no matrix is assembled.  Preconditioned CG when
+    the evaluated cell tensors are exactly symmetric, BiCGStab otherwise,
+    both preconditioned by the exact constant-coefficient solve and started
+    from the discrete harmonic extension, to relative residual
+    problem.rtol within 20 sqrt(n_free) iterations (at least 200).  Fails
+    loudly (SolverFailureError with the residual history) when the true
+    residual stays above 10 rtol.
     """
     op = problem.operator
     if not isinstance(op, LinearTensorField):
@@ -197,52 +299,33 @@ def solve_linear(problem: StripProblem) -> StripSolution:
     ref = StripReferenceSolver(grid, top_dirichlet=top_dir)
     bottom = boundary_values(problem, grid)
     U0 = ref.lift(bottom, _top_values(problem, grid))
-    K = assemble_matrix(grid, op)
-    free, _, _ = strip_dof_partition(grid, op.n_components, top_dir)
-    b = np.zeros(U0.size)
+    A = op(grid.cell_centers())  # (d, d, N, N, *cells)
+
+    def matvec(V):
+        return _zero_fixed(_apply_tensor(grid, A, V), top_dir)
+
+    full = _apply_tensor(grid, A, U0)
     if problem.rhs_flux is not None:
         f_cells = np.asarray(problem.rhs_flux(grid.cell_centers()), dtype=float)
         if f_cells.ndim == grid.d + 1:
             f_cells = f_cells[:, None]
-        b = -grid.scatter_flux(f_cells).ravel()
-    full = K @ U0.ravel() - b
-    r0 = -full[free]
-    rnorm0 = float(np.linalg.norm(r0))
-    scale = max(
-        float(np.linalg.norm(full)),
-        float(np.abs(K.diagonal()).max()) * float(np.linalg.norm(U0)),
-        1e-30,
-    )
+        full += grid.scatter_flux(f_cells)
+    r0 = _zero_fixed(-full, top_dir)
+    rnorm0 = _norm(r0)
+    # of the order of the largest diagonal entry of the assembled matrix
+    Ke = _element_matrix_identity(grid)
+    diag = float(np.abs(A).max()) * 2**grid.d * float(Ke.diagonal().max())
+    scale = max(_norm(full), diag * _norm(U0), 1e-30)
     if rnorm0 <= 1e-12 * scale:
         # the harmonic-extension start already solves the discrete system
         return StripSolution(problem, grid, U0, rnorm0 / scale, 0)
-    Kff = K[free][:, free].tocsr()
-    shape = U0.shape
-
-    def precond(v):
-        # exact constant-coefficient solve: spectrally equivalent, so the
-        # Krylov iteration count is mesh independent
-        buf = np.zeros(U0.size)
-        buf[free] = v
-        out = ref.solve(buf.reshape(shape))
-        return out.ravel()[free]
-
-    M = spla.LinearOperator(Kff.shape, matvec=precond)
-    cap = max(200, int(20 * math.sqrt(free.size)))
-    counter = _IterCounter()
-    x, info = spla.bicgstab(
-        Kff, r0, rtol=problem.rtol, atol=0.0, maxiter=cap, M=M, callback=counter
-    )
-    rel = float(np.linalg.norm(Kff @ x - r0) / rnorm0)
-    if info != 0 and rel > 10.0 * problem.rtol:
-        raise SolverFailureError(
-            f"BiCGStab stalled at rel residual {rel:.3e} after {counter.n} iterations",
-            trace=[counter.n, rel],
-        )
-    U = U0.copy().ravel()
-    U[free] += x
-    U = U.reshape(U0.shape)
-    return StripSolution(problem, grid, U, rel, counter.n)
+    n_free = r0[..., 0].size * ref.n_free
+    cap = max(200, int(20 * math.sqrt(n_free)))
+    symmetric = _symmetric_cells(A)
+    # the exact constant-coefficient solve is spectrally equivalent, so the
+    # iteration count is mesh independent
+    x, iters, rel = _krylov_solve(matvec, ref.solve, r0, problem.rtol, cap, symmetric, 10.0)
+    return StripSolution(problem, grid, U0 + x, rel, iters)
 
 
 def _descent_variational(problem, grid, ref, op, U0, centers, top_dir, gtol_rel=1e-9, maxiter=500):

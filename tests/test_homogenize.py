@@ -7,6 +7,7 @@ from effbc import (
     EffectiveMapSampler,
     QuadraticPotential,
     RootKinkOperator,
+    SolverFailureError,
     cosine_field,
     epsilon_refinement_study,
     homogenize_linear,
@@ -15,6 +16,9 @@ from effbc import (
     isotropic_tensor,
     make_field,
 )
+from effbc.assembly import TorusReferenceSolver, assemble_matrix
+from effbc.grid import TorusGrid
+from effbc.homogenize import _torus_linear_solve
 
 
 def test_constant_tensor_is_fixed_point():
@@ -32,6 +36,20 @@ def test_laminate_closed_forms(laminate2):
     assert hom.A0[1, 1, 0, 0] == pytest.approx(2.0 / 3.0, abs=1e-10)
     assert abs(hom.A0[0, 1, 0, 0]) <= 1e-10
     assert abs(hom.A0[1, 0, 0, 0]) <= 1e-10
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_torus_solve_fails_loudly_below_rounding(laminate2, symmetric):
+    # the failure gate reads the true residual, which cannot reach 1e-30
+    grid = TorusGrid(2, 16)
+    Ac = laminate2(grid.cell_centers())
+    E = np.zeros((2, 1) + grid.cell_shape)
+    E[0, 0] = 1.0
+    b = -grid.scatter_flux(np.einsum("abij...,bj...->ai...", Ac, E))
+    K = assemble_matrix(grid, laminate2)
+    with pytest.raises(SolverFailureError) as exc:
+        _torus_linear_solve(K, TorusReferenceSolver(grid), b, symmetric, rtol=1e-30)
+    assert exc.value.trace and exc.value.residual > 1e-28
 
 
 def test_corrector_gauge_zero_mean(laminate2):

@@ -191,10 +191,29 @@ def test_rhs_flux_manufactured(xi_e2):
     assert errs[1] <= errs[0] / 3.0
 
 
-def test_solver_failure_raises_with_trace(laminate2, xi_e2, data_cos1):
+def test_solver_failure_raises_with_trace(monkeypatch, laminate2, xi_e2, data_cos1):
+    # at rtol = 1e-30 the recursive CG residual underflows below rtol long
+    # before the true residual can; the gate reads the true residual
+    from effbc.assembly import StripReferenceSolver
+
+    calls = []
+    solve = StripReferenceSolver.solve
+
+    def counted(self, r):
+        calls.append(1)
+        return solve(self, r)
+
+    monkeypatch.setattr(StripReferenceSolver, "solve", counted)
     p = StripProblem(
         xi=xi_e2, operator=laminate2, data=data_cos1, R=2.0, h=1 / 16, rtol=1e-30
     )
     with pytest.raises(SolverFailureError) as exc:
         solve_linear(p)
-    assert exc.value.trace
+    trace = exc.value.trace
+    assert trace
+    # one relative residual per CG iteration, and CG applies the
+    # preconditioner once per iteration; the other call is the lift
+    assert len(trace) == len(calls) - 1
+    assert f"after {len(trace)} iterations" in str(exc.value)
+    assert all(np.isfinite(trace))
+    assert exc.value.residual > 10.0 * p.rtol
