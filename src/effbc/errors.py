@@ -39,7 +39,12 @@ class SolverFailureError(EffbcError):
 
 
 class NonConvergedError(EffbcError):
-    """Raised when an iterative outer loop exhausts its budget."""
+    """Raised when an iterative outer loop exhausts its budget.
+
+    For the strip solves ``trace`` holds, from the initial guess on, the
+    accepted iterates' energies (energy descent) or preconditioned residual
+    norms sqrt(r . K_ref^-1 r) (monotone fixed point).
+    """
 
     def __init__(self, message, trace=None):
         super().__init__(message)

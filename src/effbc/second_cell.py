@@ -77,10 +77,18 @@ class SecondCellProblem:
 
 
 def reduce_tensor(A0, eta, xi_hat):
-    """Constant tensor of the two-variable reduction: Q^T A0 Q, Q = [eta, xi_hat]."""
+    """Constant tensor of the two-variable reduction: Q^T A0 Q, Q = [eta, xi_hat].
+
+    Exactly symmetric (under the (a, b)(i, j) swap) whenever A0 is, so that
+    the reduced strip solves take the symmetric (CG) path; the einsum alone
+    can leave the off-diagonal pair an ulp apart.
+    """
     A0 = np.asarray(A0, dtype=float)
     Q = np.stack([np.asarray(eta, dtype=float), np.asarray(xi_hat, dtype=float)], axis=1)
-    return np.einsum("xa,xyij,yb->abij", Q, A0, Q)
+    B = np.einsum("xa,xyij,yb->abij", Q, A0, Q)
+    if np.array_equal(A0, A0.swapaxes(0, 1).swapaxes(2, 3)):
+        return 0.5 * (B + B.swapaxes(0, 1).swapaxes(2, 3))
+    return B
 
 
 class _ReducedMonotone:

@@ -17,7 +17,12 @@ Non-variational monotone maps: damped preconditioned fixed point
 (Zarantonello) iteration u <- u - rho * K_ref^{-1} R(u), with the step
 rho adapted so the preconditioned residual norm decreases monotonically.
 Uniform monotonicity and Lipschitz bounds of the flux make this a
-contraction for small enough rho.
+contraction for small enough rho.  Each step is first tried as a Type-II
+Anderson mix over the last ANDERSON_DEPTH accepted steps, its least
+squares taken in the same K_ref norm (no extra operator application); a
+mix that fails the damped step's sufficient-decrease test clears the
+history and the damped step backtracks, so the norm still decreases
+strictly and a stall still fails loudly.
 """
 
 from __future__ import annotations
@@ -45,6 +50,9 @@ __all__ = [
 ]
 
 NEUMANN = ("neumann", None)
+
+# accepted steps that the monotone fixed point mixes (Anderson depth)
+ANDERSON_DEPTH = 3
 
 
 def dirichlet_top(value):
@@ -110,6 +118,8 @@ class StripSolution:
     residual_norm: float
     iterations: int
     energy: float = None
+    # per accepted iterate from the start: energies (descent) or
+    # preconditioned residual norms sqrt(r . K_ref^-1 r) (fixed point)
     energy_trace: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -328,6 +338,18 @@ def solve_linear(problem: StripProblem) -> StripSolution:
     return StripSolution(problem, grid, U0 + x, rel, iters)
 
 
+def _armijo(energy, X, d, EX, slope, t, scale):
+    """Backtracking search along -d from X (energy EX, slope g . d) from step
+    t; returns (X - t d, its energy, t) or None after 60 halvings."""
+    for _ in range(60):
+        cand = X - t * d
+        Ec = energy(cand)
+        if Ec <= EX - 0.25 * t * slope + 1e-15 * scale:
+            return cand, Ec, t
+        t *= 0.5
+    return None
+
+
 def _descent_variational(problem, grid, ref, op, U0, centers, top_dir, gtol_rel=1e-9, maxiter=500):
     """Monotone accelerated preconditioned descent on the discrete energy."""
     tau = problem.tau
@@ -344,41 +366,27 @@ def _descent_variational(problem, grid, ref, op, U0, centers, top_dir, gtol_rel=
         gsup = float(np.abs(g).max())
         if gsup <= gtol_rel * scale:
             return U, E, it, trace
-        # accelerated candidate point
-        V = U + momentum * (U - U_prev)
-        gV = _masked_residual(grid, op, V, centers, tau, top_dir)
-        dV = ref.solve(gV)
-        slope = float((gV * dV).sum())
-        t = min(1.0, 2.0 * t_prev)
-        EV = energy(V)
-        accepted = None
-        for _ in range(60):
-            cand = V - t * dV
-            Ec = energy(cand)
-            if Ec <= EV - 0.25 * t * slope + 1e-15 * scale:
-                accepted = (cand, Ec)
-                break
-            t *= 0.5
-        if accepted is None or accepted[1] > E:
-            # momentum overshoot: fall back to plain descent from U
-            d = ref.solve(g)
-            slope = float((g * d).sum())
-            t = min(1.0, 2.0 * t_prev)
-            accepted = None
-            for _ in range(60):
-                cand = U - t * d
-                Ec = energy(cand)
-                if Ec <= E - 0.25 * t * slope + 1e-15 * scale:
-                    accepted = (cand, Ec)
-                    break
-                t *= 0.5
-            if accepted is None:
-                raise NonConvergedError("line search failed to decrease energy", trace=trace)
-            momentum = 0.0
+        if momentum:
+            # accelerated candidate point
+            V = U + momentum * (U - U_prev)
+            gV = _masked_residual(grid, op, V, centers, tau, top_dir)
+            EV = energy(V)
         else:
-            momentum = min(0.9, momentum + 0.3)
+            # V = U exactly: its residual and energy are g and E
+            V, gV, EV = U, g, E
+        dV = ref.solve(gV)
+        accepted = _armijo(energy, V, dV, EV, float((gV * dV).sum()), min(1.0, 2.0 * t_prev), scale)
+        overshoot = accepted is None or accepted[1] > E
+        if overshoot and momentum:
+            # momentum overshoot: fall back to plain descent from U (at zero
+            # momentum that search is the one just made)
+            d = ref.solve(g)
+            accepted = _armijo(energy, U, d, E, float((g * d).sum()), min(1.0, 2.0 * t_prev), scale)
+        if accepted is None:
+            raise NonConvergedError("line search failed to decrease energy", trace=trace)
+        momentum = 0.0 if overshoot else min(0.9, momentum + 0.3)
         U_prev = U
-        U, E_new = accepted
+        U, E_new, t = accepted
         if E_new > E + 1e-12 * scale:
             raise NonConvergedError("energy increased, internal inconsistency", trace=trace)
         E = E_new
@@ -389,8 +397,89 @@ def _descent_variational(problem, grid, ref, op, U0, centers, top_dir, gtol_rel=
     )
 
 
-def _fixed_point_monotone(problem, grid, ref, op, U0, centers, top_dir, rtol=1e-8, maxiter=2000):
-    """Damped preconditioned fixed point for monotone non-gradient fluxes."""
+def _solve_small(G, b):
+    """x with G x = b for a small dense system, by Gaussian elimination with
+    partial pivoting in Python floats (no LAPACK); None if a pivot vanishes."""
+    n = len(b)
+    M = [list(row) + [bi] for row, bi in zip(G, b)]
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(M[i][k]))
+        M[k], M[p] = M[p], M[k]
+        if M[k][k] == 0.0:
+            return None
+        for i in range(k + 1, n):
+            f = M[i][k] / M[k][k]
+            for j in range(k, n + 1):
+                M[i][j] -= f * M[k][j]
+    x = [0.0] * n
+    for i in reversed(range(n)):
+        x[i] = (M[i][n] - sum(M[i][j] * x[j] for j in range(i + 1, n))) / M[i][i]
+    return x
+
+
+class _AndersonHistory:
+    """The (dU, dZ) differences of the last ``depth`` accepted fixed-point
+    steps, dZ = K_ref^{-1} dR, and their Gram matrix G_ij = dZ_i . dR_j.
+
+    Since K_ref dZ = dR on the free rows, G holds K_ref inner products and is
+    symmetric, so entry (i, j) is formed once, with the newer dR, when the
+    newer step arrives; the dR arrays themselves are not kept.
+    """
+
+    def __init__(self, depth):
+        self.depth = depth
+        self.steps = []
+        self.gram = []
+
+    def clear(self):
+        self.steps.clear()
+        self.gram.clear()
+
+    def push(self, dU, dZ, dR):
+        if len(self.steps) == self.depth:
+            del self.steps[0], self.gram[0]
+            for row in self.gram:
+                del row[0]
+        self.steps.append((dU, dZ))
+        col = [_dot(dZ_i, dR) for _, dZ_i in self.steps]
+        for row, g in zip(self.gram, col):
+            row.append(g)
+        self.gram.append(col)
+
+    def candidate(self, U, z, r, rho):
+        """Type-II Anderson mix U - rho z - sum gamma_i (dU_i - rho dZ_i) of
+        the damped step, or None when the Gram system is singular.
+
+        gamma minimizes the K_ref norm of the mixed residual
+        r - sum gamma_i dR_i; its normal equations are G gamma = b with
+        b_i = dZ_i . r, solved with a relative ridge that keeps G regular.
+        """
+        ridge = 1e-13 * max(row[i] for i, row in enumerate(self.gram))
+        G = [[g + ridge * (i == j) for j, g in enumerate(row)] for i, row in enumerate(self.gram)]
+        gamma = _solve_small(G, [_dot(dZ, r) for _, dZ in self.steps])
+        if gamma is None or not all(map(math.isfinite, gamma)):
+            return None
+        cand = z * -rho
+        cand += U
+        for g, (dU, dZ) in zip(gamma, self.steps):
+            cand -= g * dU
+            cand += (g * rho) * dZ
+        return cand
+
+
+def _fixed_point_monotone(
+    problem, grid, ref, op, U0, centers, top_dir, rtol=1e-8, maxiter=2000,
+    depth=ANDERSON_DEPTH,
+):
+    """Damped preconditioned fixed point for monotone non-gradient fluxes.
+
+    Each iteration first tries the Anderson mix of the damped step over the
+    last ``depth`` accepted steps and keeps it only if it passes the
+    sufficient-decrease test of the damped step; otherwise the history is
+    cleared and the damped step backtracks.  ``depth=0`` is the plain damped
+    iteration.  Returns (U, iterations, trace of the accepted preconditioned
+    residual norms sqrt(r . K_ref^-1 r), strictly decreasing).
+    """
     tau = problem.tau
     U = U0.copy()
     r = _masked_residual(grid, op, U, centers, tau, top_dir)
@@ -406,23 +495,46 @@ def _fixed_point_monotone(problem, grid, ref, op, U0, centers, top_dir, rtol=1e-
     rho_max = 1.5 * rho
     solved = ref.solve(r)
     n_r = math.sqrt(max(float((r * solved).sum()), 0.0))
-    trace = [sup0]
+    trace = [n_r]
+    history = _AndersonHistory(depth)
+
+    def attempt(U_new):
+        # the damped step's sufficient-decrease test, at the current rho and n_r
+        r_new = _masked_residual(grid, op, U_new, centers, tau, top_dir)
+        solved_new = ref.solve(r_new)
+        n_new = math.sqrt(max(float((r_new * solved_new).sum()), 0.0))
+        if n_new <= n_r * (1.0 - 0.25 * rho * lam) or n_new <= 1e-14 * (1.0 + n_r):
+            return U_new, r_new, solved_new, n_new
+        return None
+
     for it in range(maxiter):
         if float(np.abs(r).max()) <= target:
             return U, it, trace
-        for _ in range(40):
-            U_new = U - rho * solved
-            r_new = _masked_residual(grid, op, U_new, centers, tau, top_dir)
-            solved_new = ref.solve(r_new)
-            n_new = math.sqrt(max(float((r_new * solved_new).sum()), 0.0))
-            if n_new <= n_r * (1.0 - 0.25 * rho * lam) or n_new <= 1e-14 * (1.0 + n_r):
-                break
-            rho *= 0.5
-        else:
-            raise NonConvergedError("monotone step kept failing to contract", trace=trace)
-        U, r, solved, n_r = U_new, r_new, solved_new, n_new
+        step = None
+        if history.steps:
+            cand = history.candidate(U, solved, r, rho)
+            step = attempt(cand) if cand is not None else None
+            if step is None:
+                history.clear()
+        if step is None:
+            for _ in range(40):
+                step = attempt(U - rho * solved)
+                if step is not None:
+                    break
+                rho *= 0.5
+            else:
+                raise NonConvergedError("monotone step kept failing to contract", trace=trace)
+        U_new, r_new, solved_new, n_r = step
+        if depth:
+            # the outgoing iterate's buffers become the newest differences
+            history.push(
+                np.subtract(U_new, U, out=U),
+                np.subtract(solved_new, solved, out=solved),
+                np.subtract(r_new, r, out=r),
+            )
+        U, r, solved = U_new, r_new, solved_new
         rho = min(rho * 1.1, rho_max)
-        trace.append(float(np.abs(r).max()))
+        trace.append(n_r)
     raise NonConvergedError(
         f"fixed point did not reach tolerance in {maxiter} iterations", trace=trace
     )

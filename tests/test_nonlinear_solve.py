@@ -126,7 +126,9 @@ def test_monotone_fixed_point_reduced_map():
     top = sol.top_slice()
     assert abs(top.mean()) <= 5e-3
     # residual trace decreased monotonically in the preconditioned norm
-    assert sol.iterations > 0
+    tr = sol.energy_trace
+    assert sol.iterations > 0 and len(tr) == sol.iterations + 1
+    assert all(b < a for a, b in zip(tr, tr[1:]))
 
 
 def test_root_kink_3d_small_solve():

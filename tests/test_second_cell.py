@@ -30,6 +30,23 @@ def test_reduce_tensor_frame():
     assert np.allclose(red[:, :, 0, 0], np.diag([2.0, 3.0]))
 
 
+def test_reduce_tensor_keeps_exact_symmetry():
+    # a jittered direction near (1, 6): the reduction Q^T A0 Q of the
+    # exactly symmetric laminate tensor must stay exactly symmetric, so the
+    # reduced strip solve takes the CG path
+    from effbc import laminate_tensor
+    from effbc.lattice import decompose_direction, dirichlet_approximate
+    from effbc.solve import _symmetric_cells
+
+    A0 = homogenize_linear(laminate_tensor(2)).A0
+    assert _symmetric_cells(A0)
+    n = np.array([0.17130544320118007, 0.9852179683347474])
+    xi = make_rational_direction(dirichlet_approximate(n, 6).xi)
+    assert xi.xi.tolist() == [1, 6]
+    red = reduce_tensor(A0, decompose_direction(n, xi).eta, xi.xi_hat)
+    assert _symmetric_cells(red)
+
+
 def test_average_formula_linear(laminate2, xi_e2, data_diag):
     prof = shift_profile(laminate2, data_diag, xi_e2, sample_count=16, tolerance=1e-8, h=1 / 16)
     hom = homogenize_linear(laminate2)
