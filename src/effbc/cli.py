@@ -56,7 +56,8 @@ def cmd_cell_solve(cfg: ExperimentConfig, rep: Reporter) -> int:
     )
     rep.stop("cell-solve")
     solutions = result.diagnostics.pop("solutions")
-    rep.write_text("solution.csv", solution_text(solutions[-1]))
+    with rep.open_text("solution.csv") as f:
+        solution_text(solutions[-1], out=f)
     summary = result.summary()
     vreport = _operator_report(cfg)
     if vreport:

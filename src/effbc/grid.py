@@ -237,7 +237,8 @@ class StripGrid(_MeshBase):
         return self._coords(self.cell_shape, 0.5)
 
     def bottom_coords(self):
-        return self.node_coords()[..., 0]
+        # level 0 alone: a one-level node block has the same lateral coords
+        return self._coords(self.lat_cells + (1,), 0.0)[..., 0]
 
     def top_coords(self):
         return self.node_coords()[..., -1]

@@ -7,15 +7,27 @@ R = 4M, 8M, 16M, ... (M the longest boundary period) until the top-slice
 oscillation drops below tolerance; the reported error bar combines that
 oscillation with the change of the constant across the last two rungs,
 plus a small algebraic floor.
+
+Work is reused across rungs and shifts.  A rung whose grid extends the
+previous one upward (same lateral mesh, origin, normal and vertical
+spacing, more levels) starts from the previous rung's values, continued
+above by their top slice; any other rung starts from the harmonic
+extension.  The stopping targets are those of a cold start, so a warm rung
+is held to the same absolute residual.  A shift profile builds one
+reference solver per rung geometry and shares it between its shifts,
+which move only the strip's origin.  ``diagnostics["rungs"]`` records
+each rung's height, iteration count and whether it started warm.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .assembly import StripReferenceSolver
 from .lattice import RationalDirection
 from .solve import NEUMANN, StripProblem, solve_strip
 
@@ -85,25 +97,66 @@ def fit_decay(heights, oscillations, min_points=2):
     return {"C": C, "rate": rate, "residual": residual, "degenerate": False}
 
 
-def ladder_limit(problem_for_height, ladder, tolerance, stop_on_tolerance=True, min_rungs=2):
+def _nests(lower, upper):
+    """Whether grid ``upper`` extends grid ``lower`` upward: the same lateral
+    mesh, origin and normal, the same vertical spacing, more levels."""
+    return (
+        lower.lat_cells == upper.lat_cells
+        and lower.s == upper.s
+        and upper.n_vert > lower.n_vert
+        and np.array_equal(lower.normal, upper.normal)
+        and np.array_equal(lower.edges[:, :-1], upper.edges[:, :-1])
+        and math.isclose(lower.R / lower.n_vert, upper.R / upper.n_vert, rel_tol=1e-12)
+    )
+
+
+def _reference_solver(solvers, grid, top_bc):
+    """The cached StripReferenceSolver of grid's geometry (any origin), or
+    None (solve_strip builds one) without a cache."""
+    if solvers is None:
+        return None
+    top_dirichlet = top_bc[0] == "dirichlet"
+    key = (grid.lat_cells, grid.n_vert, grid.edges.tobytes(), top_dirichlet)
+    ref = solvers.get(key)
+    if ref is None:
+        # pool threads may race here; the loser only builds an equal solver
+        ref = solvers[key] = StripReferenceSolver(grid, top_dirichlet=top_dirichlet)
+    return ref
+
+
+def ladder_limit(
+    problem_for_height, ladder, tolerance, stop_on_tolerance=True, min_rungs=2, solvers=None
+):
     """Run strip solves over a height ladder and extract the far field.
 
     ``problem_for_height`` maps a height R to a StripProblem with a
-    Neumann top.  Never silent: when the ladder is exhausted above
-    tolerance the result carries converged=False plus diagnostics.
+    Neumann top.  A rung whose grid nests the previous rung's starts from
+    that rung's values, extended upward by their top slice.  ``solvers``,
+    a dict, caches one reference solver per rung geometry (shared by the
+    ladders of a shift profile).  Never silent: when the ladder is
+    exhausted above tolerance the result carries converged=False plus
+    diagnostics.
     """
     heights, means, oscs = [], [], []
     iters = 0
     solutions = []
+    rungs = []
     for R in ladder:
         problem = problem_for_height(R)
-        sol = solve_strip(problem)
+        grid = problem.build_grid()
+        prev = solutions[-1] if solutions else None
+        warm = prev is not None and _nests(prev.grid, grid)
+        # the solver continues the lower rung upward by its top slice
+        start = prev.values if warm else problem.start
+        problem = replace(problem, grid=grid, start=start)
+        sol = solve_strip(problem, _reference_solver(solvers, grid, problem.top_bc))
         solutions.append(sol)
         mean, osc = slice_stats(sol.top_slice())
         heights.append(float(R))
         means.append(mean)
         oscs.append(osc)
         iters += sol.iterations
+        rungs.append({"R": float(R), "iterations": sol.iterations, "warm": warm})
         if stop_on_tolerance and len(heights) >= min_rungs and osc <= tolerance:
             break
     value = means[-1]
@@ -121,7 +174,7 @@ def ladder_limit(problem_for_height, ladder, tolerance, stop_on_tolerance=True, 
         oscillations=oscs,
         values_per_height=[m.tolist() for m in means],
         iterations=iters,
-        diagnostics={"decay_fit": fit},
+        diagnostics={"decay_fit": fit, "rungs": rungs},
     )
     return result, solutions
 
@@ -138,8 +191,6 @@ def _mesh_for(xi, R, h):
     """Mesh keywords for a ladder rung: exact divisibility when h allows
     it, otherwise per-direction cell counts rounded up (d=3 directions
     with incommensurable period lengths)."""
-    import math
-
     lengths = [math.sqrt(float(ell @ ell)) for ell in xi.periods] + [float(R)]
     exact = all(abs(round(L / h) - L / h) <= 1e-9 * max(1.0, L / h) for L in lengths)
     if exact:
@@ -161,12 +212,13 @@ def boundary_layer_limit(
     rtol=1e-10,
     stop_on_tolerance=True,
     keep_solutions=False,
+    solvers=None,
 ):
     """Far-field constant of the half-space problem in direction xi, shift s.
 
     The ladder defaults to R = 4M, 8M, ..., 64M.  Heights are multiples
     of M = max |ell_j| so a spacing h dividing the periods also divides
-    every rung.
+    every rung.  ``solvers`` is the reference-solver cache of ladder_limit.
     """
     M = xi.period_bound
     if R_ladder is None:
@@ -180,7 +232,9 @@ def boundary_layer_limit(
             top_bc=NEUMANN, tau=tau, rtol=rtol, **_mesh_for(xi, R, h),
         )
 
-    result, solutions = ladder_limit(make, R_ladder, tolerance, stop_on_tolerance)
+    result, solutions = ladder_limit(
+        make, R_ladder, tolerance, stop_on_tolerance, solvers=solvers
+    )
     if keep_solutions:
         result.diagnostics["solutions"] = solutions
     return result
@@ -211,15 +265,39 @@ class ShiftProfile:
         return max(r.error_bar for _, r in self.samples)
 
     def interpolator(self, kind="cubic"):
-        """Periodic interpolant of the profile; returns f(t) -> (N,) array."""
-        from scipy.interpolate import CubicSpline
+        """Periodic interpolant of the profile; returns f(t) -> (N,) array.
 
-        s = np.append(self.shifts, self.period)
-        v = np.vstack([self.values, self.values[:1]])
+        ``cubic`` is the periodic C2 cubic spline through the samples, in
+        closed form on the uniform shift grid: its knot second derivatives
+        M solve the circulant system M[i-1] + 4 M[i] + M[i+1] =
+        6 (v[i-1] - 2 v[i] + v[i+1]) / h^2, which the FFT diagonalizes
+        (symbol 4 + 2 cos(2 pi k / S) >= 2).
+        """
+        v = self.values
+        S = len(v)
         if kind == "cubic":
-            spline = CubicSpline(s, v, axis=0, bc_type="periodic")
-            return lambda t: spline(np.mod(t, self.period))
+            h = self.period / S
+            curv = np.roll(v, 1, axis=0) - 2.0 * v + np.roll(v, -1, axis=0)
+            symbol = 4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(S // 2 + 1) / S)
+            M = np.fft.irfft(
+                np.fft.rfft(curv * (6.0 / h**2), axis=0) / symbol[:, None], n=S, axis=0
+            )
+
+            def spline(t):
+                x = np.mod(t, self.period) / h
+                i = np.minimum(np.floor(x).astype(int), S - 1)
+                b = (x - i)[..., None]
+                a = 1.0 - b
+                j = (i + 1) % S
+                return a * v[i] + b * v[j] + (h * h / 6.0) * (
+                    (a**3 - a) * M[i] + (b**3 - b) * M[j]
+                )
+
+            return spline
         if kind == "linear":
+            s = np.append(self.shifts, self.period)
+            v = np.vstack([v, v[:1]])
+
             def f(t):
                 tm = np.mod(t, self.period)
                 out = np.empty(np.shape(tm) + (v.shape[1],))
@@ -254,17 +332,21 @@ def shift_profile(
 ) -> ShiftProfile:
     """Sample the far-field constant over shifts s in [0, 1/|xi|).
 
-    Samples are independent solves; with ``workers`` > 1 they run on a
-    thread pool with results assembled in deterministic s order.
+    Samples are independent ladders that share one reference solver per
+    rung geometry, built on first use and dropped on return; with
+    ``workers`` > 1 they run on a thread pool with results assembled in
+    deterministic s order.
     """
     if sample_count < 8:
         raise ValueError("sample_count must be at least 8")
     period = 1.0 / xi.norm
     shifts = np.arange(sample_count) * (period / sample_count)
+    solvers = {}
 
     def one(s):
         return boundary_layer_limit(
-            operator, data, xi, s=s, tolerance=tolerance, h=h, tau=tau, **limit_kwargs
+            operator, data, xi, s=s, tolerance=tolerance, h=h, tau=tau, solvers=solvers,
+            **limit_kwargs,
         )
 
     if workers > 1:

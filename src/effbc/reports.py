@@ -199,11 +199,14 @@ class Reporter:
         self.files.append(name)
         return os.path.join(self.out_dir, name)
 
+    def open_text(self, name):
+        """A new file of the run, open for text writing; the caller closes it."""
+        return open(self._register(name), "w", encoding="utf-8")
+
     def write_text(self, name, text):
-        path = self._register(name)
-        with open(path, "w", encoding="utf-8") as f:
+        with self.open_text(name) as f:
             f.write(text)
-        return path
+        return f.name
 
     def write_csv(self, name, header, rows):
         lines = [",".join(header)]
@@ -232,12 +235,11 @@ class Reporter:
         return manifest
 
 
-def solution_text(solution):
-    """Self-describing text serialization: '#' header plus a node CSV."""
-    import hashlib as _h
-
+def _solution_chunks(solution):
+    """The solution file in pieces, each ending in a newline: the header,
+    then the node rows of one first-lateral-index slab at a time."""
     prob = solution.problem
-    op_hash = _h.sha256(canonical_json(prob.describe()["operator"]).encode()).hexdigest()[:16]
+    op_hash = hashlib.sha256(canonical_json(prob.describe()["operator"]).encode()).hexdigest()[:16]
     grid = solution.grid
     lines = []
     lines.append("# effbc strip solution v1")
@@ -251,16 +253,29 @@ def solution_text(solution):
     coord_names = [f"y{j + 1}" for j in range(grid.d)]
     val_names = [f"u{c + 1}" for c in range(N)]
     lines.append(",".join(idx_names + coord_names + val_names))
+    yield "\n".join(lines) + "\n"
     # one %-template per row; "%.17g" renders floats exactly as fmt does,
-    # nan and inf included.  Rows are joined one first-axis slab at a time.
+    # nan and inf included
     row = ",".join(["%d"] * (grid.d - 1) + ["%.17g"] * (grid.d + N))
     index = [a.ravel().tolist() for a in np.indices(grid.node_shape[1:])]
     coords = grid.node_coords()
     for i0 in range(grid.node_shape[0]):
         floats = [a[i0].ravel().tolist() for a in (*coords, *solution.values)]
         slab_row = f"{i0},{row}"
-        lines.append("\n".join(slab_row % r for r in zip(*index, *floats)))
-    return "\n".join(lines) + "\n"
+        yield "\n".join(slab_row % r for r in zip(*index, *floats)) + "\n"
+
+
+def solution_text(solution, out=None):
+    """Self-describing text serialization: '#' header plus a node CSV.
+
+    With ``out``, a text file open for writing, the pieces go to it as they
+    are made, so the whole text is never held at once, and None is returned.
+    """
+    chunks = _solution_chunks(solution)
+    if out is None:
+        return "".join(chunks)
+    out.writelines(chunks)
+    return None
 
 
 def parse_solution_text(text):

@@ -8,10 +8,23 @@ solve and started from the discrete harmonic extension of the boundary
 data, so iteration counts stay mesh independent.  Success is gated on the
 true residual, never on the Krylov method's own flag.
 
+Every solver can start from a given iterate (``StripProblem.start``, e.g.
+the previous rung of a height ladder) instead of the harmonic extension.
+The Dirichlet rows always come from the extension, and so does every
+stopping target and gate: a warm start must reach the same absolute
+residual as the cold one, and reported relative residuals stay relative
+to the residual of the extension.  A start that is worse than the
+extension by the solver's own cheap measure (residual norm, sup residual,
+energy) is dropped, and a start that already meets the target returns
+without an iteration.
+
 Variational nonlinear equations (flux = gradient of a convex density):
 monotone accelerated descent on the discrete energy, preconditioned by
 the exact constant-coefficient solver, with backtracking line search; the
-recorded energy trace is nonincreasing by construction.
+recorded energy trace is nonincreasing by construction.  The momentum
+restarts when it overshoots in energy or points uphill (g . (U - U_prev) >
+0): near the minimum the energy no longer resolves the steps, and the
+gradient test keeps the momentum from growing the gradient again.
 
 Non-variational monotone maps: damped preconditioned fixed point
 (Zarantonello) iteration u <- u - rho * K_ref^{-1} R(u), with the step
@@ -79,6 +92,10 @@ class StripProblem:
     rtol: float = 1e-10
     grid: StripGrid = None
     rhs_flux: object = None  # optional f(centers) -> (d, N, *cells); adds div f
+    # optional initial iterate (N, *lat, n) on this grid, n <= levels; levels
+    # above n repeat its top slice (so a lower ladder rung's values serve
+    # as they are), and its Dirichlet rows are replaced by the lift's
+    start: np.ndarray = None
 
     @property
     def n_components(self):
@@ -119,7 +136,8 @@ class StripSolution:
     iterations: int
     energy: float = None
     # per accepted iterate from the start: energies (descent) or
-    # preconditioned residual norms sqrt(r . K_ref^-1 r) (fixed point)
+    # preconditioned residual norms sqrt(r . K_ref^-1 r) (fixed point); a
+    # fixed point whose start already meets its target records none
     energy_trace: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -161,6 +179,23 @@ def _top_values(problem, grid):
         vec.reshape(N, *([1] * len(grid.lat_cells))), (N,) + grid.lat_cells
     )
     return np.ascontiguousarray(arr)
+
+
+def _start_field(problem, U0, top_dirichlet):
+    """The initial iterate ``problem.start``, continued upward by its top
+    slice when it has fewer levels than the strip, with the Dirichlet rows
+    of the harmonic extension U0; a new array."""
+    start = np.asarray(problem.start, dtype=float)
+    n = start.shape[-1]
+    if start.shape[:-1] != U0.shape[:-1] or not 1 <= n <= U0.shape[-1]:
+        raise ValueError(f"start has shape {start.shape}, the strip needs {U0.shape}")
+    U = np.empty_like(U0)
+    U[..., :n] = start
+    U[..., n:] = start[..., -1:]
+    U[..., 0] = U0[..., 0]
+    if top_dirichlet:
+        U[..., -1] = U0[..., -1]
+    return U
 
 
 def operator_flux(op, grads, centers, tau):
@@ -207,13 +242,12 @@ def _norm(u):
     return math.sqrt(_dot(u, u))
 
 
-def _pcg(matvec, precond, b, rtol, cap):
-    """Preconditioned CG from x = 0; returns x and the relative residual
-    (recursive) after each iteration."""
+def _pcg(matvec, precond, b, rtol, cap, ref_norm):
+    """Preconditioned CG from x = 0 to residual rtol * ref_norm; returns x and
+    the residual (recursive) relative to ref_norm after each iteration."""
     x = np.zeros_like(b)
     r = b.copy()
-    bnorm = _norm(b)
-    target = rtol * bnorm
+    target = rtol * ref_norm
     history = []
     p = rho_prev = None
     for _ in range(cap):
@@ -230,7 +264,7 @@ def _pcg(matvec, precond, b, rtol, cap):
         r -= alpha * q
         rho_prev = rho
         rnorm = _norm(r)
-        history.append(rnorm / bnorm)
+        history.append(rnorm / ref_norm)
         if not rnorm >= target:  # converged, or NaN: the caller's gate decides
             break
     return x, history
@@ -242,9 +276,12 @@ def _symmetric_cells(A):
     return np.array_equal(A, np.swapaxes(np.swapaxes(A, 0, 1), 2, 3))
 
 
-def _krylov_solve(matvec, precond, b, rtol, cap, symmetric, slack):
+def _krylov_solve(matvec, precond, b, rtol, cap, symmetric, slack, ref_norm=None):
     """Solve matvec(x) = b from x = 0 on arrays of b's shape.
 
+    Residuals are measured relative to ``ref_norm`` (default |b|; a warm
+    start passes the cold right-hand side's norm, so that it meets the cold
+    absolute target and returns at once when b already does).
     Preconditioned CG when the operator is symmetric, scipy's BiCGStab
     otherwise.  Success is judged on the true residual |b - matvec(x)|,
     never on the solver's own flag: a recursive residual can underflow far
@@ -257,8 +294,12 @@ def _krylov_solve(matvec, precond, b, rtol, cap, symmetric, slack):
     bnorm = _norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b), 0, 0.0
+    if ref_norm is None:
+        ref_norm = bnorm
+    elif bnorm <= rtol * ref_norm:
+        return np.zeros_like(b), 0, bnorm / ref_norm
     if symmetric:
-        x, history = _pcg(matvec, precond, b, rtol, cap)
+        x, history = _pcg(matvec, precond, b, rtol, cap, ref_norm)
         method = "CG"
     else:
         shape = b.shape
@@ -271,15 +312,15 @@ def _krylov_solve(matvec, precond, b, rtol, cap, symmetric, slack):
         history = []
 
         def record(xk):
-            history.append(_norm(b - matvec(xk.reshape(shape))) / bnorm)
+            history.append(_norm(b - matvec(xk.reshape(shape))) / ref_norm)
 
         x, _ = spla.bicgstab(
-            flat(matvec), b.ravel(), rtol=rtol, atol=0.0, maxiter=cap,
+            flat(matvec), b.ravel(), rtol=0.0, atol=rtol * ref_norm, maxiter=cap,
             M=flat(precond), callback=record,
         )
         x = x.reshape(shape)
         method = "BiCGStab"
-    rel = _norm(matvec(x) - b) / bnorm
+    rel = _norm(matvec(x) - b) / ref_norm
     if not rel <= slack * rtol:
         raise SolverFailureError(
             f"{method} stalled at rel residual {rel:.3e} after {len(history)} iterations",
@@ -289,37 +330,49 @@ def _krylov_solve(matvec, precond, b, rtol, cap, symmetric, slack):
     return x, len(history), rel
 
 
-def solve_linear(problem: StripProblem) -> StripSolution:
+def solve_linear(problem: StripProblem, ref=None) -> StripSolution:
     """Galerkin solve of the linear system on the strip, matrix free.
 
     The operator is applied as scatter_flux(A grad V) with A evaluated once
     at the cell centers; no matrix is assembled.  Preconditioned CG when
     the evaluated cell tensors are exactly symmetric, BiCGStab otherwise,
-    both preconditioned by the exact constant-coefficient solve and started
-    from the discrete harmonic extension, to relative residual
-    problem.rtol within 20 sqrt(n_free) iterations (at least 200).  Fails
-    loudly (SolverFailureError with the residual history) when the true
-    residual stays above 10 rtol.
+    both preconditioned by the exact constant-coefficient solve (``ref``, a
+    StripReferenceSolver of this strip's geometry, built when not given)
+    and started from ``problem.start`` when its residual is below that of
+    the discrete harmonic extension, else from the extension, to residual
+    problem.rtol times that of the extension within
+    20 sqrt(n_free) iterations (at least 200).  Fails loudly
+    (SolverFailureError with the residual history) when the true residual
+    stays above 10 rtol.
     """
     op = problem.operator
     if not isinstance(op, LinearTensorField):
         raise ValueError("solve_linear needs a LinearTensorField operator")
     grid = problem.build_grid()
     top_dir = problem.top_bc[0] == "dirichlet"
-    ref = StripReferenceSolver(grid, top_dirichlet=top_dir)
+    if ref is None:
+        ref = StripReferenceSolver(grid, top_dirichlet=top_dir)
     bottom = boundary_values(problem, grid)
     U0 = ref.lift(bottom, _top_values(problem, grid))
     A = op(grid.cell_centers())  # (d, d, N, N, *cells)
-
-    def matvec(V):
-        return _zero_fixed(_apply_tensor(grid, A, V), top_dir)
-
-    full = _apply_tensor(grid, A, U0)
+    forcing = None
     if problem.rhs_flux is not None:
         f_cells = np.asarray(problem.rhs_flux(grid.cell_centers()), dtype=float)
         if f_cells.ndim == grid.d + 1:
             f_cells = f_cells[:, None]
-        full += grid.scatter_flux(f_cells)
+        forcing = grid.scatter_flux(f_cells)
+
+    def matvec(V):
+        return _zero_fixed(_apply_tensor(grid, A, V), top_dir)
+
+    def load(V):
+        # K V + forcing on every row
+        out = _apply_tensor(grid, A, V)
+        if forcing is not None:
+            out += forcing
+        return out
+
+    full = load(U0)
     r0 = _zero_fixed(-full, top_dir)
     rnorm0 = _norm(r0)
     # of the order of the largest diagonal entry of the assembled matrix
@@ -329,13 +382,21 @@ def solve_linear(problem: StripProblem) -> StripSolution:
     if rnorm0 <= 1e-12 * scale:
         # the harmonic-extension start already solves the discrete system
         return StripSolution(problem, grid, U0, rnorm0 / scale, 0)
+    U, r = U0, r0
+    if problem.start is not None:
+        start = _start_field(problem, U0, top_dir)
+        r_start = _zero_fixed(-load(start), top_dir)
+        if _norm(r_start) < rnorm0:  # a start worse than the extension is dropped
+            U, r = start, r_start
     n_free = r0[..., 0].size * ref.n_free
     cap = max(200, int(20 * math.sqrt(n_free)))
     symmetric = _symmetric_cells(A)
     # the exact constant-coefficient solve is spectrally equivalent, so the
     # iteration count is mesh independent
-    x, iters, rel = _krylov_solve(matvec, ref.solve, r0, problem.rtol, cap, symmetric, 10.0)
-    return StripSolution(problem, grid, U0 + x, rel, iters)
+    x, iters, rel = _krylov_solve(
+        matvec, ref.solve, r, problem.rtol, cap, symmetric, 10.0, ref_norm=rnorm0
+    )
+    return StripSolution(problem, grid, U + x, rel, iters)
 
 
 def _armijo(energy, X, d, EX, slope, t, scale):
@@ -351,12 +412,22 @@ def _armijo(energy, X, d, EX, slope, t, scale):
 
 
 def _descent_variational(problem, grid, ref, op, U0, centers, top_dir, gtol_rel=1e-9, maxiter=500):
-    """Monotone accelerated preconditioned descent on the discrete energy."""
+    """Monotone accelerated preconditioned descent on the discrete energy.
+
+    Starts from problem.start when its energy is below that of the lift U0,
+    else from U0; the tolerance scale is max(1, |E(U0)|) either way.
+    Returns (U, E, iterations, energy trace, sup |R(U)|).
+    """
     tau = problem.tau
     energy = lambda V: nonlinear_energy(op, grid, V, centers, tau)
-    U = U0.copy()
-    E = energy(U)
+    U, E = U0, energy(U0)
     scale = max(1.0, abs(E))
+    if problem.start is not None:
+        start = _start_field(problem, U0, top_dir)
+        E_start = energy(start)
+        if E_start < E:  # a start above the lift's energy is dropped
+            U, E = start, E_start
+        del start
     trace = [E]
     U_prev = U.copy()
     t_prev = 1.0
@@ -365,7 +436,10 @@ def _descent_variational(problem, grid, ref, op, U0, centers, top_dir, gtol_rel=
         g = _masked_residual(grid, op, U, centers, tau, top_dir)
         gsup = float(np.abs(g).max())
         if gsup <= gtol_rel * scale:
-            return U, E, it, trace
+            return U, E, it, trace, gsup
+        if momentum and _dot(g, U - U_prev) > 0.0:
+            # the momentum points uphill: restart (gradient restart)
+            momentum = 0.0
         if momentum:
             # accelerated candidate point
             V = U + momentum * (U - U_prev)
@@ -473,24 +547,41 @@ def _fixed_point_monotone(
 ):
     """Damped preconditioned fixed point for monotone non-gradient fluxes.
 
+    The target max(rtol sup |R(U0)|, floor) comes from the lift U0, which is
+    returned at once when it meets it; otherwise the iteration starts from
+    problem.start when its sup residual is below the lift's, else from U0.
+    A start that meets the target returns before any reference solve, with
+    an empty trace.
+
     Each iteration first tries the Anderson mix of the damped step over the
     last ``depth`` accepted steps and keeps it only if it passes the
     sufficient-decrease test of the damped step; otherwise the history is
     cleared and the damped step backtracks.  ``depth=0`` is the plain damped
     iteration.  Returns (U, iterations, trace of the accepted preconditioned
-    residual norms sqrt(r . K_ref^-1 r), strictly decreasing).
+    residual norms sqrt(r . K_ref^-1 r), strictly decreasing, sup |R(U)|).
     """
     tau = problem.tau
-    U = U0.copy()
-    r = _masked_residual(grid, op, U, centers, tau, top_dir)
-    sup0 = float(np.abs(r).max())
+    r = _masked_residual(grid, op, U0, centers, tau, top_dir)
+    rsup = float(np.abs(r).max())
     lam = getattr(op, "lam", 0.5)
     lip = getattr(op, "lip", 1.0)
     # absolute floor: roundoff level of one residual row
     floor = (
         1e-12 * grid.cellvol / min(grid.spacings) ** 2 * lip * (float(np.abs(U0).max()) + 1.0)
     )
-    target = max(rtol * sup0, floor)
+    target = max(rtol * rsup, floor)
+    U = U0
+    if problem.start is not None and not rsup <= target:
+        start = _start_field(problem, U0, top_dir)
+        r_start = _masked_residual(grid, op, start, centers, tau, top_dir)
+        sup_start = float(np.abs(r_start).max())
+        if sup_start < rsup:  # a start worse than the lift is dropped
+            U, r, rsup = start, r_start, sup_start
+        del start, r_start  # the loop recycles the buffers of U and r
+    if rsup <= target:
+        return U, 0, [], rsup
+    if U is U0:
+        U = U0.copy()  # the Anderson history reuses the iterate's buffers
     rho = lam / lip**2
     rho_max = 1.5 * rho
     solved = ref.solve(r)
@@ -508,8 +599,8 @@ def _fixed_point_monotone(
         return None
 
     for it in range(maxiter):
-        if float(np.abs(r).max()) <= target:
-            return U, it, trace
+        if rsup <= target:
+            return U, it, trace, rsup
         step = None
         if history.steps:
             cand = history.candidate(U, solved, r, rho)
@@ -533,6 +624,7 @@ def _fixed_point_monotone(
                 np.subtract(r_new, r, out=r),
             )
         U, r, solved = U_new, r_new, solved_new
+        rsup = float(np.abs(r).max())
         rho = min(rho * 1.1, rho_max)
         trace.append(n_r)
     raise NonConvergedError(
@@ -540,39 +632,40 @@ def _fixed_point_monotone(
     )
 
 
-def solve_nonlinear(problem: StripProblem) -> StripSolution:
+def solve_nonlinear(problem: StripProblem, ref=None) -> StripSolution:
     """Solve the nonlinear strip problem.
 
     Gradient-form operators minimize the discrete energy; plain monotone
-    maps run the preconditioned fixed point.  Both start from the
-    discrete harmonic extension of the boundary data.
+    maps run the preconditioned fixed point.  Both start from
+    ``problem.start`` when it beats the discrete harmonic extension of the
+    boundary data by the loop's own measure, else from the extension, and
+    are preconditioned by ``ref`` (a StripReferenceSolver of this strip's
+    geometry, built when not given).  The reported residual is the sup of
+    the one the loop tested last.
     """
     op = problem.operator
     if isinstance(op, LinearTensorField):
         raise ValueError("use solve_linear for tensor operators")
     grid = problem.build_grid()
     top_dir = problem.top_bc[0] == "dirichlet"
-    ref = StripReferenceSolver(grid, top_dirichlet=top_dir)
+    if ref is None:
+        ref = StripReferenceSolver(grid, top_dirichlet=top_dir)
     bottom = boundary_values(problem, grid)
     U0 = ref.lift(bottom, _top_values(problem, grid))
     centers = grid.cell_centers() if op.y_dependent else None
     if op.is_variational:
-        U, E, iters, trace = _descent_variational(problem, grid, ref, op, U0, centers, top_dir)
-        r = _masked_residual(grid, op, U, centers, problem.tau, top_dir)
-        return StripSolution(
-            problem, grid, U, float(np.abs(r).max()), iters, energy=E, energy_trace=trace
+        U, E, iters, trace, rsup = _descent_variational(
+            problem, grid, ref, op, U0, centers, top_dir
         )
-    U, iters, trace = _fixed_point_monotone(problem, grid, ref, op, U0, centers, top_dir)
-    r = _masked_residual(grid, op, U, centers, problem.tau, top_dir)
-    return StripSolution(
-        problem, grid, U, float(np.abs(r).max()), iters, energy=None, energy_trace=trace
-    )
+        return StripSolution(problem, grid, U, rsup, iters, energy=E, energy_trace=trace)
+    U, iters, trace, rsup = _fixed_point_monotone(problem, grid, ref, op, U0, centers, top_dir)
+    return StripSolution(problem, grid, U, rsup, iters, energy=None, energy_trace=trace)
 
 
-def solve_strip(problem: StripProblem) -> StripSolution:
+def solve_strip(problem: StripProblem, ref=None) -> StripSolution:
     if isinstance(problem.operator, LinearTensorField):
-        return solve_linear(problem)
-    return solve_nonlinear(problem)
+        return solve_linear(problem, ref)
+    return solve_nonlinear(problem, ref)
 
 
 def discrete_residual(solution: StripSolution, values=None):

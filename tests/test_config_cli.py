@@ -265,6 +265,59 @@ def test_cli_discontinuity_demo(tmp_path, capsys):
     assert manifest["files"] == on_disk
 
 
+def test_discontinuity_demo_never_loads_scipy_interpolate(tmp_path):
+    import subprocess
+    import sys
+
+    import effbc
+
+    cfg = {
+        "experiment": "discontinuity-demo",
+        "nonlinear": {"tau": 0.0625},
+        "mesh": {"h": 0.0625},
+        "limit": {"tolerance": 1e-6, "sample_count": 8},
+        "out": str(tmp_path / "demo"),
+    }
+    p = tmp_path / "demo.json"
+    p.write_text(json.dumps(cfg))
+    code = (
+        "import sys\n"
+        "from effbc.cli import main\n"
+        f"assert main(['--config', {str(p)!r}, 'discontinuity-demo']) == 0\n"
+        "print('scipy.interpolate' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(effbc.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.splitlines()[-1] == "False"
+
+
+def test_streamed_solution_text_is_the_joined_text(tmp_path):
+    import io
+
+    prob = StripProblem(
+        xi=make_rational_direction([1, 2]), operator=identity_tensor(2),
+        data=make_field(2, terms=[(1.0, [1, 1], "cos")], constant=0.25),
+        R=math.sqrt(5.0) / 5.0, h=math.sqrt(5.0) / 20.0,
+    )
+    sol = solve_strip(prob)
+    stream = io.StringIO()
+    assert solution_text(sol, out=stream) is None
+    assert stream.getvalue() == solution_text(sol)
+    # and the CLI's streamed solution.csv is the text of its final rung
+    from effbc import boundary_layer_limit
+    from effbc.cli import _limit_kwargs
+
+    path, _ = write_cfg(tmp_path)
+    assert main(["--config", path, "--out", str(tmp_path / "out"), "cell-solve"]) == 0
+    cfg = load_config(path)
+    res = boundary_layer_limit(
+        cfg.operator, cfg.data, cfg.direction, s=0.0, keep_solutions=True, **_limit_kwargs(cfg)
+    )
+    text = (tmp_path / "out" / "solution.csv").read_text()
+    assert text == solution_text(res.diagnostics["solutions"][-1])
+
+
 def _solution_text_per_node(solution):
     """The per-node serialization loop that solution_text replaced."""
     grid = solution.grid

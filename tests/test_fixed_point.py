@@ -41,9 +41,11 @@ def run(problem, depth, maxiter=2000):
     top_dir = problem.top_bc[0] == "dirichlet"
     ref = StripReferenceSolver(grid, top_dirichlet=top_dir)
     U0 = ref.lift(boundary_values(problem, grid), _top_values(problem, grid))
-    U, iters, trace = _fixed_point_monotone(
+    U, iters, trace, rsup = _fixed_point_monotone(
         problem, grid, ref, problem.operator, U0, None, top_dir, maxiter=maxiter, depth=depth
     )
+    # the returned sup residual is that of the returned iterate, bit for bit
+    assert rsup == sup_residual(problem, grid, U)
     return grid, U0, U, iters, trace
 
 

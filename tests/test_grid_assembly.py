@@ -118,6 +118,14 @@ def test_reference_lift_is_discrete_harmonic():
     assert np.abs(res[..., 1:-1]).max() <= 1e-13
 
 
+@pytest.mark.parametrize("v,cells,s", [([0, 1], (16, 8), 0.0), ([1, 2], (20, 9), 0.3),
+                                       ([1, 1, 1], (12, 12, 10), -0.7)])
+def test_bottom_coords_is_level_zero_of_node_coords(v, cells, s):
+    xi = make_rational_direction(v)
+    g = build_strip_grid(xi, s, 1.0, cells=cells)
+    assert np.array_equal(g.bottom_coords(), g.node_coords()[..., 0])
+
+
 def test_torus_solver_pseudoinverse():
     g = TorusGrid(2, 16)
     ref = TorusReferenceSolver(g)

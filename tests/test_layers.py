@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effbc import (
     boundary_layer_limit,
@@ -12,7 +14,7 @@ from effbc import (
     make_field,
     shift_profile,
 )
-from effbc.layers import doubling_ladder
+from effbc.layers import BoundaryLayerResult, ShiftProfile, doubling_ladder
 
 
 def test_laplace_cosine_limit_zero(xi_e2, data_cos1):
@@ -107,6 +109,33 @@ def test_profile_interpolators(laminate2, xi_e2, data_diag):
     # periodic extension
     assert np.abs(cub(prof.shifts + prof.period) - prof.values).max() <= 1e-10
     assert prof.interpolation_gap() >= 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    S=st.integers(8, 40), N=st.integers(1, 3), period=st.floats(0.05, 3.0),
+    seed=st.integers(0, 2**16),
+)
+def test_cubic_interpolator_is_the_periodic_spline(S, N, period, seed):
+    # the closed-form circulant spline against scipy's periodic CubicSpline
+    from scipy.interpolate import CubicSpline
+
+    rng = np.random.default_rng(seed)
+    shifts = np.arange(S) * (period / S)
+    values = rng.standard_normal((S, N)) + rng.uniform(-10, 10, N)
+    samples = [(s, BoundaryLayerResult(v, math.inf, 0.0, [], True)) for s, v in zip(shifts, values)]
+    prof = ShiftProfile(None, shifts, samples, period, values.mean(axis=0), N)
+    t = np.concatenate([
+        rng.uniform(-3 * period, 3 * period, 50), shifts, shifts + period, [period, -period],
+        shifts + 0.5 * period / S,
+    ])
+    oracle = CubicSpline(np.append(shifts, period), np.vstack([values, values[:1]]),
+                         axis=0, bc_type="periodic")
+    expect = oracle(np.mod(t, period))
+    got = prof.interpolator("cubic")(t)
+    assert got.shape == expect.shape
+    assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+    assert prof.interpolator("cubic")(t[0]).shape == (N,)
 
 
 def test_comparison_monotonicity(laminate2, xi_e2):

@@ -1,0 +1,317 @@
+"""Warm starts of strip solves and the reuse across ladder rungs and shifts.
+
+``StripProblem.start`` is an initial iterate; the Dirichlet rows, every
+stopping target and the true-residual gates still come from the harmonic
+extension (the lift).  ``layers.ladder_limit`` starts a rung from the
+previous one when their grids nest, and ``shift_profile`` shares one
+reference solver per rung geometry between its shifts.  The oracle is the
+cold solve of the same problem.  Cases: linear symmetric (CG) and
+nonsymmetric (BiCGStab) tensors, the monotone fixed point and the energy
+descent, on planar and sheared strips in d = 2 and 3.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from effbc import (
+    KinkPotential2D,
+    LinearTensorField,
+    ReducedRootKink,
+    RootKinkOperator,
+    StripProblem,
+    boundary_layer_limit,
+    make_field,
+    make_rational_direction,
+    planar_strip_grid,
+    shift_profile,
+    solve_strip,
+)
+from effbc.assembly import StripReferenceSolver
+from effbc.grid import StripGrid
+from effbc.layers import ladder_limit
+from effbc.solve import (
+    _apply_tensor,
+    _masked_residual,
+    _norm,
+    _top_values,
+    _zero_fixed,
+    boundary_values,
+    dirichlet_top,
+    nonlinear_energy,
+)
+
+KINDS = ["symmetric", "nonsymmetric", "fixed_point", "descent"]
+
+
+def random_tensor(rng, d, symmetric):
+    """Scalar tensor field I + small periodic perturbation; a symmetric one
+    reuses the (a, b) field for (b, a), so its cells are exactly symmetric."""
+    ent = {}
+    for a, b in np.ndindex(d, d):
+        if symmetric and (b, a) in ent:
+            ent[a, b] = ent[b, a]
+            continue
+        ent[a, b] = make_field(
+            d, terms=[(0.1 * rng.uniform(-1, 1), rng.integers(-1, 2, size=d).tolist(), "cos")],
+            constant=(1.0 if a == b else 0.0) + 0.1 * rng.uniform(-1, 1),
+        )
+    entries = tuple(tuple(((ent[a, b],),) for b in range(d)) for a in range(d))
+    return LinearTensorField(d, 1, entries, lam=0.5)
+
+
+def operator_for(kind, d, rng):
+    if kind in ("symmetric", "nonsymmetric"):
+        return random_tensor(rng, d, kind == "symmetric")
+    if kind == "fixed_point":
+        return RootKinkOperator() if d == 3 else ReducedRootKink(rng.uniform(0.2, 1.0))
+    return KinkPotential2D()
+
+
+@st.composite
+def cases(draw):
+    """(kind, operator, grid maker (R, levels) -> grid, lateral period
+    length, rng, top condition).  Lateral spacings pass effbc's resolution
+    check (at most 1/8)."""
+    kind = draw(st.sampled_from(KINDS))
+    d = 2 if kind == "descent" else draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if d == 2 and draw(st.booleans()):
+        n_lat = draw(st.sampled_from([8, 16]))
+        length = 1.0
+
+        def make_grid(R, n_vert):
+            return planar_strip_grid(1.0, R, n_lat, n_vert)
+    else:
+        bound = 2 if d == 2 else 1
+        v = draw(st.lists(st.integers(-bound, bound), min_size=d, max_size=d).filter(any))
+        xi = make_rational_direction(v)
+        lengths = [float(np.linalg.norm(ell)) for ell in xi.periods]
+        lat = tuple(math.ceil(8.0 * L - 1e-9) + draw(st.integers(0, 3)) for L in lengths)
+        s = draw(st.sampled_from([0.0, 0.3]))
+        length = max(lengths)
+
+        def make_grid(R, n_vert):
+            return StripGrid(xi.periods, xi.xi_hat, s, R, lat, n_vert, xi=xi)
+    top = draw(st.sampled_from([("neumann", None), dirichlet_top(0.25)]))
+    return kind, operator_for(kind, d, rng), make_grid, length, rng, top
+
+
+def problem_maker(op, make_grid, h_r, rng, top, tau=1.0 / 16.0):
+    d = make_grid(1.0, 8).d
+    data = make_field(
+        d, terms=[(rng.uniform(0.5, 1.0), rng.integers(-1, 2, size=d).tolist(), "cos"),
+                  (0.3, [1] + [0] * (d - 1), "sin")],
+        constant=rng.uniform(-0.5, 0.5),
+    )
+
+    def make(R):
+        grid = make_grid(R, int(round(R / h_r)))
+        return StripProblem(xi=None, operator=op, data=data, R=R, grid=grid, top_bc=top, tau=tau)
+
+    return make
+
+
+def one_problem(case, extra_levels):
+    """The case's strip of one lateral period's height, on at least 8
+    levels per unit height."""
+    kind, op, make_grid, length, rng, top = case
+    levels = math.ceil(8.0 * length - 1e-9) + extra_levels
+    return problem_maker(op, make_grid, length / levels, rng, top)(length)
+
+
+def relative_gap(U, V):
+    return float(np.abs(U - V).max() / max(np.abs(V).max(), 1e-300))
+
+
+def without_null_modes(grid, V):
+    """V without its lateral hourglass modes, which carry no energy under the
+    one-point quadrature (3-d strips with even lateral counts); no solver
+    sees them, so a start keeps its own."""
+    axes = tuple(range(1, grid.d))
+    Vh = np.fft.rfftn(V, axes=axes)
+    Vh[:, StripReferenceSolver(grid).null_mask] = 0.0
+    return np.fft.irfftn(Vh, s=grid.lat_cells, axes=axes)
+
+
+def gate(problem, U):
+    """Whether U passes the cold solve's stopping gate of ``problem``: the
+    true residual against the residual of the lift."""
+    grid = problem.build_grid()
+    top_dir = problem.top_bc[0] == "dirichlet"
+    ref = StripReferenceSolver(grid, top_dirichlet=top_dir)
+    U0 = ref.lift(boundary_values(problem, grid), _top_values(problem, grid))
+    op = problem.operator
+    if isinstance(op, LinearTensorField):
+        A = op(grid.cell_centers())
+        r0 = _norm(_zero_fixed(_apply_tensor(grid, A, U0), top_dir))
+        return _norm(_zero_fixed(_apply_tensor(grid, A, U), top_dir)) <= 10.0 * problem.rtol * r0
+    residual = lambda V: float(
+        np.abs(_masked_residual(grid, op, V, None, problem.tau, top_dir)).max()
+    )
+    if op.is_variational:
+        E0 = nonlinear_energy(op, grid, U0, None, problem.tau)
+        return residual(U) <= 1e-9 * max(1.0, abs(E0))
+    floor = 1e-12 * grid.cellvol / min(grid.spacings) ** 2 * op.lip * (np.abs(U0).max() + 1.0)
+    return residual(U) <= max(1e-8 * residual(U0), floor)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=cases(), periods=st.sampled_from([2, 3]), h=st.sampled_from([1 / 8, 1 / 12]),
+       extra=st.sampled_from([0.5, 1.0]))
+def test_warm_rung_matches_cold_solve(case, periods, h, extra):
+    # a ladder like effbc's: Neumann top, first rung a few lateral periods
+    # high, so that its top slice has nearly reached the far field
+    kind, op, make_grid, length, rng, _ = case
+    lower = math.ceil(periods * length / h - 1e-9)
+    h_r = periods * length / lower
+    make = problem_maker(op, make_grid, h_r, rng, ("neumann", None))
+    heights = [lower * h_r, (lower + int(extra * lower)) * h_r]
+    result, (_, warm) = ladder_limit(make, heights, 0.0, stop_on_tolerance=False)
+    cold = solve_strip(make(heights[1]))
+
+    assert [r["warm"] for r in result.diagnostics["rungs"]] == [False, True]
+    assert result.diagnostics["rungs"][1]["iterations"] == warm.iterations
+    assert warm.problem.start is not None
+    # the linear solve stops at 1e-10 of the lift's residual; the nonlinear
+    # loops stop at 1e-8 (fixed point) or 1e-9 |E| (descent), which leaves a
+    # few 1e-8 between any two iterates that pass, warm or cold
+    assert relative_gap(warm.values, cold.values) <= (1e-8 if kind in KINDS[:2] else 1e-7)
+    assert warm.iterations <= cold.iterations
+    assert gate(warm.problem, warm.values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=cases(), levels=st.integers(0, 4))
+def test_start_at_the_cold_solution_takes_no_iteration(case, levels):
+    problem = one_problem(case, levels)
+    cold = solve_strip(problem)
+    warm = solve_strip(replace(problem, start=cold.values))
+    assert warm.iterations == 0
+    assert np.array_equal(warm.values, cold.values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=cases(), levels=st.integers(0, 4), amp=st.sampled_from([1e-6, 1e-3, 0.1, 1.0, 10.0]))
+def test_random_start_passes_the_cold_gate(case, levels, amp):
+    # small perturbations of the solution are used as starts, large ones are
+    # worse than the lift and dropped; either way the cold gate holds
+    problem = one_problem(case, levels)
+    rng = case[4]
+    cold = solve_strip(problem).values
+    start = cold + amp * rng.standard_normal(cold.shape)
+    warm = solve_strip(replace(problem, start=start))
+    assert gate(problem, warm.values)
+    gap = without_null_modes(problem.grid, warm.values - cold)
+    assert np.abs(gap).max() <= 1e-6 * np.abs(cold).max()
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=cases(), levels=st.integers(0, 4))
+def test_start_dirichlet_rows_are_ignored(case, levels):
+    problem = one_problem(case, levels)
+    rng, top = case[4], case[5]
+    cold = solve_strip(problem).values
+    start = cold + 1e-3 * rng.standard_normal(cold.shape)
+    other = start.copy()
+    other[..., 0] = rng.standard_normal(other[..., 0].shape)
+    if top[0] == "dirichlet":
+        other[..., -1] = rng.standard_normal(other[..., -1].shape)
+    a = solve_strip(replace(problem, start=start))
+    b = solve_strip(replace(problem, start=other))
+    assert np.array_equal(a.values, b.values) and a.iterations == b.iterations
+    assert np.array_equal(a.values[..., 0], boundary_values(problem, problem.grid))
+
+
+def test_start_must_live_on_the_grid(xi_e2, laminate2, data_diag):
+    problem = StripProblem(xi=xi_e2, operator=laminate2, data=data_diag, R=1.0, h=1 / 16)
+    for shape in [(1, 15, 17), (1, 16, 18), (2, 16, 17), (1, 16, 0)]:
+        with pytest.raises(ValueError):
+            solve_strip(replace(problem, start=np.zeros(shape)))
+
+
+NONLINEAR = pytest.mark.parametrize(
+    "op", [ReducedRootKink(), KinkPotential2D()], ids=["fixed_point", "descent"]
+)
+
+
+@NONLINEAR
+def test_short_start_is_continued_by_its_top_slice(op, xi_e2, data_diag):
+    # a start on fewer levels (a lower ladder rung) equals its explicit
+    # continuation by the top slice
+    problem = StripProblem(xi=xi_e2, operator=op, data=data_diag, R=2.0, h=1 / 16, tau=1 / 16)
+    lower = solve_strip(replace(problem, R=1.0)).values
+    full = np.concatenate([lower, np.repeat(lower[..., -1:], 16, axis=-1)], axis=-1)
+    a = solve_strip(replace(problem, start=lower))
+    b = solve_strip(replace(problem, start=full))
+    assert np.array_equal(a.values, b.values) and a.iterations == b.iterations
+
+
+@NONLINEAR
+def test_nonlinear_residual_is_the_last_tested_one(op, xi_e2, data_diag):
+    problem = StripProblem(xi=xi_e2, operator=op, data=data_diag, R=1.0, h=1 / 16, tau=1 / 16)
+    sol = solve_strip(problem)
+    r = _masked_residual(sol.grid, op, sol.values, None, problem.tau, False)
+    assert sol.iterations > 0 and sol.residual_norm == float(np.abs(r).max())
+
+
+def test_fixed_point_start_at_target_skips_the_reference_solve(monkeypatch, xi_e2, data_diag):
+    problem = StripProblem(
+        xi=xi_e2, operator=ReducedRootKink(), data=data_diag, R=1.0, h=1 / 16, tau=1 / 16
+    )
+    cold = solve_strip(problem)
+    calls = []
+    solve = StripReferenceSolver.solve
+
+    def counted(self, r):
+        calls.append(1)
+        return solve(self, r)
+
+    monkeypatch.setattr(StripReferenceSolver, "solve", counted)
+    warm = solve_strip(replace(problem, start=cold.values))
+    # the only reference solve is the lift's
+    assert len(calls) == 1 and warm.iterations == 0 and warm.energy_trace == []
+
+
+def test_non_nesting_rungs_start_cold(laminate2, data_diag):
+    # the (1, 5) period has no spacing that divides both it and the rung
+    # heights, so its cell counts are rounded per rung and the grids differ
+    xi = make_rational_direction([1, 5])
+    res = boundary_layer_limit(laminate2, data_diag, xi, tolerance=1e-7, h=1 / 16)
+    assert len(res.heights_used) >= 2
+    assert not any(r["warm"] for r in res.diagnostics["rungs"])
+    xi = make_rational_direction([1, 2])
+    res = boundary_layer_limit(laminate2, data_diag, xi, tolerance=1e-7, h=np.sqrt(5) / 32)
+    assert [r["warm"] for r in res.diagnostics["rungs"]] == [False] + [True] * (
+        len(res.heights_used) - 1
+    )
+
+
+@pytest.mark.parametrize("nonlinear", [False, True])
+def test_profile_shared_solver_is_bit_identical(monkeypatch, laminate2, data_diag, nonlinear):
+    xi = make_rational_direction([0, 1])
+    op = ReducedRootKink(0.5) if nonlinear else laminate2
+    kw = dict(tolerance=1e-7, h=1 / 16, tau=1 / 16 if nonlinear else 0.0)
+    built = []
+    init = StripReferenceSolver.__init__
+
+    def counted(self, grid, top_dirichlet=False):
+        built.append(grid.s)
+        init(self, grid, top_dirichlet)
+
+    monkeypatch.setattr(StripReferenceSolver, "__init__", counted)
+    prof = shift_profile(op, data_diag, xi, sample_count=8, **kw)
+    rungs = {len(r.heights_used) for _, r in prof.samples}
+    assert len(built) == max(rungs)  # one solver per rung geometry
+    built.clear()
+    for s, res in prof.samples:
+        fresh = boundary_layer_limit(op, data_diag, xi, s=s, **kw)
+        assert np.array_equal(res.value, fresh.value)
+        assert res.values_per_height == fresh.values_per_height
+        assert res.oscillations == fresh.oscillations
+        assert res.diagnostics["rungs"] == fresh.diagnostics["rungs"]
+    assert len(built) == sum(len(r.heights_used) for _, r in prof.samples)
