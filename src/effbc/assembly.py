@@ -1,4 +1,4 @@
-"""Galerkin assembly on structured grids and fast reference solvers.
+"""Fast reference solvers for the constant-coefficient Galerkin operator.
 
 The discrete operator is multilinear elements with one-point (cell
 center) quadrature.  Because every cell shares one Jacobian, the element
@@ -9,75 +9,16 @@ axis leaves one Hermitian Toeplitz tridiagonal per lateral Fourier mode,
 which a phase twist and a sine transform (DST) diagonalize.  The strip
 solve gives the harmonic-extension initial guess and the preconditioner of
 the linear and nonlinear strip solvers; the torus solve preconditions the
-cell problems.  The strip solvers apply the operator matrix free; the
-assembled matrix serves the torus cell problems of homogenization and the
-tests.
+cell problems.  Every operator is applied matrix free (``grid.scatter_flux``
+of the flux of ``grid.phys_gradient``); no matrix is assembled, and every
+transform runs on ``numpy.fft``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
-__all__ = [
-    "assemble_matrix",
-    "corner_node_ids",
-    "strip_dof_partition",
-    "StripReferenceSolver",
-    "TorusReferenceSolver",
-]
-
-
-def corner_node_ids(grid):
-    """Global node index of each cell corner: array (2^d, n_cells)."""
-    ids = np.arange(grid.n_nodes).reshape(grid.node_shape)
-    out = []
-    for c in grid.corners:
-        out.append(grid._gather_corner(ids, c).ravel())
-    return np.stack(out)
-
-
-def assemble_matrix(grid, tensor):
-    """CSR matrix of the bilinear form for a LinearTensorField.
-
-    Dof layout: component-major, dof = i * n_nodes + node.  Rows are test
-    functions; nonsymmetric tensors produce nonsymmetric matrices.
-    """
-    N = tensor.n_components
-    nn = grid.n_nodes
-    centers = grid.cell_centers()
-    A = tensor(centers)  # (d, d, N, N, *cells)
-    A = A.reshape(A.shape[:4] + (-1,))  # flatten cells
-    phi = grid.phi
-    vals = np.einsum("ac,abijs,bd->sicjd", phi, A, phi, optimize=True) * grid.cellvol
-    cid = corner_node_ids(grid)  # (2^d, ncells)
-    ncells = cid.shape[1]
-    nc = len(grid.corners)
-    comp = np.arange(N) * nn
-    rows = comp[None, :, None, None, None] + cid.T[:, None, :, None, None]
-    cols = comp[None, None, None, :, None] + cid.T[:, None, None, None, :]
-    rows = np.broadcast_to(rows, vals.shape).ravel()
-    cols = np.broadcast_to(cols, vals.shape).ravel()
-    K = sp.coo_matrix((vals.ravel(), (rows, cols)), shape=(N * nn, N * nn))
-    return K.tocsr()
-
-
-def strip_dof_partition(grid, n_components, top_dirichlet):
-    """(free, bottom, top) dof index arrays for a strip grid."""
-    nn = grid.n_nodes
-    node_ids = np.arange(nn).reshape(grid.node_shape)
-    bottom = node_ids[..., 0].ravel()
-    top = node_ids[..., -1].ravel()
-    fixed_nodes = np.concatenate([bottom, top]) if top_dirichlet else bottom
-    fixed_mask = np.zeros(nn, dtype=bool)
-    fixed_mask[fixed_nodes] = True
-    free_nodes = np.nonzero(~fixed_mask)[0]
-    comp = np.arange(n_components) * nn
-
-    def expand(nodes):
-        return (comp[:, None] + nodes[None, :]).ravel()
-
-    return expand(free_nodes), expand(bottom), expand(top)
+__all__ = ["StripReferenceSolver", "TorusReferenceSolver"]
 
 
 def _element_matrix_identity(grid):
@@ -128,6 +69,20 @@ class StripReferenceSolver:
     t0 + 2|a| cos(j pi / (n + 1)); DST-III then DST-II for the natural top
     after doubling the last entry, eigenvalues t0 + 2|a| cos((j - 1/2) pi / n).
 
+    Both sine transform pairs run as complex FFTs along the vertical.  The
+    DST-I pair is one FFT pair of the odd extension (0, x, 0, -rev x) of
+    length 2 (n + 1); the FFT of an odd sequence is odd, so the eigenvalues
+    divide it as their even extension.  The DST-III / DST-II pair is
+    rev DCT-II(diag(mu)^-1 DCT-II^-1(rev x)): each DST is a DCT of the
+    reversed sequence up to (-1)^k signs, and the signs of the two cancel.
+    A DCT-II of complex data is one length-n FFT of the reordered sequence
+    v (v_m = x_2m, v_(n-1-m) = x_(2m+1)) with twiddles,
+    C_k = w_k V_k + conj(w_k) V_(n-k), w_k = exp(-i pi k / 2n), and the
+    inverse is V_k = conj(w_k) (C_k - i C_(n-k)) / 2 with C_n = 0 (Makhoul,
+    IEEE Trans. ASSP 28, 1980).  The eigenvalues divide in the order of v,
+    so the reordering is never carried out, and the twist, the reversals and
+    the twiddles are folded into four factor arrays built once.
+
     ``null_mask`` flags the lateral modes of the rfftn half spectrum on
     which every band vanishes: hourglass modes of the one-point quadrature
     (zero discrete energy), pseudo-inverted to zero.
@@ -140,39 +95,74 @@ class StripReferenceSolver:
         self.lat_axes = tuple(range(1, grid.d))  # axes of (N, *lat, levels) arrays
         T = _stencil_symbol(grid, _mode_angles(lat_shape, half=True))
         nv = grid.n_vert
-        n_free = nv - 1 if self.top_dirichlet else nv
-        if n_free < 1:
+        n = nv - 1 if self.top_dirichlet else nv
+        if n < 1:
             raise ValueError("strip too shallow for a free interior")
-        self.n_free = n_free
+        self.n_free = n
         a, t0 = np.abs(T[1]), T[0].real
         scale = max(np.abs(b).max() for b in T.values())
         self.null_mask = np.maximum(a, np.abs(T[0])) <= 1e-12 * scale
-        j = np.arange(1, n_free + 1)
-        if self.top_dirichlet:
-            theta, norm, self._dst_types = j * np.pi / (n_free + 1), 2.0 * (n_free + 1), (1, 1)
-        else:
-            theta, norm, self._dst_types = (j - 0.5) * np.pi / n_free, 2.0 * n_free, (3, 2)
+        j = np.arange(1, n + 1)
+        theta = j * np.pi / (n + 1) if self.top_dirichlet else (j - 0.5) * np.pi / n
         mu = t0[..., None] + 2.0 * a[..., None] * np.cos(theta)
-        self._inv = np.divide(
-            1.0, mu * norm, out=np.zeros_like(mu), where=~self.null_mask[..., None]
-        )
+        inv = np.divide(1.0, mu, out=np.zeros_like(mu), where=~self.null_mask[..., None])
         # successive powers of exp(i arg a): a running product keeps the phase
         # step between neighbouring levels exact to rounding at any height
         step = np.exp(1j * np.angle(T[1]))[..., None]
-        twist = np.cumprod(np.broadcast_to(step, step.shape[:-1] + (n_free,)), axis=-1)
-        self._untwist = np.conj(twist)
-        if not self.top_dirichlet:
-            twist[..., -1] *= 2.0
-        self._twist = twist
+        twist = np.cumprod(np.broadcast_to(step, step.shape[:-1] + (n,)), axis=-1)
+        untwist = np.conj(twist)
+        if self.top_dirichlet:
+            zero = np.zeros(inv.shape[:-1] + (1,))
+            self._inv = np.concatenate([zero, inv, zero, inv[..., ::-1]], axis=-1)
+            self._twist, self._untwist = twist, untwist
+            return
+        twist[..., -1] *= 2.0
+        w = np.exp(-0.5j * np.pi * np.arange(n) / n)
+        # V_k = conj(w_k) (u_k - i u_(n-k)) / 2 of u = rev(twist r)
+        self._in_rev = 0.5 * np.conj(w) * twist[..., ::-1]
+        self._in_prev = -0.5j * np.conj(w[1:]) * twist[..., :-1]
+        # v_m = x_(order[m])
+        order = np.concatenate([np.arange(0, n, 2), np.arange(1, n, 2)[::-1]])
+        self._inv = np.ascontiguousarray(inv[..., order])
+        # y_k = C_(n-1-k) = w_(n-1-k) W_(n-1-k) + conj(w_(n-1-k)) W_(k+1 mod n),
+        # W the FFT of v, then untwisted
+        self._out_rev = untwist * w[::-1]
+        self._out_next = untwist * np.conj(w[::-1])
 
     def solve_free(self, r_free):
         """Solve for the free-level block; r_free is (N, *lat, n_free)."""
-        from scipy import fft
+        *other, last = self.lat_axes
+        rhat = np.fft.rfft(r_free, axis=last)
+        for ax in other:
+            np.fft.fft(rhat, axis=ax, out=rhat)
+        y = self._dst1_pair(rhat) if self.top_dirichlet else self._dst3_dst2_pair(rhat)
+        for ax in other:
+            np.fft.ifft(y, axis=ax, out=y)
+        return np.fft.irfft(y, n=self.grid.lat_cells[-1], axis=last)
 
-        t_in, t_out = self._dst_types
-        rhat = fft.rfftn(r_free, axes=self.lat_axes) * self._twist
-        y = fft.dst(fft.dst(rhat, type=t_in, axis=-1) * self._inv, type=t_out, axis=-1)
-        return fft.irfftn(y * self._untwist, s=self.grid.lat_cells, axes=self.lat_axes)
+    def _dst1_pair(self, rhat):
+        n = self.n_free
+        z = np.zeros(rhat.shape[:-1] + (2 * n + 2,), dtype=complex)
+        np.multiply(rhat, self._twist, out=z[..., 1 : n + 1])
+        z[..., n + 2 :] = -z[..., n:0:-1]
+        np.fft.fft(z, axis=-1, out=z)
+        z *= self._inv
+        np.fft.ifft(z, axis=-1, out=z)
+        return np.multiply(z[..., 1 : n + 1], self._untwist, out=rhat)
+
+    def _dst3_dst2_pair(self, rhat):
+        # rhat's buffer is reused: first for a product, then for the result
+        V = rhat[..., ::-1] * self._in_rev
+        rhat[..., :-1] *= self._in_prev
+        V[..., 1:] += rhat[..., :-1]
+        np.fft.ifft(V, axis=-1, out=V)
+        V *= self._inv
+        W = np.fft.fft(V, axis=-1, out=V)
+        y = np.multiply(W[..., ::-1], self._out_rev, out=rhat)
+        y[..., -1] += W[..., 0] * self._out_next[..., -1]
+        W[..., 1:] *= self._out_next[..., :-1]
+        y[..., :-1] += W[..., 1:]
+        return y
 
     def solve(self, r_full):
         """Solve with zero correction on fixed levels; r_full (N, *lat, levels)."""

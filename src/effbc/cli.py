@@ -253,10 +253,12 @@ def cmd_discontinuity_demo(cfg: ExperimentConfig, rep: Reporter) -> int:
     rep.stop("profile")
     _write_profile(rep, profile)
     rep.start("limits")
+    # every limit solves on the same planar strips: one reference solver per rung
+    solvers = {}
     lim1 = directional_limit(xi, np.array([1.0, 0.0, 0.0]), profile, op,
-                             tolerance=cfg.tolerance, tau=tau, n_lat=64)
+                             tolerance=cfg.tolerance, tau=tau, n_lat=64, solvers=solvers)
     lim2 = directional_limit(xi, np.array([0.0, 1.0, 0.0]), profile, op,
-                             tolerance=cfg.tolerance, tau=tau, n_lat=64)
+                             tolerance=cfg.tolerance, tau=tau, n_lat=64, solvers=solvers)
     rep.stop("limits")
 
     # gap certificate from the comparison function, solved at the scale of
@@ -290,7 +292,8 @@ def cmd_discontinuity_demo(cfg: ExperimentConfig, rep: Reporter) -> int:
     Ls = [float(lim1.value[0])]
     for th in angles[1:-1]:
         eta = np.array([np.cos(th), np.sin(th), 0.0])
-        lim = directional_limit(xi, eta, profile, op, tolerance=cfg.tolerance, tau=tau, n_lat=64)
+        lim = directional_limit(xi, eta, profile, op, tolerance=cfg.tolerance, tau=tau, n_lat=64,
+                                solvers=solvers)
         Ls.append(float(lim.value[0]))
     Ls.append(float(lim2.value[0]))
     rep.write_csv("angle_sweep.csv", ["angle", "L"], [[a, l] for a, l in zip(angles, Ls)])
@@ -373,7 +376,7 @@ def main(argv=None) -> int:
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--config", required=False, help="path to the JSON config")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=None, help="worker pool size")
+    parser.add_argument("--threads", type=int, default=None, help="ignored: runs are single threaded")
     parser.add_argument("--seed", type=int, default=None, help="seed for sampling validators")
     parser.add_argument("command", choices=sorted(_COMMANDS))
     args = parser.parse_args(argv)

@@ -121,7 +121,7 @@ class ExperimentConfig:
     h_cell: float = None
     eps_ladder: list = None
     seed: int = 0
-    workers: int = 1
+    workers: int = 1  # "threads" / --threads: accepted and ignored (no pool)
     out: str = "out"
 
     def canonical(self):

@@ -12,8 +12,8 @@ quadrature); this is part of the definition of the discrete operator.
 There the reference gradient along axis a is the forward difference along
 a of the nodal values averaged over every other axis, so ``phys_gradient``
 is d difference-and-average passes, one per axis, and ``scatter_flux`` is
-their exact transpose.  Assembly still works per cell corner (``corners``,
-``_gather_corner`` and the weights ``phi``).
+their exact transpose.  The per-corner description (``corners`` and the
+weights ``phi``) remains for the Fourier symbol of the reference solvers.
 """
 
 from __future__ import annotations
@@ -97,10 +97,6 @@ class _MeshBase:
         halves = 0.5 ** (d - 1)
         self._gradient_map = self.grad_map * halves
         self._flux_map = self.grad_map.T * (self.cellvol * halves)
-
-    # topology hooks -----------------------------------------------------
-    def _gather_corner(self, U, c):
-        raise NotImplementedError
 
     # calculus -----------------------------------------------------------
     # A periodic axis is closed by appending its first node slice, so every
@@ -212,14 +208,6 @@ class StripGrid(_MeshBase):
         self.periodic = (True,) * (self.d - 1) + (False,)
         self._setup(edges)
 
-    # --- topology: lateral axes periodic, vertical axis sliced ----------
-    def _gather_corner(self, U, c):
-        A = U
-        for ax in range(self.d - 1):
-            if c[ax]:
-                A = np.roll(A, -1, axis=A.ndim - self.d + ax)
-        return A[..., 1:] if c[-1] else A[..., :-1]
-
     # --- coordinates -----------------------------------------------------
     def _coords(self, shape, offset):
         idx = np.meshgrid(*[np.arange(n) for n in shape], indexing="ij")
@@ -280,13 +268,6 @@ class TorusGrid(_MeshBase):
         self.periodic = (True,) * d
         self._setup(np.eye(d) / self.n_cells)
         self.spacings = (1.0 / self.n_cells,) * d
-
-    def _gather_corner(self, U, c):
-        A = U
-        for ax in range(self.d):
-            if c[ax]:
-                A = np.roll(A, -1, axis=A.ndim - self.d + ax)
-        return A
 
     def cell_centers(self):
         idx = np.meshgrid(*[np.arange(self.n_cells)] * self.d, indexing="ij")

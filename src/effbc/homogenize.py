@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import TorusReferenceSolver, assemble_matrix
+from .assembly import TorusReferenceSolver
 from .errors import NonConvergedError, SolverFailureError
 from .fields import LinearTensorField, constant_field
 from .grid import TorusGrid
-from .solve import StripProblem, _krylov_solve, _symmetric_cells, solve_linear
+from .solve import StripProblem, _apply_tensor, _krylov_solve, _symmetric_cells, solve_linear
 
 __all__ = [
     "HomogenizedTensor",
@@ -82,11 +82,11 @@ def _unit_gradient(d, N, j, beta, shape):
     return E
 
 
-def _torus_linear_solve(K, ref, b, symmetric, rtol=1e-11):
-    """Krylov solve of the (singular, consistent) torus system K x = b."""
-    shape = b.shape
+def _torus_linear_solve(grid, Ac, ref, b, symmetric, rtol=1e-11):
+    """Krylov solve of the (singular, consistent) torus system K x = b, with
+    K applied matrix free from the cell tensors Ac (d, d, N, N, *cells)."""
     x, _, _ = _krylov_solve(
-        lambda v: (K @ v.ravel()).reshape(shape), ref.solve, b, rtol, 600, symmetric, 100.0
+        lambda v: _apply_tensor(grid, Ac, v), ref.solve, b, rtol, 600, symmetric, 100.0
     )
     return ref.project_out_null(x)
 
@@ -98,7 +98,6 @@ def homogenize_linear(A: LinearTensorField, h_cell=None) -> HomogenizedTensor:
     n = int(round(1.0 / h_cell))
     grid = TorusGrid(d, n)
     ref = TorusReferenceSolver(grid)
-    K = assemble_matrix(grid, A)
     centers = grid.cell_centers()
     Ac = A(centers)  # (d, d, N, N, *cells)
     symmetric = _symmetric_cells(Ac)
@@ -109,7 +108,7 @@ def homogenize_linear(A: LinearTensorField, h_cell=None) -> HomogenizedTensor:
             E = _unit_gradient(d, N, j, beta, grid.cell_shape)
             q0 = np.einsum("abij...,bj...->ai...", Ac, E)
             b = -grid.scatter_flux(q0)
-            chi = _torus_linear_solve(K, ref, b, symmetric)
+            chi = _torus_linear_solve(grid, Ac, ref, b, symmetric)
             grads = grid.phys_gradient(chi)
             q = np.einsum("abij...,bj...->ai...", Ac, grads + E)
             mean_flux = q.reshape(d, N, -1).mean(axis=-1)

@@ -22,7 +22,6 @@ each rung's height, iteration count and whether it started warm.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -119,7 +118,6 @@ def _reference_solver(solvers, grid, top_bc):
     key = (grid.lat_cells, grid.n_vert, grid.edges.tobytes(), top_dirichlet)
     ref = solvers.get(key)
     if ref is None:
-        # pool threads may race here; the loser only builds an equal solver
         ref = solvers[key] = StripReferenceSolver(grid, top_dirichlet=top_dirichlet)
     return ref
 
@@ -332,28 +330,24 @@ def shift_profile(
 ) -> ShiftProfile:
     """Sample the far-field constant over shifts s in [0, 1/|xi|).
 
-    Samples are independent ladders that share one reference solver per
-    rung geometry, built on first use and dropped on return; with
-    ``workers`` > 1 they run on a thread pool with results assembled in
-    deterministic s order.
+    Samples are independent ladders, run in s order, that share one
+    reference solver per rung geometry, built on first use and dropped on
+    return.  ``workers`` is accepted and ignored: a thread pool over the
+    samples did not pay for itself at two workers, so every sample runs
+    in the calling thread.
     """
     if sample_count < 8:
         raise ValueError("sample_count must be at least 8")
     period = 1.0 / xi.norm
     shifts = np.arange(sample_count) * (period / sample_count)
     solvers = {}
-
-    def one(s):
-        return boundary_layer_limit(
+    results = [
+        boundary_layer_limit(
             operator, data, xi, s=s, tolerance=tolerance, h=h, tau=tau, solvers=solvers,
             **limit_kwargs,
         )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, shifts))
-    else:
-        results = [one(s) for s in shifts]
+        for s in shifts
+    ]
     values = np.stack([r.value for r in results])
     mean = values.mean(axis=0)
     return ShiftProfile(

@@ -157,13 +157,17 @@ def directional_limit(
     tau=0.0,
     max_factor=64,
     interp=None,
+    solvers=None,
 ) -> DirectionalLimit:
     """Limit along approach direction eta of the reduced effective problem.
 
     Boundary data is the periodic interpolant of the profile at t = x . eta
     (cubic for linear effective operators, linear otherwise).  The error
     bar stacks the strip ladder bar, the worst profile sample bar, and the
-    cubic/linear interpolation gap.
+    cubic/linear interpolation gap.  ``solvers`` is the reference-solver
+    cache of ladder_limit; the limits of one profile solve on the same
+    planar strips whatever eta is, so a dict passed to each of them builds
+    one solver per rung height.
     """
     eta = np.asarray(eta, dtype=float)
     if abs(float(eta @ xi.xi)) > 1e-9:
@@ -183,7 +187,7 @@ def directional_limit(
         grid = planar_strip_grid(T, R, n_lat, n_vert)
         return StripProblem(xi=None, operator=op2, data=data, R=R, grid=grid, tau=tau)
 
-    result, _ = ladder_limit(make, ladder, tolerance)
+    result, _ = ladder_limit(make, ladder, tolerance, solvers=solvers)
     bar = result.error_bar + profile.max_error_bar + profile.interpolation_gap()
     return DirectionalLimit(
         value=result.value,

@@ -1,0 +1,76 @@
+"""Assembled Galerkin matrices: the oracle of the matrix-free operators.
+
+The library applies every operator matrix free (``grid.scatter_flux`` of
+the cell flux of ``grid.phys_gradient``).  The tests check it against the
+textbook construction kept here: per cell the element matrix
+phi^T A phi * vol, scattered to the global nodes of the cell's 2^d corners
+and summed by a COO -> CSR conversion.  scipy is a test-only dependency.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.sparse as sp
+
+
+def gather_corner(grid, U, c):
+    """Values of U (..., *node_shape) at corner c of every cell:
+    (..., *cell_shape).  A periodic axis rolls, so its last cell takes node 0;
+    any other axis slices."""
+    A = U
+    for ax, (offset, periodic) in enumerate(zip(c, grid.periodic)):
+        axis = A.ndim - grid.d + ax
+        if periodic:
+            if offset:
+                A = np.roll(A, -1, axis=axis)
+        else:
+            idx = [slice(None)] * A.ndim
+            idx[axis] = slice(1, None) if offset else slice(None, -1)
+            A = A[tuple(idx)]
+    return A
+
+
+def corner_node_ids(grid):
+    """Global node index of each cell corner: array (2^d, n_cells)."""
+    ids = np.arange(grid.n_nodes).reshape(grid.node_shape)
+    return np.stack([gather_corner(grid, ids, c).ravel() for c in grid.corners])
+
+
+def assemble_matrix(grid, tensor):
+    """CSR matrix of the bilinear form for a LinearTensorField.
+
+    Dof layout: component-major, dof = i * n_nodes + node.  Rows are test
+    functions; nonsymmetric tensors produce nonsymmetric matrices.
+    """
+    N = tensor.n_components
+    nn = grid.n_nodes
+    A = tensor(grid.cell_centers())  # (d, d, N, N, *cells)
+    A = A.reshape(A.shape[:4] + (-1,))  # flatten cells
+    phi = grid.phi
+    vals = np.einsum("ac,abijs,bd->sicjd", phi, A, phi, optimize=True) * grid.cellvol
+    cid = corner_node_ids(grid)  # (2^d, ncells)
+    comp = np.arange(N) * nn
+    rows = comp[None, :, None, None, None] + cid.T[:, None, :, None, None]
+    cols = comp[None, None, None, :, None] + cid.T[:, None, None, None, :]
+    rows = np.broadcast_to(rows, vals.shape).ravel()
+    cols = np.broadcast_to(cols, vals.shape).ravel()
+    K = sp.coo_matrix((vals.ravel(), (rows, cols)), shape=(N * nn, N * nn))
+    return K.tocsr()
+
+
+def strip_dof_partition(grid, n_components, top_dirichlet):
+    """(free, bottom, top) dof index arrays for a strip grid."""
+    nn = grid.n_nodes
+    node_ids = np.arange(nn).reshape(grid.node_shape)
+    bottom = node_ids[..., 0].ravel()
+    top = node_ids[..., -1].ravel()
+    fixed_nodes = np.concatenate([bottom, top]) if top_dirichlet else bottom
+    fixed_mask = np.zeros(nn, dtype=bool)
+    fixed_mask[fixed_nodes] = True
+    free_nodes = np.nonzero(~fixed_mask)[0]
+    comp = np.arange(n_components) * nn
+
+    def expand(nodes):
+        return (comp[:, None] + nodes[None, :]).ravel()
+
+    return expand(free_nodes), expand(bottom), expand(top)

@@ -265,31 +265,70 @@ def test_cli_discontinuity_demo(tmp_path, capsys):
     assert manifest["files"] == on_disk
 
 
-def test_discontinuity_demo_never_loads_scipy_interpolate(tmp_path):
+# small configs of the subcommands whose import graph is checked below
+_SCIPY_FREE_RUNS = {
+    "sweep": {
+        "operator": {"kind": "laminate", "d": 2},
+        "data": {"constant": 0.25, "terms": [{"coef": 1.0, "freq": [1, 1], "phase": "cos"}]},
+        "directions": [{"unit": [1.0, 2.0]}, {"unit": [1.0, 3.0]}],
+        "limit": {"tolerance": 1e-6, "sample_count": 8},
+        "sweep": {"Q": 3},
+    },
+    "cell-solve": {k: v for k, v in BASE.items() if k not in ("experiment", "out")},
+    "discontinuity-demo": {
+        "nonlinear": {"tau": 0.0625},
+        "mesh": {"h": 0.0625},
+        "limit": {"tolerance": 1e-6, "sample_count": 8},
+    },
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_SCIPY_FREE_RUNS))
+def test_subcommand_never_loads_scipy(tmp_path, experiment):
+    # the runtime needs numpy alone: neither importing the CLI nor running a
+    # subcommand loads any scipy module
     import subprocess
     import sys
 
     import effbc
 
-    cfg = {
-        "experiment": "discontinuity-demo",
-        "nonlinear": {"tau": 0.0625},
-        "mesh": {"h": 0.0625},
-        "limit": {"tolerance": 1e-6, "sample_count": 8},
-        "out": str(tmp_path / "demo"),
-    }
-    p = tmp_path / "demo.json"
+    cfg = dict(_SCIPY_FREE_RUNS[experiment], experiment=experiment, out=str(tmp_path / "out"))
+    p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
     code = (
         "import sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
         "from effbc.cli import main\n"
-        f"assert main(['--config', {str(p)!r}, 'discontinuity-demo']) == 0\n"
-        "print('scipy.interpolate' in sys.modules)\n"
+        "after_import = scipy_modules()\n"
+        f"assert main(['--config', {str(p)!r}, {experiment!r}]) == 0\n"
+        "print(after_import, scipy_modules())\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(effbc.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.splitlines()[-1] == "False"
+    assert out.stdout.splitlines()[-1] == "[] []"
+
+
+def test_library_source_never_imports_scipy():
+    import ast
+
+    import effbc
+
+    root = os.path.dirname(effbc.__file__)
+    files = sorted(f for f in os.listdir(root) if f.endswith(".py"))
+    assert "assembly.py" in files and "solve.py" in files
+    for name in files:
+        with open(os.path.join(root, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "scipy" for m in modules), (name, node.lineno)
 
 
 def test_streamed_solution_text_is_the_joined_text(tmp_path):

@@ -1,10 +1,10 @@
 """The matrix-free linear strip solve against the assembled matrix.
 
 ``solve_linear`` applies scatter_flux(A grad V) with the Dirichlet rows
-zeroed instead of assembling a matrix.  The oracles here are
-``assemble_matrix`` restricted to the free block, a dense solve of that
-block, and the sweep values of the assembled-matrix BiCGStab solver this
-path replaced.  Sheared and planar strips in d = 2 and 3, both tops, one
+zeroed instead of assembling a matrix.  The oracles here are the test
+oracle ``assemble_matrix`` restricted to the free block, a dense solve of
+that block, and the sweep values of the assembled-matrix BiCGStab solver
+this path replaced.  Sheared and planar strips in d = 2 and 3, both tops, one
 and two components, symmetric tensors (preconditioned CG) and nonsymmetric
 ones (BiCGStab).
 """
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from effbc import (
     LinearTensorField,
+    SolverFailureError,
     StripProblem,
     make_field,
     make_rational_direction,
@@ -26,10 +27,18 @@ from effbc import (
     solve_linear,
 )
 from effbc import assembly
-from effbc.assembly import assemble_matrix, strip_dof_partition
+from assembly_oracle import assemble_matrix, strip_dof_partition
 from effbc.cli import main
+from effbc.assembly import StripReferenceSolver
 from effbc.grid import StripGrid
-from effbc.solve import _apply_tensor, _symmetric_cells, _zero_fixed, boundary_values, dirichlet_top
+from effbc.solve import (
+    _apply_tensor,
+    _krylov_solve,
+    _symmetric_cells,
+    _zero_fixed,
+    boundary_values,
+    dirichlet_top,
+)
 
 
 @st.composite
@@ -149,12 +158,9 @@ def test_solve_matches_dense_solve(grid, top_dirichlet, N, symmetric, seed):
     assert err <= 2.0 * np.linalg.norm(res) / sv[keep][-1] + 1e-12 * np.linalg.norm(exact)
 
 
-def test_solve_linear_never_assembles(monkeypatch, laminate2, xi_e2, data_diag):
-    def boom(*args, **kwargs):
-        raise AssertionError("solve_linear assembled a matrix")
-
-    monkeypatch.setattr(assembly, "assemble_matrix", boom)
-    monkeypatch.setattr(assembly.sp, "coo_matrix", boom)
+def test_solve_linear_never_assembles(laminate2, xi_e2, data_diag):
+    # the library keeps no assembly routine; the matrix lives in the oracle
+    assert not hasattr(assembly, "assemble_matrix")
     rng = np.random.default_rng(3)
     for symmetric in (True, False):
         tensor = laminate2 if symmetric else random_tensor(rng, 2, 1, False)
@@ -182,3 +188,36 @@ def test_sweep_values_pinned(tmp_path):
     values = [row["value"][0] for row in rows]
     pinned = [0.3333334583157268, 0.33333340469055395, 0.33333332228573787]
     assert values == pytest.approx(pinned, rel=1e-10, abs=0.0)
+
+
+def test_bicgstab_matches_dense_solve_and_fails_loudly():
+    # a nonsymmetric two-component system on a sheared strip, natural top
+    rng = np.random.default_rng(11)
+    xi = make_rational_direction([1, 2])
+    grid = StripGrid(xi.periods, xi.xi_hat, 0.1, 1.5, (6,), 8, xi=xi, check_resolution=False)
+    tensor = random_tensor(rng, 2, 2, symmetric=False)
+    A = tensor(grid.cell_centers())
+    assert not _symmetric_cells(A)
+    ref = StripReferenceSolver(grid)
+
+    def matvec(V):
+        return _zero_fixed(_apply_tensor(grid, A, V), False)
+
+    b = _zero_fixed(rng.standard_normal((2,) + grid.node_shape), False)
+    x, iters, rel = _krylov_solve(matvec, ref.solve, b, 1e-12, 200, False, 10.0)
+
+    K, free, _, _ = free_block(grid, tensor, False)
+    exact = np.linalg.solve(K[free][:, free].toarray(), b.ravel()[free])
+    assert 0 < iters < 200 and rel <= 1e-11
+    fixed = np.ones(x.size, dtype=bool)
+    fixed[free] = False
+    assert not x.ravel()[fixed].any()
+    assert np.abs(x.ravel()[free] - exact).max() <= 1e-9 * np.abs(exact).max()
+
+    # the true residual cannot reach 1e-30: a loud failure whose trace is
+    # the recursive residual of every iteration
+    with pytest.raises(SolverFailureError) as exc:
+        _krylov_solve(matvec, ref.solve, b, 1e-30, 200, False, 10.0)
+    assert "BiCGStab" in str(exc.value)
+    assert exc.value.trace and exc.value.residual > 1e-28
+    assert min(exc.value.trace) <= 1e-12

@@ -1,17 +1,21 @@
 """phys_gradient / scatter_flux against the per-corner formulas.
 
 The kernels run one difference-and-average pass per axis; the oracles here
-are the cell-corner loop they replaced and the assembled A = I matrix.
-Sheared and planar strips and tori in d = 2 and 3, one and two components.
+are the cell-corner loop they replaced and the assembled matrices of A = I
+and of a non-identity tensor field (the matrix-free operator
+``_apply_tensor``, which also serves the torus cell problems).  Sheared and
+planar strips and tori in d = 2 and 3, one and two components.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from assembly_oracle import assemble_matrix, gather_corner
 from effbc import identity_tensor, make_rational_direction, planar_strip_grid
-from effbc.assembly import assemble_matrix
 from effbc.grid import StripGrid, TorusGrid
+from effbc.solve import _apply_tensor
+from test_matrix_free import random_tensor
 
 
 @st.composite
@@ -36,7 +40,7 @@ def grids(draw):
 def corner_gradient(grid, U):
     """Physical cell gradient summed over the 2^d rolled cell corners."""
     d = grid.d
-    corners = [grid._gather_corner(U, c) for c in grid.corners]
+    corners = [gather_corner(grid, U, c) for c in grid.corners]
     g = np.zeros((d,) + corners[0].shape)
     for c, Uc in zip(grid.corners, corners):
         for ax in range(d):
@@ -62,6 +66,14 @@ def test_stencil_matches_corner_oracles(grid, N, seed):
     assert LU.shape == U.shape
     scale = abs(K).sum(axis=1).max() * np.abs(U).max()
     assert np.abs(LU - KU).max() <= 1e-12 * scale
+
+    # a non-identity, nonsymmetric tensor field applied matrix free
+    tensor = random_tensor(rng, grid.d, N, symmetric=False)
+    K = assemble_matrix(grid, tensor)
+    KU = (K @ U.ravel()).reshape(U.shape)
+    AU = _apply_tensor(grid, tensor(grid.cell_centers()), U)
+    scale = abs(K).sum(axis=1).max() * np.abs(U).max()
+    assert np.abs(AU - KU).max() <= 1e-12 * scale
 
     # scatter_flux is the adjoint of phys_gradient weighted by the cell volume
     lhs = float((grid.scatter_flux(q) * U).sum())

@@ -3,8 +3,9 @@
 ``StripProblem.start`` is an initial iterate; the Dirichlet rows, every
 stopping target and the true-residual gates still come from the harmonic
 extension (the lift).  ``layers.ladder_limit`` starts a rung from the
-previous one when their grids nest, and ``shift_profile`` shares one
-reference solver per rung geometry between its shifts.  The oracle is the
+previous one when their grids nest, ``shift_profile`` shares one
+reference solver per rung geometry between its shifts, and directional
+limits given one ``solvers`` dict share theirs across approach directions.  The oracle is the
 cold solve of the same problem.  Cases: linear symmetric (CG) and
 nonsymmetric (BiCGStab) tensors, the monotone fixed point and the energy
 descent, on planar and sheared strips in d = 2 and 3.
@@ -25,6 +26,9 @@ from effbc import (
     RootKinkOperator,
     StripProblem,
     boundary_layer_limit,
+    cosine_field,
+    directional_limit,
+    homogenize_linear,
     make_field,
     make_rational_direction,
     planar_strip_grid,
@@ -315,3 +319,42 @@ def test_profile_shared_solver_is_bit_identical(monkeypatch, laminate2, data_dia
         assert res.oscillations == fresh.oscillations
         assert res.diagnostics["rungs"] == fresh.diagnostics["rungs"]
     assert len(built) == sum(len(r.heights_used) for _, r in prof.samples)
+
+
+@pytest.mark.parametrize("nonlinear", [False, True])
+def test_directional_limits_shared_solver_is_bit_identical(
+    monkeypatch, laminate2, data_diag, nonlinear
+):
+    # every approach direction of one profile solves on the same planar strips
+    if nonlinear:
+        op = effective = RootKinkOperator()
+        xi = make_rational_direction([0, 0, 1])
+        data = cosine_field(3, [0, 0, 1], constant=1.0 / 3.0)
+        prof = shift_profile(op, data, xi, sample_count=8, tolerance=1e-6, h=1 / 8, tau=1 / 16)
+        etas = ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.6, 0.8, 0.0])
+        kw = dict(tolerance=1e-6, tau=1 / 16, n_lat=16)
+    else:
+        xi = make_rational_direction([0, 1])
+        prof = shift_profile(laminate2, data_diag, xi, sample_count=8, tolerance=1e-7, h=1 / 16)
+        effective = homogenize_linear(laminate2, h_cell=1 / 32)
+        etas = ([1.0, 0.0], [-1.0, 0.0])
+        kw = dict(tolerance=1e-7)
+    built = []
+    init = StripReferenceSolver.__init__
+
+    def counted(self, grid, top_dirichlet=False):
+        built.append(grid.n_vert)
+        init(self, grid, top_dirichlet)
+
+    monkeypatch.setattr(StripReferenceSolver, "__init__", counted)
+    solvers = {}
+    shared = [directional_limit(xi, eta, prof, effective, solvers=solvers, **kw) for eta in etas]
+    assert len(built) == max(len(lim.heights_used) for lim in shared)  # one per rung height
+    built.clear()
+    for eta, lim in zip(etas, shared):
+        fresh = directional_limit(xi, eta, prof, effective, **kw)
+        assert np.array_equal(lim.value, fresh.value)
+        assert lim.error_bar == fresh.error_bar
+        assert lim.heights_used == fresh.heights_used
+        assert lim.converged == fresh.converged
+    assert len(built) == sum(len(lim.heights_used) for lim in shared)
