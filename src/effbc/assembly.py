@@ -185,6 +185,8 @@ class StripReferenceSolver:
             frac = np.linspace(0.0, 1.0, levels)
             U = bottom[..., None] * (1.0 - frac) + top[..., None] * frac
         res = grid.apply_reference(U)
+        if not res.any():
+            return U  # the correction of a zero residual is exactly zero
         return U - self.solve(res)
 
 

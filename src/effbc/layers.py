@@ -12,11 +12,15 @@ Work is reused across rungs and shifts.  A rung whose grid extends the
 previous one upward (same lateral mesh, origin, normal and vertical
 spacing, more levels) starts from the previous rung's values, continued
 above by their top slice; any other rung starts from the harmonic
-extension.  The stopping targets are those of a cold start, so a warm rung
-is held to the same absolute residual.  A shift profile builds one
-reference solver per rung geometry and shares it between its shifts,
-which move only the strip's origin.  ``diagnostics["rungs"]`` records
-each rung's height, iteration count and whether it started warm.
+extension.  The rungs of a doubling ladder nest: when h divides the
+periods and heights every rung has spacing h, and otherwise the lateral
+counts are rounded up per period and the vertical spacing is fixed once
+from the first rung's height.  The stopping targets are those of a cold
+start, so a warm rung is held to the same absolute residual.  A shift
+profile builds one reference solver per rung geometry and shares it
+between its shifts, which move only the strip's origin.
+``diagnostics["rungs"]`` records each rung's height, iteration count and
+whether it started warm.
 """
 
 from __future__ import annotations
@@ -185,15 +189,24 @@ def doubling_ladder(start, stop):
     return ladder
 
 
-def _mesh_for(xi, R, h):
-    """Mesh keywords for a ladder rung: exact divisibility when h allows
-    it, otherwise per-direction cell counts rounded up (d=3 directions
-    with incommensurable period lengths)."""
-    lengths = [math.sqrt(float(ell @ ell)) for ell in xi.periods] + [float(R)]
+def _cells_for(L, h):
+    """Cells of spacing at most h over length L (tolerant of rounding)."""
+    return max(2, math.ceil(L / h - 1e-9))
+
+
+def _mesh_for(xi, R, h, R0):
+    """Mesh keywords for a ladder rung of height R on a ladder starting at
+    R0: exact divisibility when h allows it, otherwise lateral cell counts
+    rounded up per period (d=3 directions with incommensurable period
+    lengths) and a vertical spacing fixed once by the first rung,
+    R0 / ceil(R0 / h), so that every rung nests in the one below."""
+    periods = [math.sqrt(float(ell @ ell)) for ell in xi.periods]
+    lengths = periods + [float(R)]
     exact = all(abs(round(L / h) - L / h) <= 1e-9 * max(1.0, L / h) for L in lengths)
     if exact:
         return {"h": h}
-    cells = tuple(max(2, math.ceil(L / h - 1e-9)) for L in lengths)
+    spacing = R0 / _cells_for(R0, h)
+    cells = tuple(_cells_for(L, h) for L in periods) + (_cells_for(R, spacing),)
     return {"cells": cells}
 
 
@@ -227,7 +240,7 @@ def boundary_layer_limit(
     def make(R):
         return StripProblem(
             xi=xi, operator=operator, data=data, R=R, s=s,
-            top_bc=NEUMANN, tau=tau, rtol=rtol, **_mesh_for(xi, R, h),
+            top_bc=NEUMANN, tau=tau, rtol=rtol, **_mesh_for(xi, R, h, R_ladder[0]),
         )
 
     result, solutions = ladder_limit(

@@ -254,15 +254,27 @@ def _solution_chunks(solution):
     val_names = [f"u{c + 1}" for c in range(N)]
     lines.append(",".join(idx_names + coord_names + val_names))
     yield "\n".join(lines) + "\n"
-    # one %-template per row; "%.17g" renders floats exactly as fmt does,
-    # nan and inf included
-    row = ",".join(["%d"] * (grid.d - 1) + ["%.17g"] * (grid.d + N))
-    index = [a.ravel().tolist() for a in np.indices(grid.node_shape[1:])]
-    coords = grid.node_coords()
+    # every column is formatted one distinct entry at a time; "%.17g"
+    # renders floats exactly as fmt does, nan and inf included
+    index = [_column_text(a, "%d").ravel().tolist() for a in np.indices(grid.node_shape[1:])]
+    floats = [_column_text(a, "%.17g") for a in (*grid.node_coords(), *solution.values)]
     for i0 in range(grid.node_shape[0]):
-        floats = [a[i0].ravel().tolist() for a in (*coords, *solution.values)]
-        slab_row = f"{i0},{row}"
-        yield "\n".join(slab_row % r for r in zip(*index, *floats)) + "\n"
+        slab = [str(i0)] * len(index[0])
+        columns = [a[i0].ravel().tolist() for a in floats]
+        yield "\n".join(map(",".join, zip(slab, *index, *columns))) + "\n"
+
+
+def _column_text(a, spec):
+    """An object array of the %-``spec`` text of each entry of ``a``, each
+    distinct entry formatted once.  Floats are keyed on their bit pattern,
+    so -0.0 and 0.0 keep their own texts."""
+    a = np.ascontiguousarray(a)
+    keys = a.view(f"i{a.itemsize}") if a.dtype.kind == "f" else a
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    if a.dtype.kind == "f":
+        distinct = distinct.view(a.dtype)
+    text = np.array([spec % x for x in distinct.tolist()], dtype=object)
+    return text[inverse.reshape(a.shape)]
 
 
 def solution_text(solution, out=None):

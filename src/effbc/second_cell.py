@@ -203,8 +203,10 @@ def eta_independence_check(xi, profile, effective, eta_set, tolerance=1e-8, **kw
     """Directional limits for several approach directions and their spread.
 
     For linear effective operators the limits agree up to error bars with
-    the period average of the profile, independently of eta.
+    the period average of the profile, independently of eta.  The limits
+    share one reference-solver cache (``solvers``) unless given their own.
     """
+    kwargs.setdefault("solvers", {})
     limits = [
         directional_limit(xi, eta, profile, effective, tolerance, **kwargs)
         for eta in eta_set
@@ -341,8 +343,14 @@ def continuity_sweep(operator, data, directions, Q=12, tolerance=1e-7, **kwargs)
     excluded from the fit (they carry no signal about the modulus); rows
     whose solve fails are flagged, never dropped silently.  ``alpha_range``
     is the range of the fitted exponent as every fitted gap moves within
-    its numeric bars.
+    its numeric bars.  A linear tensor is homogenized once for the whole
+    sweep unless ``effective`` is given.
     """
+    if isinstance(operator, LinearTensorField) and kwargs.get("effective") is None:
+        try:
+            kwargs["effective"] = homogenize_linear(operator)
+        except EffbcError:
+            pass  # every row then meets the failure itself and is flagged
     rows = []
     for n in directions:
         try:

@@ -387,7 +387,12 @@ def test_solution_text_matches_per_node_loop(v, N, h):
     specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324, -1.0 / 3.0, 1e300, 12345678.0]
     vals = np.array(sol.values)
     vals.flat[: len(specials)] = specials
-    for s in (sol, StripSolution(sol.problem, sol.grid, vals, sol.residual_norm, sol.iterations)):
+    # every column repeating 0.0 and -0.0, both signs of nan and subnormals, so
+    # that many rows share each distinct text and -0.0 keeps its own
+    pool = np.array([0.0, -0.0, np.nan, -np.nan, 5e-324, -5e-324, 1e-310, -2.5e-320, 1 / 3])
+    repeated = np.random.default_rng(3).choice(pool, size=vals.shape)
+    for v in (sol.values, vals, repeated):
+        s = StripSolution(sol.problem, sol.grid, v, sol.residual_norm, sol.iterations)
         assert solution_text(s) == _solution_text_per_node(s)
 
 

@@ -76,3 +76,30 @@ def test_solve_free_matches_dense_oracle(grid, top_dirichlet, N, seed):
     np.testing.assert_array_equal(null, vanishes)
     even_3d = grid.d == 3 and all(n % 2 == 0 for n in grid.lat_cells)
     assert null.any() == even_3d
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid=strips(), top_dirichlet=st.booleans(), N=st.integers(1, 2), seed=st.integers(0, 2**16))
+def test_lift_skips_the_solve_of_constant_data(grid, top_dirichlet, N, seed):
+    ref = StripReferenceSolver(grid, top_dirichlet=top_dirichlet)
+    rng = np.random.default_rng(seed)
+    calls = []
+    ref.solve_free = lambda r, _solve=ref.solve_free: calls.append(1) or _solve(r)
+    if not top_dirichlet:
+        # a constant column is exactly reference-harmonic under a natural top
+        const = rng.standard_normal((N,) + (1,) * len(grid.lat_cells))
+        const = np.broadcast_to(const, (N,) + grid.lat_cells)
+        U = ref.lift(const)
+        assert not calls
+        assert np.array_equal(U, np.repeat(const[..., None], grid.n_vert + 1, axis=-1))
+    # non-constant data: the lift is the full correction, bit for bit
+    bottom = rng.standard_normal((N,) + grid.lat_cells)
+    top = rng.standard_normal(bottom.shape) if top_dirichlet else None
+    U = ref.lift(bottom, top)
+    assert calls
+    levels = grid.n_vert + 1
+    U0 = np.repeat(bottom[..., None], levels, axis=-1)
+    if top_dirichlet:
+        frac = np.linspace(0.0, 1.0, levels)
+        U0 = bottom[..., None] * (1.0 - frac) + top[..., None] * frac
+    assert np.array_equal(U, U0 - ref.solve(grid.apply_reference(U0)))

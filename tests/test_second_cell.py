@@ -149,6 +149,23 @@ def test_sweep_linear_positive_exponent(laminate2, data_diag):
     assert lo <= report.alpha_hat <= hi
 
 
+def test_sweep_homogenizes_once(monkeypatch, laminate2, data_diag):
+    import effbc.second_cell as second_cell
+
+    calls = []
+    monkeypatch.setattr(
+        second_cell, "homogenize_linear", lambda A: calls.append(A) or homogenize_linear(A)
+    )
+    dirs = [np.array([math.sin(t), math.cos(t)]) for t in (0.05, 0.2, 0.4)]
+    kw = dict(Q=6, tolerance=1e-7, profile_samples=8)
+    report = continuity_sweep(laminate2, data_diag, dirs, **kw)
+    assert calls == [laminate2]
+    hom = homogenize_linear(laminate2)
+    for n, row in zip(dirs, report.rows):
+        pred = predict_phi_star(n, laminate2, data_diag, effective=hom, **kw)
+        assert np.array_equal(row["prediction"].value, pred.value)
+
+
 def test_subsolution_residual_closed_form():
     y = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
     z = np.linspace(0.0, 4.0, 256)

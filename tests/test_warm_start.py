@@ -3,9 +3,10 @@
 ``StripProblem.start`` is an initial iterate; the Dirichlet rows, every
 stopping target and the true-residual gates still come from the harmonic
 extension (the lift).  ``layers.ladder_limit`` starts a rung from the
-previous one when their grids nest, ``shift_profile`` shares one
-reference solver per rung geometry between its shifts, and directional
-limits given one ``solvers`` dict share theirs across approach directions.  The oracle is the
+previous one when their grids nest (on rounded meshes too), ``shift_profile``
+shares one reference solver per rung geometry between its shifts, and
+directional limits given one ``solvers`` dict (as ``eta_independence_check``
+gives them) share theirs across approach directions.  The oracle is the
 cold solve of the same problem.  Cases: linear symmetric (CG) and
 nonsymmetric (BiCGStab) tensors, the monotone fixed point and the energy
 descent, on planar and sheared strips in d = 2 and 3.
@@ -28,7 +29,9 @@ from effbc import (
     boundary_layer_limit,
     cosine_field,
     directional_limit,
+    eta_independence_check,
     homogenize_linear,
+    identity_tensor,
     make_field,
     make_rational_direction,
     planar_strip_grid,
@@ -281,13 +284,24 @@ def test_fixed_point_start_at_target_skips_the_reference_solve(monkeypatch, xi_e
     assert len(calls) == 1 and warm.iterations == 0 and warm.energy_trace == []
 
 
-def test_non_nesting_rungs_start_cold(laminate2, data_diag):
-    # the (1, 5) period has no spacing that divides both it and the rung
-    # heights, so its cell counts are rounded per rung and the grids differ
+def test_rounded_rungs_nest_and_start_warm(laminate2, data_diag):
+    # no spacing divides both the (1, 5) period and the rung heights, so the
+    # lateral counts are rounded up per period and the vertical spacing is
+    # fixed by the first rung: every later rung extends the one below
     xi = make_rational_direction([1, 5])
-    res = boundary_layer_limit(laminate2, data_diag, xi, tolerance=1e-7, h=1 / 16)
-    assert len(res.heights_used) >= 2
-    assert not any(r["warm"] for r in res.diagnostics["rungs"])
+    h = 1 / 16
+    res = boundary_layer_limit(
+        laminate2, data_diag, xi, tolerance=1e-7, h=h, keep_solutions=True
+    )
+    rungs = len(res.heights_used)
+    assert rungs >= 2
+    assert [r["warm"] for r in res.diagnostics["rungs"]] == [False] + [True] * (rungs - 1)
+    grids = [sol.grid for sol in res.diagnostics["solutions"]]
+    period = math.sqrt(float(xi.periods[0] @ xi.periods[0]))
+    for k, grid in enumerate(grids):
+        assert grid.lat_cells == (math.ceil(period / h),)
+        assert grid.R / grid.n_vert <= h
+        assert grid.n_vert == grids[0].n_vert * 2**k
     xi = make_rational_direction([1, 2])
     res = boundary_layer_limit(laminate2, data_diag, xi, tolerance=1e-7, h=np.sqrt(5) / 32)
     assert [r["warm"] for r in res.diagnostics["rungs"]] == [False] + [True] * (
@@ -358,3 +372,28 @@ def test_directional_limits_shared_solver_is_bit_identical(
         assert lim.heights_used == fresh.heights_used
         assert lim.converged == fresh.converged
     assert len(built) == sum(len(lim.heights_used) for lim in shared)
+
+
+def test_eta_independence_check_shares_one_solver_per_rung(monkeypatch):
+    xi = make_rational_direction([0, 0, 1])
+    I3 = identity_tensor(3)
+    data = make_field(3, terms=[(1.0, [0, 0, 1], "cos"), (0.5, [1, 0, 0], "cos")], constant=0.25)
+    prof = shift_profile(I3, data, xi, sample_count=8, tolerance=1e-8, h=1 / 8)
+    s = 1.0 / math.sqrt(2.0)
+    etas = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [s, s, 0.0]]
+    built = []
+    init = StripReferenceSolver.__init__
+
+    def counted(self, grid, top_dirichlet=False):
+        built.append(grid.n_vert)
+        init(self, grid, top_dirichlet)
+
+    monkeypatch.setattr(StripReferenceSolver, "__init__", counted)
+    check = eta_independence_check(xi, prof, I3, etas, tolerance=1e-9)
+    rungs = max(len(lim.heights_used) for lim in check["limits"])
+    assert len(set(built)) == len(built) == rungs  # one per rung geometry
+    for eta, lim in zip(etas, check["limits"]):
+        fresh = directional_limit(xi, eta, prof, I3, tolerance=1e-9)
+        assert np.array_equal(lim.value, fresh.value)
+        assert lim.error_bar == fresh.error_bar
+        assert lim.heights_used == fresh.heights_used
