@@ -102,7 +102,7 @@ def cmd_phi_star(cfg: ExperimentConfig, rep: Reporter) -> int:
     profile = shift_profile(
         cfg.operator, cfg.data, cfg.direction,
         sample_count=cfg.sample_count, tolerance=cfg.tolerance,
-        h=cfg.h, tau=cfg.tau, workers=cfg.workers,
+        h=cfg.h, tau=cfg.tau,
     )
     rep.stop("phi-star")
     _write_profile(rep, profile)
@@ -115,7 +115,7 @@ def cmd_second_cell(cfg: ExperimentConfig, rep: Reporter) -> int:
     profile = shift_profile(
         cfg.operator, cfg.data, cfg.direction,
         sample_count=cfg.sample_count, tolerance=cfg.tolerance,
-        h=cfg.h, tau=cfg.tau, workers=cfg.workers,
+        h=cfg.h, tau=cfg.tau,
     )
     rep.stop("profile")
     _write_profile(rep, profile)
@@ -193,9 +193,12 @@ def cmd_sweep(cfg: ExperimentConfig, rep: Reporter) -> int:
         d.xi_hat if hasattr(d, "xi_hat") else np.asarray(d, dtype=float) for d in cfg.directions
     ]
     rep.start("sweep")
+    effective = None
+    if isinstance(cfg.operator, LinearTensorField):
+        effective = homogenize_linear(cfg.operator, h_cell=cfg.h_cell)
     report = continuity_sweep(
         cfg.operator, cfg.data, directions, Q=cfg.Q, tolerance=cfg.tolerance,
-        profile_samples=cfg.sample_count, h=cfg.h, tau=cfg.tau, workers=cfg.workers,
+        profile_samples=cfg.sample_count, h=cfg.h, tau=cfg.tau, effective=effective,
     )
     rep.stop("sweep")
     rows = []
@@ -248,17 +251,27 @@ def cmd_discontinuity_demo(cfg: ExperimentConfig, rep: Reporter) -> int:
     rep.start("profile")
     profile = shift_profile(
         op, data, xi, sample_count=max(32, cfg.sample_count), tolerance=cfg.tolerance,
-        h=cfg.h or 1.0 / 16.0, tau=tau, workers=cfg.workers,
+        h=cfg.h or 1.0 / 16.0, tau=tau,
     )
     rep.stop("profile")
     _write_profile(rep, profile)
     rep.start("limits")
+    # approach directions from e1 to e2, the ends exact (cos(pi/2) is not 0)
+    angles = np.linspace(0.0, np.pi / 2.0, 5)
+    etas = (
+        [np.array([1.0, 0.0, 0.0])]
+        + [np.array([np.cos(th), np.sin(th), 0.0]) for th in angles[1:-1]]
+        + [np.array([0.0, 1.0, 0.0])]
+    )
     # every limit solves on the same planar strips: one reference solver per rung
     solvers = {}
-    lim1 = directional_limit(xi, np.array([1.0, 0.0, 0.0]), profile, op,
-                             tolerance=cfg.tolerance, tau=tau, n_lat=64, solvers=solvers)
-    lim2 = directional_limit(xi, np.array([0.0, 1.0, 0.0]), profile, op,
-                             tolerance=cfg.tolerance, tau=tau, n_lat=64, solvers=solvers)
+    limits = [
+        directional_limit(xi, eta, profile, op, tolerance=cfg.tolerance, tau=tau, n_lat=64,
+                          solvers=solvers)
+        for eta in etas
+    ]
+    lim1, lim2 = limits[0], limits[-1]
+    Ls = [float(lim.value[0]) for lim in limits]
     rep.stop("limits")
 
     # gap certificate from the comparison function, solved at the scale of
@@ -287,15 +300,6 @@ def cmd_discontinuity_demo(cfg: ExperimentConfig, rep: Reporter) -> int:
         f"gap delta={gap:.6f}, gap>0: {'PASS' if gap > 0 else 'FAIL'}"
     )
     print(line)
-    # the end angles are the e1 and e2 approaches solved above
-    angles = np.linspace(0.0, np.pi / 2.0, 5)
-    Ls = [float(lim1.value[0])]
-    for th in angles[1:-1]:
-        eta = np.array([np.cos(th), np.sin(th), 0.0])
-        lim = directional_limit(xi, eta, profile, op, tolerance=cfg.tolerance, tau=tau, n_lat=64,
-                                solvers=solvers)
-        Ls.append(float(lim.value[0]))
-    Ls.append(float(lim2.value[0]))
     rep.write_csv("angle_sweep.csv", ["angle", "L"], [[a, l] for a, l in zip(angles, Ls)])
     panel1 = SvgPlot(title="shift profile of the far field", xlabel="s", ylabel="c*")
     panel1.add_line(profile.shifts, profile.values[:, 0])
@@ -388,7 +392,6 @@ def main(argv=None) -> int:
             args.config,
             out_override=args.out,
             seed_override=args.seed,
-            workers_override=args.threads,
             experiment_override=args.command,
         )
     except (ConfigError, InvalidDirectionError, InvalidMeshError) as exc:

@@ -111,7 +111,6 @@ class ExperimentConfig:
     h: float = None
     R: float = None
     R_ladder: list = None
-    top_bc: tuple = ("neumann", None)
     tau: float = 0.0
     solver_tol: float = 1e-10
     tolerance: float = 1e-7
@@ -121,7 +120,6 @@ class ExperimentConfig:
     h_cell: float = None
     eps_ladder: list = None
     seed: int = 0
-    workers: int = 1  # "threads" / --threads: accepted and ignored (no pool)
     out: str = "out"
 
     def canonical(self):
@@ -143,7 +141,7 @@ def _is_nonlinear(op):
     return op is not None and not isinstance(op, LinearTensorField)
 
 
-def load_config(source, out_override=None, seed_override=None, workers_override=None,
+def load_config(source, out_override=None, seed_override=None,
                 experiment_override=None) -> ExperimentConfig:
     """Parse and validate a configuration from a path, JSON text, or dict."""
     if isinstance(source, dict):
@@ -192,12 +190,9 @@ def load_config(source, out_override=None, seed_override=None, workers_override=
     cfg.R = _get(raw, "strip.R")
     cfg.R_ladder = _get(raw, "strip.R_ladder")
     top = _get(raw, "strip.top_bc", "neumann")
-    if top == "neumann":
-        cfg.top_bc = ("neumann", None)
-    elif isinstance(top, dict) and "dirichlet" in top:
-        cfg.top_bc = ("dirichlet", float(top["dirichlet"]))
-    else:
-        raise ConfigError(f"strip.top_bc must be 'neumann' or {{'dirichlet': c}}, got {top!r}")
+    if top != "neumann":
+        # every subcommand reads its far field from a natural top
+        raise ConfigError(f"strip.top_bc must be 'neumann', got {top!r}")
     cfg.tau = float(_get(raw, "nonlinear.tau", 0.0))
     cfg.solver_tol = float(_get(raw, "solver.tol", 1e-10))
     cfg.tolerance = float(_get(raw, "limit.tolerance", 1e-7))
@@ -206,7 +201,6 @@ def load_config(source, out_override=None, seed_override=None, workers_override=
     cfg.Q = int(_get(raw, "sweep.Q", 12))
     cfg.eps_ladder = _get(raw, "homogenize.eps_ladder")
     cfg.seed = int(seed_override if seed_override is not None else raw.get("seed", 0))
-    cfg.workers = int(workers_override if workers_override is not None else raw.get("threads", 1))
     cfg.out = out_override or raw.get("out", "out")
 
     _validate(cfg)

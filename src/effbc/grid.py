@@ -228,9 +228,6 @@ class StripGrid(_MeshBase):
         # level 0 alone: a one-level node block has the same lateral coords
         return self._coords(self.lat_cells + (1,), 0.0)[..., 0]
 
-    def top_coords(self):
-        return self.node_coords()[..., -1]
-
     @property
     def n_nodes(self):
         return int(np.prod(self.node_shape))

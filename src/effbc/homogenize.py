@@ -23,7 +23,9 @@ from .assembly import TorusReferenceSolver
 from .errors import NonConvergedError, SolverFailureError
 from .fields import LinearTensorField, constant_field
 from .grid import TorusGrid
-from .solve import StripProblem, _apply_tensor, _krylov_solve, _symmetric_cells, solve_linear
+from .solve import (
+    StripProblem, _apply_tensor, _descent, _krylov_solve, _symmetric_cells, solve_linear,
+)
 
 __all__ = [
     "HomogenizedTensor",
@@ -130,44 +132,26 @@ class EffectiveMapSample:
 
 
 def _torus_descent(grid, ref, op, p, tau, gtol_rel=1e-10, maxiter=400):
-    """Preconditioned monotone descent for the periodic cell energy."""
+    """Minimize the periodic cell energy of p + grad chi over chi with the
+    shared descent core; returns the zero-mean corrector and its energy."""
     p_cells = np.broadcast_to(
         np.asarray(p, dtype=float).reshape((grid.d,) + (1,) * grid.d), (grid.d,) + grid.cell_shape
     )
     centers = grid.cell_centers() if op.y_dependent else None
 
     def energy(chi):
-        grads = grid.phys_gradient(chi)[:, 0] + p_cells
-        return float(grid.cellvol * op.potential(grads, y=centers, tau=tau).sum())
+        G = grid.phys_gradient(chi)[:, 0] + p_cells
+        return float(grid.cellvol * op.potential(G, y=centers, tau=tau).sum()), G
 
-    def gradient(chi):
-        grads = grid.phys_gradient(chi)[:, 0] + p_cells
-        return grid.scatter_flux(op.flux(grads, y=centers, tau=tau)[:, None])
+    def residual(G):
+        return grid.scatter_flux(op.flux(G, y=centers, tau=tau)[:, None])
 
     chi = np.zeros((1,) + grid.node_shape)
-    E = energy(chi)
+    E, G = energy(chi)
     scale = max(1.0, abs(E))
-    t = 1.0
-    for _ in range(maxiter):
-        g = gradient(chi)
-        if float(np.abs(g).max()) <= gtol_rel * scale * grid.cellvol / grid.spacings[0] ** 2:
-            break
-        dirn = ref.solve(g)
-        slope = float((g * dirn).sum())
-        t = min(1.0, 2.0 * t)
-        for _ in range(60):
-            cand = chi - t * dirn
-            Ec = energy(cand)
-            if Ec <= E - 0.25 * t * slope + 1e-15 * scale:
-                break
-            t *= 0.5
-        else:
-            raise NonConvergedError("cell energy line search failed")
-        chi, E = cand, Ec
-    else:
-        raise NonConvergedError("cell descent exhausted its iteration budget")
-    chi = ref.project_out_null(chi)
-    return chi, E
+    gtol = gtol_rel * scale * grid.cellvol / grid.spacings[0] ** 2
+    chi, E, _, _, _ = _descent(energy, residual, ref.solve, chi, E, G, gtol, scale, maxiter)
+    return ref.project_out_null(chi), E
 
 
 def homogenize_nonlinear(op, p, h_cell=None, tau=0.0) -> EffectiveMapSample:

@@ -338,16 +338,13 @@ def shift_profile(
     tolerance=1e-8,
     h=None,
     tau=0.0,
-    workers=1,
     **limit_kwargs,
 ) -> ShiftProfile:
     """Sample the far-field constant over shifts s in [0, 1/|xi|).
 
-    Samples are independent ladders, run in s order, that share one
-    reference solver per rung geometry, built on first use and dropped on
-    return.  ``workers`` is accepted and ignored: a thread pool over the
-    samples did not pay for itself at two workers, so every sample runs
-    in the calling thread.
+    Samples are independent ladders, run in s order in the calling thread,
+    that share one reference solver per rung geometry, built on first use
+    and dropped on return.
     """
     if sample_count < 8:
         raise ValueError("sample_count must be at least 8")

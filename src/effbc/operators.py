@@ -52,13 +52,6 @@ def huber_abs(t, tau):
     return np.where(a <= tau, t * t / (2.0 * tau), a - tau / 2.0)
 
 
-def huber_abs_prime(t, tau):
-    t = np.asarray(t, dtype=float)
-    if tau <= 0.0:
-        return np.sign(t)
-    return np.clip(t / tau, -1.0, 1.0)
-
-
 def huber_abs_integral(t, tau):
     """Odd antiderivative of huber_abs, zero at 0 (t |t| / 2 when tau <= 0)."""
     t = np.asarray(t, dtype=float)

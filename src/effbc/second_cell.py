@@ -247,7 +247,6 @@ def predict_phi_star(
     effective=None,
     angle_prefactor=None,
     angle_exponent=0.5,
-    workers=1,
     n_lat=None,
 ) -> PredictedValue:
     """Far-field value at an arbitrary direction via a rational approximant.
@@ -269,7 +268,7 @@ def predict_phi_star(
         profile_samples = 2 * profile_samples
     profile = shift_profile(
         operator, data, xi, sample_count=profile_samples, tolerance=tolerance,
-        h=h, tau=tau, workers=workers,
+        h=h, tau=tau,
     )
     if effective is None:
         if isinstance(operator, LinearTensorField):

@@ -20,12 +20,16 @@ energy) is dropped, and a start that already meets the target returns
 without an iteration.
 
 Variational nonlinear equations (flux = gradient of a convex density):
-monotone accelerated descent on the discrete energy, preconditioned by
-the exact constant-coefficient solver, with backtracking line search; the
-recorded energy trace is nonincreasing by construction.  The momentum
-restarts when it overshoots in energy or points uphill (g . (U - U_prev) >
-0): near the minimum the energy no longer resolves the steps, and the
-gradient test keeps the momentum from growing the gradient again.
+one descent core, ``_descent``, minimizes the strip energy here and the
+periodic cell energy of ``homogenize``: monotone accelerated descent
+preconditioned by the exact constant-coefficient solver, with
+backtracking line search; the recorded energy trace is nonincreasing by
+construction.  The momentum restarts when it overshoots in energy or
+points uphill (g . (U - U_prev) > 0, the gradient restart of O'Donoghue
+and Candes, Found. Comput. Math. 15, 2015): near the minimum the energy
+no longer resolves the steps, and the gradient test keeps the momentum
+from growing the gradient again.  Each energy evaluation hands on the
+gradient field it computed, so no point's gradient is computed twice.
 
 Non-variational monotone maps: damped preconditioned fixed point
 (Zarantonello) iteration u <- u - rho * K_ref^{-1} R(u), with the step
@@ -438,74 +442,92 @@ def solve_linear(problem: StripProblem, ref=None) -> StripSolution:
 
 def _armijo(energy, X, d, EX, slope, t, scale):
     """Backtracking search along -d from X (energy EX, slope g . d) from step
-    t; returns (X - t d, its energy, t) or None after 60 halvings."""
+    t; returns (X - t d, its energy, its gradient field, t) or None after 60
+    halvings."""
     for _ in range(60):
         cand = X - t * d
-        Ec = energy(cand)
+        Ec, Gc = energy(cand)
         if Ec <= EX - 0.25 * t * slope + 1e-15 * scale:
-            return cand, Ec, t
+            return cand, Ec, Gc, t
         t *= 0.5
     return None
 
 
+def _descent(energy, residual, precond, U, E, G, gtol, scale, maxiter):
+    """Monotone accelerated preconditioned descent from U to sup |R| <= gtol.
+
+    ``energy(V)`` returns (E(V), G) with G the gradient field that E(V) was
+    computed from; ``residual(G)`` is the energy's nodal gradient at that
+    point, zero on fixed rows.  The start comes with its E and G, and each
+    accepted or momentum point hands its G on.  ``precond`` maps a residual
+    to a descent direction; ``scale`` sets the line search's rounding slack.
+    Returns (U, E, iterations, energy trace, sup |R(U)|).
+    """
+    trace = [E]
+    U_prev = U
+    t_prev = 1.0
+    momentum = 0.0
+    for it in range(maxiter):
+        g = residual(G)
+        gsup = float(np.abs(g).max())
+        if gsup <= gtol:
+            return U, E, it, trace, gsup
+        if momentum and _dot(g, U - U_prev) > 0.0:
+            momentum = 0.0
+        if momentum:
+            V = U + momentum * (U - U_prev)
+            EV, GV = energy(V)
+            gV = residual(GV)
+        else:
+            V, gV, EV = U, g, E  # V = U exactly
+        t0 = min(1.0, 2.0 * t_prev)
+        dV = precond(gV)
+        accepted = _armijo(energy, V, dV, EV, float((gV * dV).sum()), t0, scale)
+        overshoot = accepted is None or accepted[1] > E
+        if overshoot and momentum:
+            # fall back to plain descent from U (at zero momentum that
+            # search is the one just made)
+            d = precond(g)
+            accepted = _armijo(energy, U, d, E, float((g * d).sum()), t0, scale)
+        if accepted is None:
+            raise NonConvergedError("line search failed to decrease energy", trace=trace)
+        momentum = 0.0 if overshoot else min(0.9, momentum + 0.3)
+        U_prev = U
+        U, E_new, G, t_prev = accepted
+        if E_new > E + 1e-12 * scale:
+            raise NonConvergedError("energy increased, internal inconsistency", trace=trace)
+        E = E_new
+        trace.append(E)
+    raise NonConvergedError(
+        f"descent did not reach tolerance in {maxiter} iterations", trace=trace
+    )
+
+
 def _descent_variational(problem, grid, ref, op, U0, centers, top_dir, gtol_rel=1e-9, maxiter=500):
-    """Monotone accelerated preconditioned descent on the discrete energy.
+    """Preconditioned descent on the discrete strip energy.
 
     Starts from problem.start when its energy is below that of the lift U0,
     else from U0; the tolerance scale is max(1, |E(U0)|) either way.
     Returns (U, E, iterations, energy trace, sup |R(U)|).
     """
     tau = problem.tau
-    energy = lambda V: nonlinear_energy(op, grid, V, centers, tau)
-    U, E = U0, energy(U0)
+
+    def energy(V):
+        G = grid.phys_gradient(V)
+        return float(grid.cellvol * op.potential(G[:, 0], y=centers, tau=tau).sum()), G
+
+    def residual(G):
+        return _zero_fixed(grid.scatter_flux(operator_flux(op, G, centers, tau)), top_dir)
+
+    U, (E, G) = U0, energy(U0)
     scale = max(1.0, abs(E))
     if problem.start is not None:
         start = _start_field(problem, U0, top_dir)
-        E_start = energy(start)
+        E_start, G_start = energy(start)
         if E_start < E:  # a start above the lift's energy is dropped
-            U, E = start, E_start
-        del start
-    trace = [E]
-    U_prev = U.copy()
-    t_prev = 1.0
-    momentum = 0.0
-    for it in range(maxiter):
-        g = _masked_residual(grid, op, U, centers, tau, top_dir)
-        gsup = float(np.abs(g).max())
-        if gsup <= gtol_rel * scale:
-            return U, E, it, trace, gsup
-        if momentum and _dot(g, U - U_prev) > 0.0:
-            # the momentum points uphill: restart (gradient restart)
-            momentum = 0.0
-        if momentum:
-            # accelerated candidate point
-            V = U + momentum * (U - U_prev)
-            gV = _masked_residual(grid, op, V, centers, tau, top_dir)
-            EV = energy(V)
-        else:
-            # V = U exactly: its residual and energy are g and E
-            V, gV, EV = U, g, E
-        dV = ref.solve(gV)
-        accepted = _armijo(energy, V, dV, EV, float((gV * dV).sum()), min(1.0, 2.0 * t_prev), scale)
-        overshoot = accepted is None or accepted[1] > E
-        if overshoot and momentum:
-            # momentum overshoot: fall back to plain descent from U (at zero
-            # momentum that search is the one just made)
-            d = ref.solve(g)
-            accepted = _armijo(energy, U, d, E, float((g * d).sum()), min(1.0, 2.0 * t_prev), scale)
-        if accepted is None:
-            raise NonConvergedError("line search failed to decrease energy", trace=trace)
-        momentum = 0.0 if overshoot else min(0.9, momentum + 0.3)
-        U_prev = U
-        U, E_new, t = accepted
-        if E_new > E + 1e-12 * scale:
-            raise NonConvergedError("energy increased, internal inconsistency", trace=trace)
-        E = E_new
-        t_prev = t
-        trace.append(E)
-    raise NonConvergedError(
-        f"descent did not reach tolerance in {maxiter} iterations", trace=trace
-    )
+            U, E, G = start, E_start, G_start
+        del start, G_start
+    return _descent(energy, residual, ref.solve, U, E, G, gtol_rel * scale, scale, maxiter)
 
 
 def _solve_small(G, b):

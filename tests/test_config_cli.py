@@ -86,6 +86,15 @@ def test_config_rejects_nonpositive_tau(tmp_path):
         load_config(path)
 
 
+def test_config_rejects_a_dirichlet_top(tmp_path):
+    # every subcommand reads its far field from a natural top
+    path, _ = write_cfg(tmp_path, strip={"top_bc": {"dirichlet": 0.0}}, out=str(tmp_path / "o"))
+    with pytest.raises(ConfigError):
+        load_config(path)
+    assert main(["--config", path, "cell-solve"]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_rejects_unknown_experiment(tmp_path):
     path, _ = write_cfg(tmp_path, experiment="fly-to-the-moon")
     with pytest.raises(ConfigError):
@@ -146,6 +155,24 @@ def test_cli_determinism(tmp_path):
         a = open(os.path.join(outs[0], fname), "rb").read()
         b = open(os.path.join(outs[1], fname), "rb").read()
         assert a == b, f"{fname} differs between identical runs"
+
+
+def test_cli_threads_flag_is_ignored(tmp_path):
+    # the benchmark passes --threads 1; the run must not depend on it
+    path, _ = write_cfg(tmp_path)
+    outs = []
+    for name, extra in (("t0", []), ("t1", ["--threads", "1"])):
+        out = tmp_path / name
+        assert main(["--config", path, "--out", str(out)] + extra + ["cell-solve"]) == 0
+        outs.append(out)
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1]))
+    for fname in names:
+        a, b = ((out / fname).read_bytes() for out in outs)
+        if fname == "manifest.json":
+            a, b = (json.loads(x) for x in (a, b))
+            a.pop("timings_seconds"), b.pop("timings_seconds")
+        assert a == b, f"{fname} depends on --threads"
 
 
 def test_cli_second_cell(tmp_path):
@@ -217,6 +244,28 @@ def test_cli_sweep(tmp_path):
     assert summary["degenerate"]
     assert summary["alpha_range"] == [None, None]  # NaN, written as null
     assert not (tmp_path / "sw" / "sweep.svg").exists()
+
+
+def test_cli_sweep_homogenizes_on_the_config_cell_mesh(tmp_path, monkeypatch):
+    import effbc.cli
+    import effbc.second_cell
+    from effbc.homogenize import homogenize_linear
+
+    cell_meshes = []
+
+    def recorded(A, h_cell=None):
+        cell_meshes.append(h_cell)
+        return homogenize_linear(A, h_cell=h_cell)
+
+    monkeypatch.setattr(effbc.cli, "homogenize_linear", recorded)
+    monkeypatch.setattr(effbc.second_cell, "homogenize_linear", recorded)
+    path, _ = write_cfg(
+        tmp_path, experiment="sweep", directions=[{"unit": [0.0, 1.0]}],
+        limit={"tolerance": 1e-6, "sample_count": 8}, sweep={"Q": 3},
+        homogenize={"h_cell": 1 / 16}, out=str(tmp_path / "sw"),
+    )
+    assert main(["--config", path, "sweep"]) == 0
+    assert cell_meshes == [1 / 16]
 
 
 def test_cli_sweep_plots_the_fitted_pairs(tmp_path):

@@ -169,11 +169,3 @@ def test_hoelder_in_shift_fit(laminate2, xi_e2, data_diag):
                 dv.append(abs(v[i] - v[j]))
     alpha = np.polyfit(np.log(dn), np.log(dv), 1)[0]
     assert alpha > 0.0
-
-
-def test_profile_worker_pool_deterministic(laminate2, xi_e2, data_diag):
-    p1 = shift_profile(laminate2, data_diag, xi_e2, sample_count=8, tolerance=1e-7, h=1 / 16)
-    p2 = shift_profile(
-        laminate2, data_diag, xi_e2, sample_count=8, tolerance=1e-7, h=1 / 16, workers=4
-    )
-    assert np.array_equal(p1.values, p2.values)

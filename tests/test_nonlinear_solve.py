@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from effbc import (
     KinkPotential2D,
@@ -16,6 +17,10 @@ from effbc import (
     solve_linear,
     solve_nonlinear,
 )
+from effbc.assembly import StripReferenceSolver, TorusReferenceSolver
+from effbc.fields import laminate_tensor
+from effbc.grid import TorusGrid, _MeshBase
+from effbc.homogenize import _torus_descent
 from effbc.solve import _masked_residual, nonlinear_energy
 
 
@@ -138,3 +143,46 @@ def test_root_kink_3d_small_solve():
     sol = solve_nonlinear(p)
     # far field of the closed-form solution is 0; coarse mesh bias only
     assert abs(sol.top_slice().mean()) <= 0.05
+
+
+@pytest.mark.parametrize("where", ["strip", "torus"])
+def test_descent_takes_one_gradient_per_energy(monkeypatch, where):
+    # every residual of the descent reuses the gradient field of an energy
+    # evaluation; only the lift takes gradients of its own
+    counts = {"gradient": 0, "potential": 0, "lift": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    lift = StripReferenceSolver.lift
+
+    def counted_lift(self, *args):
+        before = counts["gradient"]
+        out = lift(self, *args)
+        counts["lift"] += counts["gradient"] - before
+        return out
+
+    monkeypatch.setattr(_MeshBase, "phys_gradient", counted("gradient", _MeshBase.phys_gradient))
+    monkeypatch.setattr(StripReferenceSolver, "lift", counted_lift)
+    if where == "strip":
+        monkeypatch.setattr(
+            KinkPotential2D, "potential", counted("potential", KinkPotential2D.potential)
+        )
+        g = planar_strip_grid(1.0, 2.0, 16, 32)
+        sol = solve_nonlinear(StripProblem(
+            xi=None, operator=KinkPotential2D(), data=lambda c: 1 / 3 + np.cos(2 * np.pi * c[0]),
+            R=2.0, grid=g, tau=1 / 16,
+        ))
+        assert sol.iterations > 0 and counts["lift"] == 1
+    else:
+        monkeypatch.setattr(
+            QuadraticPotential, "potential", counted("potential", QuadraticPotential.potential)
+        )
+        grid = TorusGrid(2, 16)
+        op = QuadraticPotential(laminate_tensor(2))
+        _torus_descent(grid, TorusReferenceSolver(grid), op, [0.4, -0.8], 0.0)
+        assert counts["potential"] > 1  # the start and at least one step
+    assert counts["gradient"] - counts["lift"] == counts["potential"]
