@@ -6,7 +6,7 @@ geometry collapses to a single d x 2^d weight matrix ``grid.phi`` and the
 constant-coefficient operator is diagonalized exactly by fast transforms:
 periodic lateral axes give a circulant structure (FFT), and the vertical
 axis leaves one Hermitian Toeplitz tridiagonal per lateral Fourier mode,
-which a phase twist and a sine transform (DST) diagonalize.  The strip
+which a phase twist and one DST-III / DST-II pair diagonalize.  The strip
 solve gives the harmonic-extension initial guess and the preconditioner of
 the linear and nonlinear strip solvers; the torus solve preconditions the
 cell problems.  Every operator is applied matrix free (``grid.scatter_flux``
@@ -58,22 +58,17 @@ def _stencil_symbol(grid, modes):
 class StripReferenceSolver:
     """Exact solver for the constant-coefficient (A = I) strip operator.
 
-    Solves K_ref x = r on the free nodes (bottom Dirichlet, top either
-    natural or Dirichlet).  A real lateral FFT leaves, per Fourier mode, a
-    Hermitian Toeplitz tridiagonal in the vertical with bands
-    (conj(a), t0, a); the natural top halves the last row to (conj(a), t0/2)
-    because the shear cross terms cancel over corner pairs.  The twist
-    x_k = exp(-i k arg a) y_k makes it the real symmetric (|a|, t0, |a|),
-    which sine transforms diagonalize (Buzbee, Golub and Nielson, SIAM J.
-    Numer. Anal. 7, 1970): DST-I for a Dirichlet top, eigenvalues
-    t0 + 2|a| cos(j pi / (n + 1)); DST-III then DST-II for the natural top
-    after doubling the last entry, eigenvalues t0 + 2|a| cos((j - 1/2) pi / n).
+    Solves K_ref x = r on the free nodes (bottom Dirichlet, natural top).
+    A real lateral FFT leaves, per Fourier mode, a Hermitian Toeplitz
+    tridiagonal in the vertical with bands (conj(a), t0, a); the natural
+    top halves the last row to (conj(a), t0/2) because the shear cross
+    terms cancel over corner pairs.  The twist x_k = exp(-i k arg a) y_k
+    makes it the real symmetric (|a|, t0, |a|), and after doubling the last
+    entry DST-III then DST-II diagonalize it (Buzbee, Golub and Nielson,
+    SIAM J. Numer. Anal. 7, 1970), eigenvalues t0 + 2|a| cos((j - 1/2) pi / n).
 
-    Both sine transform pairs run as complex FFTs along the vertical.  The
-    DST-I pair is one FFT pair of the odd extension (0, x, 0, -rev x) of
-    length 2 (n + 1); the FFT of an odd sequence is odd, so the eigenvalues
-    divide it as their even extension.  The DST-III / DST-II pair is
-    rev DCT-II(diag(mu)^-1 DCT-II^-1(rev x)): each DST is a DCT of the
+    The sine transform pair runs as complex FFTs along the vertical:
+    rev DCT-II(diag(mu)^-1 DCT-II^-1(rev x)), since each DST is a DCT of the
     reversed sequence up to (-1)^k signs, and the signs of the two cancel.
     A DCT-II of complex data is one length-n FFT of the reordered sequence
     v (v_m = x_2m, v_(n-1-m) = x_(2m+1)) with twiddles,
@@ -88,22 +83,15 @@ class StripReferenceSolver:
     (zero discrete energy), pseudo-inverted to zero.
     """
 
-    def __init__(self, grid, top_dirichlet=False):
+    def __init__(self, grid):
         self.grid = grid
-        self.top_dirichlet = bool(top_dirichlet)
-        lat_shape = grid.lat_cells
         self.lat_axes = tuple(range(1, grid.d))  # axes of (N, *lat, levels) arrays
-        T = _stencil_symbol(grid, _mode_angles(lat_shape, half=True))
-        nv = grid.n_vert
-        n = nv - 1 if self.top_dirichlet else nv
-        if n < 1:
-            raise ValueError("strip too shallow for a free interior")
-        self.n_free = n
+        T = _stencil_symbol(grid, _mode_angles(grid.lat_cells, half=True))
+        n = self.n_free = grid.n_vert  # every level above the bottom
         a, t0 = np.abs(T[1]), T[0].real
         scale = max(np.abs(b).max() for b in T.values())
         self.null_mask = np.maximum(a, np.abs(T[0])) <= 1e-12 * scale
-        j = np.arange(1, n + 1)
-        theta = j * np.pi / (n + 1) if self.top_dirichlet else (j - 0.5) * np.pi / n
+        theta = (np.arange(1, n + 1) - 0.5) * np.pi / n
         mu = t0[..., None] + 2.0 * a[..., None] * np.cos(theta)
         inv = np.divide(1.0, mu, out=np.zeros_like(mu), where=~self.null_mask[..., None])
         # successive powers of exp(i arg a): a running product keeps the phase
@@ -111,11 +99,6 @@ class StripReferenceSolver:
         step = np.exp(1j * np.angle(T[1]))[..., None]
         twist = np.cumprod(np.broadcast_to(step, step.shape[:-1] + (n,)), axis=-1)
         untwist = np.conj(twist)
-        if self.top_dirichlet:
-            zero = np.zeros(inv.shape[:-1] + (1,))
-            self._inv = np.concatenate([zero, inv, zero, inv[..., ::-1]], axis=-1)
-            self._twist, self._untwist = twist, untwist
-            return
         twist[..., -1] *= 2.0
         w = np.exp(-0.5j * np.pi * np.arange(n) / n)
         # V_k = conj(w_k) (u_k - i u_(n-k)) / 2 of u = rev(twist r)
@@ -135,20 +118,10 @@ class StripReferenceSolver:
         rhat = np.fft.rfft(r_free, axis=last)
         for ax in other:
             np.fft.fft(rhat, axis=ax, out=rhat)
-        y = self._dst1_pair(rhat) if self.top_dirichlet else self._dst3_dst2_pair(rhat)
+        y = self._dst3_dst2_pair(rhat)
         for ax in other:
             np.fft.ifft(y, axis=ax, out=y)
         return np.fft.irfft(y, n=self.grid.lat_cells[-1], axis=last)
-
-    def _dst1_pair(self, rhat):
-        n = self.n_free
-        z = np.zeros(rhat.shape[:-1] + (2 * n + 2,), dtype=complex)
-        np.multiply(rhat, self._twist, out=z[..., 1 : n + 1])
-        z[..., n + 2 :] = -z[..., n:0:-1]
-        np.fft.fft(z, axis=-1, out=z)
-        z *= self._inv
-        np.fft.ifft(z, axis=-1, out=z)
-        return np.multiply(z[..., 1 : n + 1], self._untwist, out=rhat)
 
     def _dst3_dst2_pair(self, rhat):
         # rhat's buffer is reused: first for a product, then for the result
@@ -165,26 +138,15 @@ class StripReferenceSolver:
         return y
 
     def solve(self, r_full):
-        """Solve with zero correction on fixed levels; r_full (N, *lat, levels)."""
-        stop = -1 if self.top_dirichlet else r_full.shape[-1]
+        """Solve with zero correction on the bottom level; r_full (N, *lat, levels)."""
         corr = np.zeros_like(r_full)
-        corr[..., 1:stop] = self.solve_free(r_full[..., 1:stop])
+        corr[..., 1:] = self.solve_free(r_full[..., 1:])
         return corr
 
-    def lift(self, bottom, top=None):
-        """Discrete harmonic extension of boundary values.
-
-        bottom: (N, *lat); top: same shape (required iff top Dirichlet).
-        """
-        grid = self.grid
-        levels = grid.n_vert + 1
-        U = np.repeat(bottom[..., None], levels, axis=-1)
-        if self.top_dirichlet:
-            if top is None:
-                raise ValueError("top values required for a Dirichlet top")
-            frac = np.linspace(0.0, 1.0, levels)
-            U = bottom[..., None] * (1.0 - frac) + top[..., None] * frac
-        res = grid.apply_reference(U)
+    def lift(self, bottom):
+        """Discrete harmonic extension of the bottom values (N, *lat)."""
+        U = np.repeat(bottom[..., None], self.grid.n_vert + 1, axis=-1)
+        res = self.grid.apply_reference(U)
         if not res.any():
             return U  # the correction of a zero residual is exactly zero
         return U - self.solve(res)

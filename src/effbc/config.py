@@ -32,6 +32,28 @@ EXPERIMENTS = (
     "decay-fit",
 )
 
+# Every section key: its dotted path -> (ExperimentConfig attribute or
+# None for a key that is only checked, conversion or None).  Parsing reads
+# this table, and so does the check that rejects unknown keys.
+SECTION_KEYS = {
+    "mesh.h": ("h", None),
+    "homogenize.h_cell": ("h_cell", None),
+    "homogenize.eps_ladder": ("eps_ladder", None),
+    "strip.R": ("R", None),
+    "strip.R_ladder": ("R_ladder", None),
+    "strip.top_bc": (None, None),
+    "nonlinear.tau": ("tau", float),
+    "solver.tol": ("solver_tol", float),
+    "limit.tolerance": ("tolerance", float),
+    "limit.max_factor": ("max_factor", int),
+    "limit.sample_count": ("sample_count", int),
+    "sweep.Q": ("Q", int),
+}
+SECTIONS = tuple(dict.fromkeys(path.split(".")[0] for path in SECTION_KEYS))
+TOP_LEVEL_KEYS = (
+    "experiment", "operator", "data", "direction", "directions", "eta", "etas", "seed", "out",
+) + SECTIONS
+
 BUILTIN_OPERATORS = {
     "section7": RootKinkOperator,
     "section7_reduced": KinkPotential2D,
@@ -137,6 +159,19 @@ def _get(d, path, default=None):
     return cur
 
 
+def _check_keys(raw):
+    """Reject a top-level or section key that no parser reads (a typo would
+    otherwise run silently with defaults)."""
+    unknown = [k for k in raw if k not in TOP_LEVEL_KEYS]
+    for section in SECTIONS:
+        if isinstance(raw.get(section), dict):
+            paths = (f"{section}.{k}" for k in raw[section])
+            unknown += [p for p in paths if p not in SECTION_KEYS]
+    if unknown:
+        known = [k for k in TOP_LEVEL_KEYS if k not in SECTIONS] + list(SECTION_KEYS)
+        raise ConfigError(f"unknown config keys {unknown}; known keys: {known}")
+
+
 def _is_nonlinear(op):
     return op is not None and not isinstance(op, LinearTensorField)
 
@@ -160,6 +195,7 @@ def load_config(source, out_override=None, seed_override=None,
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    _check_keys(raw)
 
     experiment = experiment_override or raw.get("experiment")
     if experiment not in EXPERIMENTS:
@@ -185,21 +221,14 @@ def load_config(source, out_override=None, seed_override=None,
     for eta in raw.get("etas", []) or ([raw["eta"]] if "eta" in raw else []):
         cfg.etas.append(np.asarray(eta, dtype=float))
 
-    cfg.h = _get(raw, "mesh.h")
-    cfg.h_cell = _get(raw, "homogenize.h_cell")
-    cfg.R = _get(raw, "strip.R")
-    cfg.R_ladder = _get(raw, "strip.R_ladder")
+    for path, (attr, convert) in SECTION_KEYS.items():
+        value = _get(raw, path)
+        if attr is not None and value is not None:
+            setattr(cfg, attr, convert(value) if convert else value)
     top = _get(raw, "strip.top_bc", "neumann")
     if top != "neumann":
         # every subcommand reads its far field from a natural top
         raise ConfigError(f"strip.top_bc must be 'neumann', got {top!r}")
-    cfg.tau = float(_get(raw, "nonlinear.tau", 0.0))
-    cfg.solver_tol = float(_get(raw, "solver.tol", 1e-10))
-    cfg.tolerance = float(_get(raw, "limit.tolerance", 1e-7))
-    cfg.max_factor = int(_get(raw, "limit.max_factor", 64))
-    cfg.sample_count = int(_get(raw, "limit.sample_count", 16))
-    cfg.Q = int(_get(raw, "sweep.Q", 12))
-    cfg.eps_ladder = _get(raw, "homogenize.eps_ladder")
     cfg.seed = int(seed_override if seed_override is not None else raw.get("seed", 0))
     cfg.out = out_override or raw.get("out", "out")
 

@@ -188,9 +188,11 @@ def decompose_direction(n, xi: RationalDirection) -> DirectionalApproach:
     if abs(np.linalg.norm(n) - 1.0) > _UNIT_TOL:
         raise InvalidDirectionError(f"|n| = {np.linalg.norm(n)} is not 1")
     c = float(np.clip(n @ xi.xi_hat, -1.0, 1.0))
-    eps = math.acos(c)
     residual = c * xi.xi_hat - n
     rnorm = np.linalg.norm(residual)
+    # sin eps = |residual|: atan2 keeps eps accurate near alignment, where
+    # acos(c) loses half the digits
+    eps = math.atan2(rnorm, c)
     if rnorm < 1e-13:
         eta = _default_eta(xi)
         eps = 0.0 if c > 0 else math.pi

@@ -32,7 +32,7 @@ import numpy as np
 
 from .assembly import StripReferenceSolver
 from .lattice import RationalDirection
-from .solve import NEUMANN, StripProblem, solve_strip
+from .solve import StripProblem, solve_strip
 
 __all__ = [
     "BoundaryLayerResult",
@@ -113,16 +113,15 @@ def _nests(lower, upper):
     )
 
 
-def _reference_solver(solvers, grid, top_bc):
+def _reference_solver(solvers, grid):
     """The cached StripReferenceSolver of grid's geometry (any origin), or
     None (solve_strip builds one) without a cache."""
     if solvers is None:
         return None
-    top_dirichlet = top_bc[0] == "dirichlet"
-    key = (grid.lat_cells, grid.n_vert, grid.edges.tobytes(), top_dirichlet)
+    key = (grid.lat_cells, grid.n_vert, grid.edges.tobytes())
     ref = solvers.get(key)
     if ref is None:
-        ref = solvers[key] = StripReferenceSolver(grid, top_dirichlet=top_dirichlet)
+        ref = solvers[key] = StripReferenceSolver(grid)
     return ref
 
 
@@ -131,13 +130,12 @@ def ladder_limit(
 ):
     """Run strip solves over a height ladder and extract the far field.
 
-    ``problem_for_height`` maps a height R to a StripProblem with a
-    Neumann top.  A rung whose grid nests the previous rung's starts from
-    that rung's values, extended upward by their top slice.  ``solvers``,
-    a dict, caches one reference solver per rung geometry (shared by the
-    ladders of a shift profile).  Never silent: when the ladder is
-    exhausted above tolerance the result carries converged=False plus
-    diagnostics.
+    ``problem_for_height`` maps a height R to a StripProblem.  A rung
+    whose grid nests the previous rung's starts from that rung's values,
+    extended upward by their top slice.  ``solvers``, a dict, caches one
+    reference solver per rung geometry (shared by the ladders of a shift
+    profile).  Never silent: when the ladder is exhausted above tolerance
+    the result carries converged=False plus diagnostics.
     """
     heights, means, oscs = [], [], []
     iters = 0
@@ -151,7 +149,7 @@ def ladder_limit(
         # the solver continues the lower rung upward by its top slice
         start = prev.values if warm else problem.start
         problem = replace(problem, grid=grid, start=start)
-        sol = solve_strip(problem, _reference_solver(solvers, grid, problem.top_bc))
+        sol = solve_strip(problem, _reference_solver(solvers, grid))
         solutions.append(sol)
         mean, osc = slice_stats(sol.top_slice())
         heights.append(float(R))
@@ -240,7 +238,7 @@ def boundary_layer_limit(
     def make(R):
         return StripProblem(
             xi=xi, operator=operator, data=data, R=R, s=s,
-            top_bc=NEUMANN, tau=tau, rtol=rtol, **_mesh_for(xi, R, h, R_ladder[0]),
+            tau=tau, rtol=rtol, **_mesh_for(xi, R, h, R_ladder[0]),
         )
 
     result, solutions = ladder_limit(

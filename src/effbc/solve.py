@@ -1,5 +1,10 @@
 """Strip problem container and the linear / nonlinear / monotone solvers.
 
+Every strip is the half-space problem truncated at height R with one
+boundary condition per face: Dirichlet data on the bottom and a natural
+(Neumann) top, so the far field converges to its free constant without
+knowing it in advance.
+
 Linear N-component systems: a matrix-free Galerkin operator
 (scatter_flux of the cell tensor times phys_gradient), solved by
 preconditioned CG when the cell tensors are exactly symmetric and by
@@ -66,14 +71,8 @@ __all__ = [
     "top_slice",
 ]
 
-NEUMANN = ("neumann", None)
-
 # accepted steps that the monotone fixed point mixes (Anderson depth)
 ANDERSON_DEPTH = 3
-
-
-def dirichlet_top(value):
-    return ("dirichlet", value)
 
 
 @dataclass
@@ -91,11 +90,9 @@ class StripProblem:
     h: float = None
     cells: tuple = None
     s: float = 0.0
-    top_bc: tuple = NEUMANN
     tau: float = 0.0
     rtol: float = 1e-10
     grid: StripGrid = None
-    rhs_flux: object = None  # optional f(centers) -> (d, N, *cells); adds div f
     # optional initial iterate (N, *lat, n) on this grid, n <= levels; levels
     # above n repeat its top slice (so a lower ladder rung's values serve
     # as they are), and its Dirichlet rows are replaced by the lift's
@@ -120,15 +117,10 @@ class StripProblem:
             "R": self.R,
             "h": self.h,
             "cells": list(self.cells) if self.cells else None,
-            "top_bc": [self.top_bc[0], _maybe_list(self.top_bc[1])],
             "tau": self.tau,
             "operator": self.operator.describe(),
             "data": data,
         }
-
-
-def _maybe_list(v):
-    return np.asarray(v).tolist() if v is not None else None
 
 
 @dataclass
@@ -171,21 +163,7 @@ def boundary_values(problem, grid):
     return vals
 
 
-def _top_values(problem, grid):
-    kind, val = problem.top_bc
-    if kind == "neumann":
-        return None
-    N = problem.n_components
-    vec = np.atleast_1d(np.asarray(val, dtype=float))
-    if vec.size == 1:
-        vec = np.full(N, vec[0])
-    arr = np.broadcast_to(
-        vec.reshape(N, *([1] * len(grid.lat_cells))), (N,) + grid.lat_cells
-    )
-    return np.ascontiguousarray(arr)
-
-
-def _start_field(problem, U0, top_dirichlet):
+def _start_field(problem, U0):
     """The initial iterate ``problem.start``, continued upward by its top
     slice when it has fewer levels than the strip, with the Dirichlet rows
     of the harmonic extension U0; a new array."""
@@ -197,8 +175,6 @@ def _start_field(problem, U0, top_dirichlet):
     U[..., :n] = start
     U[..., n:] = start[..., -1:]
     U[..., 0] = U0[..., 0]
-    if top_dirichlet:
-        U[..., -1] = U0[..., -1]
     return U
 
 
@@ -217,17 +193,15 @@ def nonlinear_energy(op, grid, U, centers, tau):
     return float(grid.cellvol * dens.sum())
 
 
-def _zero_fixed(r, top_dirichlet):
-    """Zero the rows of the Dirichlet levels of r in place."""
+def _zero_fixed(r):
+    """Zero the rows of the Dirichlet (bottom) level of r in place."""
     r[..., 0] = 0.0
-    if top_dirichlet:
-        r[..., -1] = 0.0
     return r
 
 
-def _masked_residual(grid, op, U, centers, tau, top_dirichlet):
+def _masked_residual(grid, op, U, centers, tau):
     grads = grid.phys_gradient(U)
-    return _zero_fixed(grid.scatter_flux(operator_flux(op, grads, centers, tau)), top_dirichlet)
+    return _zero_fixed(grid.scatter_flux(operator_flux(op, grads, centers, tau)))
 
 
 def _apply_tensor(grid, A, V):
@@ -390,31 +364,16 @@ def solve_linear(problem: StripProblem, ref=None) -> StripSolution:
     if not isinstance(op, LinearTensorField):
         raise ValueError("solve_linear needs a LinearTensorField operator")
     grid = problem.build_grid()
-    top_dir = problem.top_bc[0] == "dirichlet"
     if ref is None:
-        ref = StripReferenceSolver(grid, top_dirichlet=top_dir)
-    bottom = boundary_values(problem, grid)
-    U0 = ref.lift(bottom, _top_values(problem, grid))
+        ref = StripReferenceSolver(grid)
+    U0 = ref.lift(boundary_values(problem, grid))
     A = op(grid.cell_centers())  # (d, d, N, N, *cells)
-    forcing = None
-    if problem.rhs_flux is not None:
-        f_cells = np.asarray(problem.rhs_flux(grid.cell_centers()), dtype=float)
-        if f_cells.ndim == grid.d + 1:
-            f_cells = f_cells[:, None]
-        forcing = grid.scatter_flux(f_cells)
 
     def matvec(V):
-        return _zero_fixed(_apply_tensor(grid, A, V), top_dir)
+        return _zero_fixed(_apply_tensor(grid, A, V))
 
-    def load(V):
-        # K V + forcing on every row
-        out = _apply_tensor(grid, A, V)
-        if forcing is not None:
-            out += forcing
-        return out
-
-    full = load(U0)
-    r0 = _zero_fixed(-full, top_dir)
+    full = _apply_tensor(grid, A, U0)
+    r0 = _zero_fixed(-full)
     rnorm0 = _norm(r0)
     # of the order of the largest diagonal entry of the assembled matrix
     Ke = _element_matrix_identity(grid)
@@ -425,8 +384,8 @@ def solve_linear(problem: StripProblem, ref=None) -> StripSolution:
         return StripSolution(problem, grid, U0, rnorm0 / scale, 0)
     U, r = U0, r0
     if problem.start is not None:
-        start = _start_field(problem, U0, top_dir)
-        r_start = _zero_fixed(-load(start), top_dir)
+        start = _start_field(problem, U0)
+        r_start = _zero_fixed(-_apply_tensor(grid, A, start))
         if _norm(r_start) < rnorm0:  # a start worse than the extension is dropped
             U, r = start, r_start
     n_free = r0[..., 0].size * ref.n_free
@@ -503,7 +462,7 @@ def _descent(energy, residual, precond, U, E, G, gtol, scale, maxiter):
     )
 
 
-def _descent_variational(problem, grid, ref, op, U0, centers, top_dir, gtol_rel=1e-9, maxiter=500):
+def _descent_variational(problem, grid, ref, op, U0, centers, gtol_rel=1e-9, maxiter=500):
     """Preconditioned descent on the discrete strip energy.
 
     Starts from problem.start when its energy is below that of the lift U0,
@@ -517,12 +476,12 @@ def _descent_variational(problem, grid, ref, op, U0, centers, top_dir, gtol_rel=
         return float(grid.cellvol * op.potential(G[:, 0], y=centers, tau=tau).sum()), G
 
     def residual(G):
-        return _zero_fixed(grid.scatter_flux(operator_flux(op, G, centers, tau)), top_dir)
+        return _zero_fixed(grid.scatter_flux(operator_flux(op, G, centers, tau)))
 
     U, (E, G) = U0, energy(U0)
     scale = max(1.0, abs(E))
     if problem.start is not None:
-        start = _start_field(problem, U0, top_dir)
+        start = _start_field(problem, U0)
         E_start, G_start = energy(start)
         if E_start < E:  # a start above the lift's energy is dropped
             U, E, G = start, E_start, G_start
@@ -601,7 +560,7 @@ class _AndersonHistory:
 
 
 def _fixed_point_monotone(
-    problem, grid, ref, op, U0, centers, top_dir, rtol=1e-8, maxiter=2000,
+    problem, grid, ref, op, U0, centers, rtol=1e-8, maxiter=2000,
     depth=ANDERSON_DEPTH,
 ):
     """Damped preconditioned fixed point for monotone non-gradient fluxes.
@@ -620,7 +579,7 @@ def _fixed_point_monotone(
     residual norms sqrt(r . K_ref^-1 r), strictly decreasing, sup |R(U)|).
     """
     tau = problem.tau
-    r = _masked_residual(grid, op, U0, centers, tau, top_dir)
+    r = _masked_residual(grid, op, U0, centers, tau)
     rsup = float(np.abs(r).max())
     lam = getattr(op, "lam", 0.5)
     lip = getattr(op, "lip", 1.0)
@@ -631,8 +590,8 @@ def _fixed_point_monotone(
     target = max(rtol * rsup, floor)
     U = U0
     if problem.start is not None and not rsup <= target:
-        start = _start_field(problem, U0, top_dir)
-        r_start = _masked_residual(grid, op, start, centers, tau, top_dir)
+        start = _start_field(problem, U0)
+        r_start = _masked_residual(grid, op, start, centers, tau)
         sup_start = float(np.abs(r_start).max())
         if sup_start < rsup:  # a start worse than the lift is dropped
             U, r, rsup = start, r_start, sup_start
@@ -650,7 +609,7 @@ def _fixed_point_monotone(
 
     def attempt(U_new):
         # the damped step's sufficient-decrease test, at the current rho and n_r
-        r_new = _masked_residual(grid, op, U_new, centers, tau, top_dir)
+        r_new = _masked_residual(grid, op, U_new, centers, tau)
         solved_new = ref.solve(r_new)
         n_new = math.sqrt(max(float((r_new * solved_new).sum()), 0.0))
         if n_new <= n_r * (1.0 - 0.25 * rho * lam) or n_new <= 1e-14 * (1.0 + n_r):
@@ -706,18 +665,14 @@ def solve_nonlinear(problem: StripProblem, ref=None) -> StripSolution:
     if isinstance(op, LinearTensorField):
         raise ValueError("use solve_linear for tensor operators")
     grid = problem.build_grid()
-    top_dir = problem.top_bc[0] == "dirichlet"
     if ref is None:
-        ref = StripReferenceSolver(grid, top_dirichlet=top_dir)
-    bottom = boundary_values(problem, grid)
-    U0 = ref.lift(bottom, _top_values(problem, grid))
+        ref = StripReferenceSolver(grid)
+    U0 = ref.lift(boundary_values(problem, grid))
     centers = grid.cell_centers() if op.y_dependent else None
     if op.is_variational:
-        U, E, iters, trace, rsup = _descent_variational(
-            problem, grid, ref, op, U0, centers, top_dir
-        )
+        U, E, iters, trace, rsup = _descent_variational(problem, grid, ref, op, U0, centers)
         return StripSolution(problem, grid, U, rsup, iters, energy=E, energy_trace=trace)
-    U, iters, trace, rsup = _fixed_point_monotone(problem, grid, ref, op, U0, centers, top_dir)
+    U, iters, trace, rsup = _fixed_point_monotone(problem, grid, ref, op, U0, centers)
     return StripSolution(problem, grid, U, rsup, iters, energy=None, energy_trace=trace)
 
 
@@ -740,11 +695,8 @@ def discrete_residual(solution: StripSolution, values=None):
     grid = solution.grid
     op = problem.operator
     U = solution.values if values is None else values
-    centers = grid.cell_centers() if getattr(op, "y_dependent", True) else None
-    if isinstance(op, LinearTensorField):
-        centers = grid.cell_centers()
     grads = grid.phys_gradient(U)
-    r = grid.scatter_flux(operator_flux(op, grads, centers, problem.tau))
+    r = grid.scatter_flux(operator_flux(op, grads, grid.cell_centers(), problem.tau))
     density = r[..., 1:-1] / grid.cellvol
     sup = float(np.abs(density).max())
     rms = float(np.sqrt(np.mean(density**2)))

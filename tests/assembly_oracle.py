@@ -58,19 +58,14 @@ def assemble_matrix(grid, tensor):
     return K.tocsr()
 
 
-def strip_dof_partition(grid, n_components, top_dirichlet):
-    """(free, bottom, top) dof index arrays for a strip grid."""
+def strip_dof_partition(grid, n_components):
+    """(free, bottom) dof index arrays for a strip grid: the bottom level is
+    Dirichlet, every other level (the natural top included) is free."""
     nn = grid.n_nodes
     node_ids = np.arange(nn).reshape(grid.node_shape)
-    bottom = node_ids[..., 0].ravel()
-    top = node_ids[..., -1].ravel()
-    fixed_nodes = np.concatenate([bottom, top]) if top_dirichlet else bottom
-    fixed_mask = np.zeros(nn, dtype=bool)
-    fixed_mask[fixed_nodes] = True
-    free_nodes = np.nonzero(~fixed_mask)[0]
     comp = np.arange(n_components) * nn
 
     def expand(nodes):
         return (comp[:, None] + nodes[None, :]).ravel()
 
-    return expand(free_nodes), expand(bottom), expand(top)
+    return expand(node_ids[..., 1:].ravel()), expand(node_ids[..., 0].ravel())

@@ -301,7 +301,7 @@ def test_criterion_9_property_suites(tmp_path, certificates):
     # discrete-energy gradient against central differences
     rng = np.random.default_rng(1)
     U = rng.standard_normal((1,) + g.node_shape)
-    grad = _masked_residual(g, KinkPotential2D(), U, None, 1 / 16, False)
+    grad = _masked_residual(g, KinkPotential2D(), U, None, 1 / 16)
     worst = 0.0
     for i, k in zip(rng.integers(0, g.node_shape[0], 100), rng.integers(1, g.node_shape[1], 100)):
         h = 1e-6

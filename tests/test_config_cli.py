@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -99,6 +100,33 @@ def test_config_rejects_unknown_experiment(tmp_path):
     path, _ = write_cfg(tmp_path, experiment="fly-to-the-moon")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"homogenise": {"h_cell": 0.0625}},  # a misspelled section
+        {"threads": 2},  # a retired key
+        {"limit": {"tolerance": 1e-8, "sample_cont": 8}},  # a misspelled section key
+    ],
+    ids=["section", "retired", "section-key"],
+)
+def test_config_rejects_unknown_keys(tmp_path, patch):
+    # an unknown key would otherwise run silently with defaults
+    path, _ = write_cfg(tmp_path, out=str(tmp_path / "o"), **patch)
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        load_config(path)
+    assert main(["--config", path, "cell-solve"]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_readme_config_loads():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as f:
+        blocks = re.findall(r"```json\n(.*?)```", f.read(), re.S)
+    assert blocks
+    for block in blocks:
+        load_config(block)
 
 
 def test_cli_exit_code_config_error(tmp_path, capsys):
@@ -206,6 +234,32 @@ def test_cli_homogenize_and_eps_study(tmp_path):
     lines = (tmp_path / "hg" / "eps_study.csv").read_text().splitlines()
     assert lines[0] == "eps,sup_error,fitted_order"
     assert len(lines) == 3
+
+
+def test_cli_eps_study_homogenizes_on_the_config_cell_mesh(tmp_path, monkeypatch):
+    # h_cell = 1/16 is not the d = 2 default (1/64), so a study that falls
+    # back to the default cell mesh shows here
+    import effbc.cli
+    import effbc.homogenize
+
+    cell_meshes = []
+    homogenize_linear = effbc.homogenize.homogenize_linear
+
+    def recorded(A, h_cell=None):
+        cell_meshes.append(h_cell)
+        return homogenize_linear(A, h_cell=h_cell)
+
+    monkeypatch.setattr(effbc.cli, "homogenize_linear", recorded)
+    monkeypatch.setattr(effbc.homogenize, "homogenize_linear", recorded)
+    path, _ = write_cfg(
+        tmp_path, experiment="homogenize",
+        data={"terms": [{"coef": 1.0, "freq": [1, 0], "phase": "cos"}]},
+        homogenize={"h_cell": 1 / 16, "eps_ladder": [0.5, 0.25]},
+        strip={"R": 1.0}, direction="rational: [0,1]",
+        mesh=None, limit=None, out=str(tmp_path / "hg"),
+    )
+    assert main(["--config", path, "homogenize"]) == 0
+    assert cell_meshes == [1 / 16, 1 / 16]
 
 
 def test_cli_decay_fit(tmp_path):

@@ -4,7 +4,7 @@
 (Zarantonello) step u <- u - rho K_ref^{-1} R(u) over the last
 ANDERSON_DEPTH accepted steps; ``depth=0`` is the plain damped iteration,
 which is the oracle here.  Cases: the reduced root-kink map on planar
-strips (random in-plane weight mu, both tops, tau in {0, 1/16}) and a
+strips (random in-plane weight mu, natural top, tau in {0, 1/16}) and a
 small 3-d root-kink strip, on which every Anderson mix passes the decrease
 test, and a monotone map with a wide spectrum, on which some mixes fail it
 and the safeguard has to reject them.
@@ -30,19 +30,16 @@ from effbc.solve import (
     ANDERSON_DEPTH,
     _fixed_point_monotone,
     _masked_residual,
-    _top_values,
     boundary_values,
-    dirichlet_top,
 )
 
 
 def run(problem, depth, maxiter=2000):
     grid = problem.build_grid()
-    top_dir = problem.top_bc[0] == "dirichlet"
-    ref = StripReferenceSolver(grid, top_dirichlet=top_dir)
-    U0 = ref.lift(boundary_values(problem, grid), _top_values(problem, grid))
+    ref = StripReferenceSolver(grid)
+    U0 = ref.lift(boundary_values(problem, grid))
     U, iters, trace, rsup = _fixed_point_monotone(
-        problem, grid, ref, problem.operator, U0, None, top_dir, maxiter=maxiter, depth=depth
+        problem, grid, ref, problem.operator, U0, None, maxiter=maxiter, depth=depth
     )
     # the returned sup residual is that of the returned iterate, bit for bit
     assert rsup == sup_residual(problem, grid, U)
@@ -50,8 +47,7 @@ def run(problem, depth, maxiter=2000):
 
 
 def sup_residual(problem, grid, U):
-    top_dir = problem.top_bc[0] == "dirichlet"
-    r = _masked_residual(grid, problem.operator, U, None, problem.tau, top_dir)
+    r = _masked_residual(grid, problem.operator, U, None, problem.tau)
     return float(np.abs(r).max())
 
 
@@ -73,32 +69,31 @@ def check_against_oracle(problem):
     return iters_ref
 
 
-def reduced_problem(mu, top_bc, tau, n_lat=16, n_vert=32, amp=1.0, freq=1):
+def reduced_problem(mu, tau, n_lat=16, n_vert=32, amp=1.0, freq=1):
     T, R = 1.0, n_vert / 16.0
     grid = planar_strip_grid(T, R, n_lat, n_vert)
     return StripProblem(
         xi=None, operator=ReducedRootKink(mu),
         data=lambda c: amp / 3.0 + amp * np.cos(2 * np.pi * freq * c[0]),
-        R=R, grid=grid, tau=tau, top_bc=top_bc,
+        R=R, grid=grid, tau=tau,
     )
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     mu=st.floats(0.0, 1.0, exclude_min=True),
-    top=st.sampled_from([("neumann", None), dirichlet_top(0.0), dirichlet_top(0.2)]),
     tau=st.sampled_from([0.0, 1.0 / 16.0]),
     n_lat=st.sampled_from([8, 16]),
     n_vert=st.integers(8, 40),
     amp=st.floats(0.25, 2.0),
     freq=st.integers(1, 2),
 )
-def test_reduced_kink_matches_damped_oracle(mu, top, tau, n_lat, n_vert, amp, freq):
-    check_against_oracle(reduced_problem(mu, top, tau, n_lat, n_vert, amp, freq))
+def test_reduced_kink_matches_damped_oracle(mu, tau, n_lat, n_vert, amp, freq):
+    check_against_oracle(reduced_problem(mu, tau, n_lat, n_vert, amp, freq))
 
 
 def test_reduced_kink_pinned_oracle_count():
-    assert check_against_oracle(reduced_problem(1.0, ("neumann", None), 0.0)) == 38
+    assert check_against_oracle(reduced_problem(1.0, 0.0)) == 38
 
 
 def test_root_kink_3d_matches_damped_oracle():
@@ -112,7 +107,7 @@ def test_root_kink_3d_matches_damped_oracle():
 
 @pytest.mark.parametrize("depth", [0, ANDERSON_DEPTH])
 def test_budget_exhaustion_carries_the_norm_trace(depth):
-    problem = reduced_problem(1.0, ("neumann", None), 0.0)
+    problem = reduced_problem(1.0, 0.0)
     with pytest.raises(NonConvergedError) as exc:
         run(problem, depth, maxiter=4)
     tr = exc.value.trace

@@ -14,21 +14,20 @@ from effbc import (
     make_rational_direction,
     solve_linear,
 )
-from effbc.solve import dirichlet_top
 
 
 def closed_form_error(h, R=3.0):
+    # the harmonic function with a natural top: d/dz vanishes at z = R
     xi = make_rational_direction([0, 1])
     p = StripProblem(
-        xi=xi, operator=identity_tensor(2), data=cosine_field(2, [1, 0]),
-        R=R, h=h, top_bc=dirichlet_top(0.0),
+        xi=xi, operator=identity_tensor(2), data=cosine_field(2, [1, 0]), R=R, h=h
     )
     sol = solve_linear(p)
     pts = sol.grid.node_coords()
     exact = (
         np.cos(2 * np.pi * pts[0])
-        * np.sinh(2 * np.pi * (R - pts[1]))
-        / np.sinh(2 * np.pi * R)
+        * np.cosh(2 * np.pi * (R - pts[1]))
+        / np.cosh(2 * np.pi * R)
     )
     return float(np.abs(sol.values[0] - exact).max())
 
@@ -61,11 +60,10 @@ def test_two_component_decoupled_blocks(xi_e2):
     data = make_field(
         2, terms=[([1.0, 1.0], [1, 0], "cos")], constant=[0.0, 0.0], n_components=2
     )
-    p2 = StripProblem(xi=xi_e2, operator=A2, data=data, R=1.0, h=1 / 16, top_bc=dirichlet_top(0.0))
+    p2 = StripProblem(xi=xi_e2, operator=A2, data=data, R=1.0, h=1 / 16)
     sol2 = solve_linear(p2)
     p1 = StripProblem(
-        xi=xi_e2, operator=identity_tensor(2), data=cosine_field(2, [1, 0]),
-        R=1.0, h=1 / 16, top_bc=dirichlet_top(0.0),
+        xi=xi_e2, operator=identity_tensor(2), data=cosine_field(2, [1, 0]), R=1.0, h=1 / 16
     )
     sol1 = solve_linear(p1)
     assert np.abs(sol2.values[0] - sol1.values[0]).max() <= 1e-10
@@ -164,31 +162,6 @@ def test_lateral_shift_equivariance(xi_e2):
     # full-period shift is the identity, exactly
     p_full = StripProblem(xi=xi_e2, operator=A, data=data, R=1.0, h=h)
     assert np.array_equal(solve_linear(p_full).values, u0[None])
-
-
-def test_rhs_flux_manufactured(xi_e2):
-    # -div(grad u) = div f with f = -grad(u*): discrete solution tracks u*
-    R = 1.0
-
-    def u_star(pts):
-        return np.sin(2 * np.pi * pts[0]) * pts[1] * (R - pts[1])
-
-    def f(centers):
-        gx = 2 * np.pi * np.cos(2 * np.pi * centers[0]) * centers[1] * (R - centers[1])
-        gz = np.sin(2 * np.pi * centers[0]) * (R - 2 * centers[1])
-        return -np.stack([gx, gz])
-
-    errs = []
-    for h in (1 / 16, 1 / 32):
-        p = StripProblem(
-            xi=xi_e2, operator=identity_tensor(2), data=constant_field(2, 0.0),
-            R=R, h=h, top_bc=dirichlet_top(0.0), rhs_flux=f,
-        )
-        sol = solve_linear(p)
-        pts = sol.grid.node_coords()
-        errs.append(float(np.abs(sol.values[0] - u_star(pts)).max()))
-    assert errs[0] <= 0.05
-    assert errs[1] <= errs[0] / 3.0
 
 
 def test_solver_failure_raises_with_trace(monkeypatch, laminate2, xi_e2, data_cos1):

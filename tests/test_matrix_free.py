@@ -1,12 +1,12 @@
 """The matrix-free linear strip solve against the assembled matrix.
 
 ``solve_linear`` applies scatter_flux(A grad V) with the Dirichlet rows
-zeroed instead of assembling a matrix.  The oracles here are the test
-oracle ``assemble_matrix`` restricted to the free block, a dense solve of
-that block, and the sweep values of the assembled-matrix BiCGStab solver
-this path replaced.  Sheared and planar strips in d = 2 and 3, both tops, one
-and two components, symmetric tensors (preconditioned CG) and nonsymmetric
-ones (BiCGStab).
+of the bottom level zeroed instead of assembling a matrix.  The oracles
+here are the test oracle ``assemble_matrix`` restricted to the free block,
+a dense solve of that block, and the sweep values of the assembled-matrix
+BiCGStab solver this path replaced.  Sheared and planar strips in d = 2
+and 3 with a natural top, one and two components, symmetric tensors
+(preconditioned CG) and nonsymmetric ones (BiCGStab).
 """
 
 import json
@@ -37,7 +37,6 @@ from effbc.solve import (
     _symmetric_cells,
     _zero_fixed,
     boundary_values,
-    dirichlet_top,
 )
 
 
@@ -79,26 +78,25 @@ def random_tensor(rng, d, N, symmetric):
     return LinearTensorField(d, N, entries, lam=0.3)
 
 
-def free_block(grid, tensor, top_dirichlet):
+def free_block(grid, tensor):
     K = assemble_matrix(grid, tensor).tocsr()
-    free, bottom, top = strip_dof_partition(grid, tensor.n_components, top_dirichlet)
-    return K, free, bottom, top
+    free, bottom = strip_dof_partition(grid, tensor.n_components)
+    return K, free, bottom
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    grid=strips(), top_dirichlet=st.booleans(), N=st.integers(1, 2),
-    symmetric=st.booleans(), seed=st.integers(0, 2**16),
+    grid=strips(), N=st.integers(1, 2), symmetric=st.booleans(), seed=st.integers(0, 2**16),
 )
-def test_operator_matches_assembled_free_block(grid, top_dirichlet, N, symmetric, seed):
+def test_operator_matches_assembled_free_block(grid, N, symmetric, seed):
     rng = np.random.default_rng(seed)
     tensor = random_tensor(rng, grid.d, N, symmetric)
     A = tensor(grid.cell_centers())
     assert _symmetric_cells(A) == symmetric
-    K, free, _, _ = free_block(grid, tensor, top_dirichlet)
-    V = _zero_fixed(rng.standard_normal((N,) + grid.node_shape), top_dirichlet)
+    K, free, _ = free_block(grid, tensor)
+    V = _zero_fixed(rng.standard_normal((N,) + grid.node_shape))
 
-    out = _zero_fixed(_apply_tensor(grid, A, V), top_dirichlet)
+    out = _zero_fixed(_apply_tensor(grid, A, V))
 
     fixed = np.ones(out.size, dtype=bool)
     fixed[free] = False
@@ -109,34 +107,28 @@ def test_operator_matches_assembled_free_block(grid, top_dirichlet, N, symmetric
     assert np.abs(out.ravel()[free] - ref).max() <= 1e-12 * scale
 
 
-def strip_problem(grid, tensor, top_dirichlet, rng):
+def strip_problem(grid, tensor, rng):
     d, N = grid.d, tensor.n_components
     data = make_field(
         d, terms=[(rng.uniform(0.5, 1.0, N), rng.integers(-2, 3, size=d).tolist(), "cos")],
         constant=rng.uniform(-1, 1, N), n_components=N,
     )
-    top = dirichlet_top(rng.uniform(-1, 1, N).tolist()) if top_dirichlet else ("neumann", None)
-    return StripProblem(
-        xi=None, operator=tensor, data=data, R=grid.R, grid=grid, top_bc=top
-    )
+    return StripProblem(xi=None, operator=tensor, data=data, R=grid.R, grid=grid)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    grid=strips(), top_dirichlet=st.booleans(), N=st.integers(1, 2),
-    symmetric=st.booleans(), seed=st.integers(0, 2**16),
+    grid=strips(), N=st.integers(1, 2), symmetric=st.booleans(), seed=st.integers(0, 2**16),
 )
-def test_solve_matches_dense_solve(grid, top_dirichlet, N, symmetric, seed):
+def test_solve_matches_dense_solve(grid, N, symmetric, seed):
     rng = np.random.default_rng(seed)
     tensor = random_tensor(rng, grid.d, N, symmetric)
-    problem = strip_problem(grid, tensor, top_dirichlet, rng)
+    problem = strip_problem(grid, tensor, rng)
     sol = solve_linear(problem)
 
-    K, free, bottom, top = free_block(grid, tensor, top_dirichlet)
+    K, free, bottom = free_block(grid, tensor)
     fixed_values = np.zeros(K.shape[0])
     fixed_values[bottom] = boundary_values(problem, grid).ravel()
-    if top_dirichlet:
-        fixed_values[top] = np.repeat(problem.top_bc[1], grid.n_nodes // grid.node_shape[-1])
     Kff = K[free][:, free].toarray()
     rhs = -(K @ fixed_values)[free]
     # 3-d strips with even lateral counts carry the null (hourglass) modes
@@ -201,12 +193,12 @@ def test_bicgstab_matches_dense_solve_and_fails_loudly():
     ref = StripReferenceSolver(grid)
 
     def matvec(V):
-        return _zero_fixed(_apply_tensor(grid, A, V), False)
+        return _zero_fixed(_apply_tensor(grid, A, V))
 
-    b = _zero_fixed(rng.standard_normal((2,) + grid.node_shape), False)
+    b = _zero_fixed(rng.standard_normal((2,) + grid.node_shape))
     x, iters, rel = _krylov_solve(matvec, ref.solve, b, 1e-12, 200, False, 10.0)
 
-    K, free, _, _ = free_block(grid, tensor, False)
+    K, free, _ = free_block(grid, tensor)
     exact = np.linalg.solve(K[free][:, free].toarray(), b.ravel()[free])
     assert 0 < iters < 200 and rel <= 1e-11
     fixed = np.ones(x.size, dtype=bool)

@@ -51,7 +51,7 @@ def test_discrete_energy_gradient_matches_finite_differences():
     tau = 1.0 / 12.0
     rng = np.random.default_rng(5)
     U = rng.standard_normal((1,) + g.node_shape)
-    grad = _masked_residual(g, op, U, None, tau, False)
+    grad = _masked_residual(g, op, U, None, tau)
     E0 = nonlinear_energy(op, g, U, None, tau)
     h = 1e-6
     idx_lat = rng.integers(0, g.node_shape[0], 100)

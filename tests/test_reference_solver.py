@@ -1,6 +1,6 @@
 """StripReferenceSolver against a dense solve of the assembled A = I matrix.
 
-Small sheared and planar strips in d = 2 and 3, both top conditions, one and
+Small sheared and planar strips in d = 2 and 3 with a natural top, one and
 two components, odd and even lateral counts (even counts on 3-d strips carry
 the hourglass modes of the one-point quadrature).
 """
@@ -36,11 +36,11 @@ def _lateral_modes(ref, x):
 
 
 @settings(max_examples=60, deadline=None)
-@given(grid=strips(), top_dirichlet=st.booleans(), N=st.integers(1, 2), seed=st.integers(0, 2**16))
-def test_solve_free_matches_dense_oracle(grid, top_dirichlet, N, seed):
-    ref = StripReferenceSolver(grid, top_dirichlet=top_dirichlet)
+@given(grid=strips(), N=st.integers(1, 2), seed=st.integers(0, 2**16))
+def test_solve_free_matches_dense_oracle(grid, N, seed):
+    ref = StripReferenceSolver(grid)
     K = assemble_matrix(grid, identity_tensor(grid.d, n_components=N)).toarray()
-    free, _, _ = strip_dof_partition(grid, N, top_dirichlet)
+    free, _ = strip_dof_partition(grid, N)
     Kff = K[np.ix_(free, free)]
     shape = (N,) + grid.lat_cells + (ref.n_free,)
     r = np.random.default_rng(seed).standard_normal(shape)
@@ -79,27 +79,21 @@ def test_solve_free_matches_dense_oracle(grid, top_dirichlet, N, seed):
 
 
 @settings(max_examples=30, deadline=None)
-@given(grid=strips(), top_dirichlet=st.booleans(), N=st.integers(1, 2), seed=st.integers(0, 2**16))
-def test_lift_skips_the_solve_of_constant_data(grid, top_dirichlet, N, seed):
-    ref = StripReferenceSolver(grid, top_dirichlet=top_dirichlet)
+@given(grid=strips(), N=st.integers(1, 2), seed=st.integers(0, 2**16))
+def test_lift_skips_the_solve_of_constant_data(grid, N, seed):
+    ref = StripReferenceSolver(grid)
     rng = np.random.default_rng(seed)
     calls = []
     ref.solve_free = lambda r, _solve=ref.solve_free: calls.append(1) or _solve(r)
-    if not top_dirichlet:
-        # a constant column is exactly reference-harmonic under a natural top
-        const = rng.standard_normal((N,) + (1,) * len(grid.lat_cells))
-        const = np.broadcast_to(const, (N,) + grid.lat_cells)
-        U = ref.lift(const)
-        assert not calls
-        assert np.array_equal(U, np.repeat(const[..., None], grid.n_vert + 1, axis=-1))
+    # a constant column is exactly reference-harmonic under a natural top
+    const = rng.standard_normal((N,) + (1,) * len(grid.lat_cells))
+    const = np.broadcast_to(const, (N,) + grid.lat_cells)
+    U = ref.lift(const)
+    assert not calls
+    assert np.array_equal(U, np.repeat(const[..., None], grid.n_vert + 1, axis=-1))
     # non-constant data: the lift is the full correction, bit for bit
     bottom = rng.standard_normal((N,) + grid.lat_cells)
-    top = rng.standard_normal(bottom.shape) if top_dirichlet else None
-    U = ref.lift(bottom, top)
+    U = ref.lift(bottom)
     assert calls
-    levels = grid.n_vert + 1
-    U0 = np.repeat(bottom[..., None], levels, axis=-1)
-    if top_dirichlet:
-        frac = np.linspace(0.0, 1.0, levels)
-        U0 = bottom[..., None] * (1.0 - frac) + top[..., None] * frac
+    U0 = np.repeat(bottom[..., None], grid.n_vert + 1, axis=-1)
     assert np.array_equal(U, U0 - ref.solve(grid.apply_reference(U0)))

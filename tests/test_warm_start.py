@@ -45,10 +45,8 @@ from effbc.solve import (
     _apply_tensor,
     _masked_residual,
     _norm,
-    _top_values,
     _zero_fixed,
     boundary_values,
-    dirichlet_top,
     nonlinear_energy,
 )
 
@@ -82,7 +80,7 @@ def operator_for(kind, d, rng):
 @st.composite
 def cases(draw):
     """(kind, operator, grid maker (R, levels) -> grid, lateral period
-    length, rng, top condition).  Lateral spacings pass effbc's resolution
+    length, rng).  Lateral spacings pass effbc's resolution
     check (at most 1/8)."""
     kind = draw(st.sampled_from(KINDS))
     d = 2 if kind == "descent" else draw(st.sampled_from([2, 3]))
@@ -104,11 +102,10 @@ def cases(draw):
 
         def make_grid(R, n_vert):
             return StripGrid(xi.periods, xi.xi_hat, s, R, lat, n_vert, xi=xi)
-    top = draw(st.sampled_from([("neumann", None), dirichlet_top(0.25)]))
-    return kind, operator_for(kind, d, rng), make_grid, length, rng, top
+    return kind, operator_for(kind, d, rng), make_grid, length, rng
 
 
-def problem_maker(op, make_grid, h_r, rng, top, tau=1.0 / 16.0):
+def problem_maker(op, make_grid, h_r, rng, tau=1.0 / 16.0):
     d = make_grid(1.0, 8).d
     data = make_field(
         d, terms=[(rng.uniform(0.5, 1.0), rng.integers(-1, 2, size=d).tolist(), "cos"),
@@ -118,7 +115,7 @@ def problem_maker(op, make_grid, h_r, rng, top, tau=1.0 / 16.0):
 
     def make(R):
         grid = make_grid(R, int(round(R / h_r)))
-        return StripProblem(xi=None, operator=op, data=data, R=R, grid=grid, top_bc=top, tau=tau)
+        return StripProblem(xi=None, operator=op, data=data, R=R, grid=grid, tau=tau)
 
     return make
 
@@ -126,9 +123,9 @@ def problem_maker(op, make_grid, h_r, rng, top, tau=1.0 / 16.0):
 def one_problem(case, extra_levels):
     """The case's strip of one lateral period's height, on at least 8
     levels per unit height."""
-    kind, op, make_grid, length, rng, top = case
+    kind, op, make_grid, length, rng = case
     levels = math.ceil(8.0 * length - 1e-9) + extra_levels
-    return problem_maker(op, make_grid, length / levels, rng, top)(length)
+    return problem_maker(op, make_grid, length / levels, rng)(length)
 
 
 def relative_gap(U, V):
@@ -149,17 +146,13 @@ def gate(problem, U):
     """Whether U passes the cold solve's stopping gate of ``problem``: the
     true residual against the residual of the lift."""
     grid = problem.build_grid()
-    top_dir = problem.top_bc[0] == "dirichlet"
-    ref = StripReferenceSolver(grid, top_dirichlet=top_dir)
-    U0 = ref.lift(boundary_values(problem, grid), _top_values(problem, grid))
+    U0 = StripReferenceSolver(grid).lift(boundary_values(problem, grid))
     op = problem.operator
     if isinstance(op, LinearTensorField):
         A = op(grid.cell_centers())
-        r0 = _norm(_zero_fixed(_apply_tensor(grid, A, U0), top_dir))
-        return _norm(_zero_fixed(_apply_tensor(grid, A, U), top_dir)) <= 10.0 * problem.rtol * r0
-    residual = lambda V: float(
-        np.abs(_masked_residual(grid, op, V, None, problem.tau, top_dir)).max()
-    )
+        r0 = _norm(_zero_fixed(_apply_tensor(grid, A, U0)))
+        return _norm(_zero_fixed(_apply_tensor(grid, A, U))) <= 10.0 * problem.rtol * r0
+    residual = lambda V: float(np.abs(_masked_residual(grid, op, V, None, problem.tau)).max())
     if op.is_variational:
         E0 = nonlinear_energy(op, grid, U0, None, problem.tau)
         return residual(U) <= 1e-9 * max(1.0, abs(E0))
@@ -171,12 +164,12 @@ def gate(problem, U):
 @given(case=cases(), periods=st.sampled_from([2, 3]), h=st.sampled_from([1 / 8, 1 / 12]),
        extra=st.sampled_from([0.5, 1.0]))
 def test_warm_rung_matches_cold_solve(case, periods, h, extra):
-    # a ladder like effbc's: Neumann top, first rung a few lateral periods
-    # high, so that its top slice has nearly reached the far field
-    kind, op, make_grid, length, rng, _ = case
+    # a ladder like effbc's: first rung a few lateral periods high, so that
+    # its top slice has nearly reached the far field
+    kind, op, make_grid, length, rng = case
     lower = math.ceil(periods * length / h - 1e-9)
     h_r = periods * length / lower
-    make = problem_maker(op, make_grid, h_r, rng, ("neumann", None))
+    make = problem_maker(op, make_grid, h_r, rng)
     heights = [lower * h_r, (lower + int(extra * lower)) * h_r]
     result, (_, warm) = ladder_limit(make, heights, 0.0, stop_on_tolerance=False)
     cold = solve_strip(make(heights[1]))
@@ -221,13 +214,11 @@ def test_random_start_passes_the_cold_gate(case, levels, amp):
 @given(case=cases(), levels=st.integers(0, 4))
 def test_start_dirichlet_rows_are_ignored(case, levels):
     problem = one_problem(case, levels)
-    rng, top = case[4], case[5]
+    rng = case[4]
     cold = solve_strip(problem).values
     start = cold + 1e-3 * rng.standard_normal(cold.shape)
     other = start.copy()
     other[..., 0] = rng.standard_normal(other[..., 0].shape)
-    if top[0] == "dirichlet":
-        other[..., -1] = rng.standard_normal(other[..., -1].shape)
     a = solve_strip(replace(problem, start=start))
     b = solve_strip(replace(problem, start=other))
     assert np.array_equal(a.values, b.values) and a.iterations == b.iterations
@@ -262,7 +253,7 @@ def test_short_start_is_continued_by_its_top_slice(op, xi_e2, data_diag):
 def test_nonlinear_residual_is_the_last_tested_one(op, xi_e2, data_diag):
     problem = StripProblem(xi=xi_e2, operator=op, data=data_diag, R=1.0, h=1 / 16, tau=1 / 16)
     sol = solve_strip(problem)
-    r = _masked_residual(sol.grid, op, sol.values, None, problem.tau, False)
+    r = _masked_residual(sol.grid, op, sol.values, None, problem.tau)
     assert sol.iterations > 0 and sol.residual_norm == float(np.abs(r).max())
 
 
@@ -317,9 +308,9 @@ def test_profile_shared_solver_is_bit_identical(monkeypatch, laminate2, data_dia
     built = []
     init = StripReferenceSolver.__init__
 
-    def counted(self, grid, top_dirichlet=False):
+    def counted(self, grid):
         built.append(grid.s)
-        init(self, grid, top_dirichlet)
+        init(self, grid)
 
     monkeypatch.setattr(StripReferenceSolver, "__init__", counted)
     prof = shift_profile(op, data_diag, xi, sample_count=8, **kw)
@@ -356,9 +347,9 @@ def test_directional_limits_shared_solver_is_bit_identical(
     built = []
     init = StripReferenceSolver.__init__
 
-    def counted(self, grid, top_dirichlet=False):
+    def counted(self, grid):
         built.append(grid.n_vert)
-        init(self, grid, top_dirichlet)
+        init(self, grid)
 
     monkeypatch.setattr(StripReferenceSolver, "__init__", counted)
     solvers = {}
@@ -384,9 +375,9 @@ def test_eta_independence_check_shares_one_solver_per_rung(monkeypatch):
     built = []
     init = StripReferenceSolver.__init__
 
-    def counted(self, grid, top_dirichlet=False):
+    def counted(self, grid):
         built.append(grid.n_vert)
-        init(self, grid, top_dirichlet)
+        init(self, grid)
 
     monkeypatch.setattr(StripReferenceSolver, "__init__", counted)
     check = eta_independence_check(xi, prof, I3, etas, tolerance=1e-9)
