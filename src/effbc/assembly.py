@@ -7,11 +7,15 @@ constant-coefficient operator is diagonalized exactly by fast transforms:
 periodic lateral axes give a circulant structure (FFT), and the vertical
 axis leaves one Hermitian Toeplitz tridiagonal per lateral Fourier mode,
 which a phase twist and one DST-III / DST-II pair diagonalize.  The strip
-solve gives the harmonic-extension initial guess and the preconditioner of
-the linear and nonlinear strip solvers; the torus solve preconditions the
-cell problems.  Every operator is applied matrix free (``grid.scatter_flux``
-of the flux of ``grid.phys_gradient``); no matrix is assembled, and every
-transform runs on ``numpy.fft``.
+solve preconditions the linear and nonlinear strip solvers, and it gives
+their initial guess, the discrete harmonic extension of the boundary data
+(``lift``).  The residual of the bottom repeated on every level is
+diagonal in the lateral modes as well, so the lift builds it in mode space
+from the bands of the symbol, without a stencil pass; laterally constant
+data is exactly harmonic and returns the repeated column as it is.  The
+torus solve preconditions the cell problems.  Every operator is applied
+matrix free (``grid.scatter_flux`` of the flux of ``grid.phys_gradient``);
+no matrix is assembled, and every transform runs on ``numpy.fft``.
 """
 
 from __future__ import annotations
@@ -91,6 +95,10 @@ class StripReferenceSolver:
         a, t0 = np.abs(T[1]), T[0].real
         scale = max(np.abs(b).max() for b in T.values())
         self.null_mask = np.maximum(a, np.abs(T[0])) <= 1e-12 * scale
+        # residual of a unit constant column, per lateral mode: a free row
+        # sums its three bands, the natural top its lower band and half t0
+        self._col = T[-1] + T[0] + T[1]
+        self._col_top = T[-1] + 0.5 * T[0]
         theta = (np.arange(1, n + 1) - 0.5) * np.pi / n
         mu = t0[..., None] + 2.0 * a[..., None] * np.cos(theta)
         inv = np.divide(1.0, mu, out=np.zeros_like(mu), where=~self.null_mask[..., None])
@@ -112,16 +120,25 @@ class StripReferenceSolver:
         self._out_rev = untwist * w[::-1]
         self._out_next = untwist * np.conj(w[::-1])
 
-    def solve_free(self, r_free):
-        """Solve for the free-level block; r_free is (N, *lat, n_free)."""
+    def _lateral_fft(self, x):
+        """Lateral modes of x (N, *lat, ...): rfft on the last lateral axis,
+        complex FFTs on the others."""
         *other, last = self.lat_axes
-        rhat = np.fft.rfft(r_free, axis=last)
+        xhat = np.fft.rfft(x, axis=last)
         for ax in other:
-            np.fft.fft(rhat, axis=ax, out=rhat)
-        y = self._dst3_dst2_pair(rhat)
+            np.fft.fft(xhat, axis=ax, out=xhat)
+        return xhat
+
+    def _lateral_ifft(self, y):
+        """Inverse of _lateral_fft; overwrites y."""
+        *other, last = self.lat_axes
         for ax in other:
             np.fft.ifft(y, axis=ax, out=y)
         return np.fft.irfft(y, n=self.grid.lat_cells[-1], axis=last)
+
+    def solve_free(self, r_free):
+        """Solve for the free-level block; r_free is (N, *lat, n_free)."""
+        return self._lateral_ifft(self._dst3_dst2_pair(self._lateral_fft(r_free)))
 
     def _dst3_dst2_pair(self, rhat):
         # rhat's buffer is reused: first for a product, then for the result
@@ -144,12 +161,27 @@ class StripReferenceSolver:
         return corr
 
     def lift(self, bottom):
-        """Discrete harmonic extension of the bottom values (N, *lat)."""
+        """Discrete harmonic extension of the bottom values (N, *lat).
+
+        The bottom repeated on every level, minus the reference solve of its
+        residual.  That residual is built in mode space: per lateral mode it
+        is the bottom's coefficient times the column sums ``_col`` (free
+        rows) and ``_col_top`` (the natural top), so no stencil is applied
+        and only the bottom plane is transformed forward.  The bottom level
+        is the data bit for bit, and laterally constant data (checked by
+        equality, not by a residual) returns the repeated column exactly.
+        On a null mode every band vanishes, and so does its residual.
+        """
         U = np.repeat(bottom[..., None], self.grid.n_vert + 1, axis=-1)
-        res = self.grid.apply_reference(U)
-        if not res.any():
-            return U  # the correction of a zero residual is exactly zero
-        return U - self.solve(res)
+        first = bottom[(slice(None),) + (slice(0, 1),) * len(self.lat_axes)]
+        if (bottom == first).all():
+            return U  # a constant column is exactly harmonic
+        bhat = self._lateral_fft(bottom)
+        rhat = np.empty(bhat.shape + (self.n_free,), dtype=complex)
+        rhat[..., :-1] = (bhat * self._col)[..., None]
+        rhat[..., -1] = bhat * self._col_top
+        U[..., 1:] -= self._lateral_ifft(self._dst3_dst2_pair(rhat))
+        return U
 
 
 class TorusReferenceSolver:

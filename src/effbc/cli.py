@@ -174,7 +174,7 @@ def cmd_homogenize(cfg: ExperimentConfig, rep: Reporter) -> int:
         rep.start("eps-study")
         study = epsilon_refinement_study(
             cfg.operator, cfg.data, cfg.direction, cfg.eps_ladder,
-            R=cfg.R if cfg.R is not None else 2.0, h_cell=cfg.h_cell,
+            R=cfg.R if cfg.R is not None else 2.0, effective=hom,
         )
         rep.stop("eps-study")
         rows = [[r["eps"], r["sup_error"], study["fitted_order"]] for r in study["rows"]]

@@ -32,22 +32,46 @@ EXPERIMENTS = (
     "decay-fit",
 )
 
+def _number(kind):
+    """Conversion of one JSON number to ``kind`` (float or int).  A string,
+    a bool, or a non-integral value for an int is a mistyped value."""
+
+    def convert(value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError(f"expected a number, got {value!r}")
+        if kind is int and value != int(value):
+            raise ValueError(f"expected an integer, got {value!r}")
+        return kind(value)
+
+    return convert
+
+
+def _numbers(value):
+    """A JSON list of numbers, kept as given."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of numbers, got {value!r}")
+    for v in value:
+        _number(float)(v)
+    return value
+
+
 # Every section key: its dotted path -> (ExperimentConfig attribute or
 # None for a key that is only checked, conversion or None).  Parsing reads
-# this table, and so does the check that rejects unknown keys.
+# this table, and so does the check that rejects unknown keys; a value that
+# its conversion rejects is a ConfigError.
 SECTION_KEYS = {
-    "mesh.h": ("h", None),
-    "homogenize.h_cell": ("h_cell", None),
-    "homogenize.eps_ladder": ("eps_ladder", None),
-    "strip.R": ("R", None),
-    "strip.R_ladder": ("R_ladder", None),
+    "mesh.h": ("h", _number(float)),
+    "homogenize.h_cell": ("h_cell", _number(float)),
+    "homogenize.eps_ladder": ("eps_ladder", _numbers),
+    "strip.R": ("R", _number(float)),
+    "strip.R_ladder": ("R_ladder", _numbers),
     "strip.top_bc": (None, None),
-    "nonlinear.tau": ("tau", float),
-    "solver.tol": ("solver_tol", float),
-    "limit.tolerance": ("tolerance", float),
-    "limit.max_factor": ("max_factor", int),
-    "limit.sample_count": ("sample_count", int),
-    "sweep.Q": ("Q", int),
+    "nonlinear.tau": ("tau", _number(float)),
+    "solver.tol": ("solver_tol", _number(float)),
+    "limit.tolerance": ("tolerance", _number(float)),
+    "limit.max_factor": ("max_factor", _number(int)),
+    "limit.sample_count": ("sample_count", _number(int)),
+    "sweep.Q": ("Q", _number(int)),
 }
 SECTIONS = tuple(dict.fromkeys(path.split(".")[0] for path in SECTION_KEYS))
 TOP_LEVEL_KEYS = (
@@ -224,7 +248,10 @@ def load_config(source, out_override=None, seed_override=None,
     for path, (attr, convert) in SECTION_KEYS.items():
         value = _get(raw, path)
         if attr is not None and value is not None:
-            setattr(cfg, attr, convert(value) if convert else value)
+            try:
+                setattr(cfg, attr, convert(value))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"{path}: {exc}") from exc
     top = _get(raw, "strip.top_bc", "neumann")
     if top != "neumann":
         # every subcommand reads its far field from a natural top

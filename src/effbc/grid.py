@@ -166,10 +166,6 @@ class _MeshBase:
                 total += B
         return self._fold(total)
 
-    def apply_reference(self, U):
-        """Discrete Laplacian (A = I) applied componentwise."""
-        return self.scatter_flux(self.phys_gradient(U))
-
 
 class StripGrid(_MeshBase):
     """Periodic-lateral strip mesh.

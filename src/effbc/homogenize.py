@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import TorusReferenceSolver
+from .assembly import StripReferenceSolver, TorusReferenceSolver
 from .errors import NonConvergedError, SolverFailureError
 from .fields import LinearTensorField, constant_field
-from .grid import TorusGrid
+from .grid import TorusGrid, build_strip_grid
 from .solve import (
     StripProblem, _apply_tensor, _descent, _krylov_solve, _symmetric_cells, solve_linear,
 )
@@ -218,17 +218,21 @@ class EffectiveMapSampler:
         return len(self._cache)
 
 
-def epsilon_refinement_study(operator, data, xi, eps_ladder, R=2.0, h_cell=None, cells_per_eps=8):
+def epsilon_refinement_study(
+    operator, data, xi, eps_ladder, R=2.0, h_cell=None, cells_per_eps=8, effective=None
+):
     """Uniform error between the A(y/eps) solve and the effective solve.
 
     Meshes resolve the oscillation (h <= eps / cells_per_eps); both solves
-    share the grid and data, Neumann top.  Returns the error table, the
-    consecutive ratios, and the fitted order in eps.  Any solve failure
+    share the grid, its reference solver and the data, Neumann top.  The
+    operator is homogenized on the cell mesh ``h_cell`` unless its
+    HomogenizedTensor is given as ``effective``.  Returns the error table,
+    the consecutive ratios, and the fitted order in eps.  Any solve failure
     aborts with the partial table attached to the exception.
     """
     if not isinstance(operator, LinearTensorField):
         raise ValueError("the refinement study is implemented for linear tensors")
-    hom = homogenize_linear(operator, h_cell=h_cell)
+    hom = effective if effective is not None else homogenize_linear(operator, h_cell=h_cell)
     A0f = hom.as_tensor_field()
     rows = []
     try:
@@ -238,10 +242,12 @@ def epsilon_refinement_study(operator, data, xi, eps_ladder, R=2.0, h_cell=None,
                 raise ValueError(f"1/eps must be an integer, got eps={eps}")
             A_eps = operator.scale_argument(int(round(inv)))
             h = eps / cells_per_eps
-            p_eps = StripProblem(xi=xi, operator=A_eps, data=data, R=R, h=h)
-            p_hom = StripProblem(xi=xi, operator=A0f, data=data, R=R, h=h)
-            u_eps = solve_linear(p_eps)
-            u_hom = solve_linear(p_hom)
+            grid = build_strip_grid(xi, 0.0, R, h=h)
+            ref = StripReferenceSolver(grid)
+            u_eps, u_hom = (
+                solve_linear(StripProblem(xi=xi, operator=A, data=data, R=R, grid=grid), ref)
+                for A in (A_eps, A0f)
+            )
             err = float(np.abs(u_eps.values - u_hom.values).max())
             rows.append({"eps": float(eps), "sup_error": err, "h": h})
     except (SolverFailureError, NonConvergedError) as exc:

@@ -239,23 +239,18 @@ def _sample_pairs(d, sample_count, radius, rng):
     p = rng.uniform(-radius, radius, size=(d, sample_count))
     q = rng.uniform(-radius, radius, size=(d, sample_count))
     mags = np.concatenate([np.geomspace(1e-6, radius, 8), [0.0]])
-    extra_p, extra_q = [], []
+    # per axis, (sa a, sb b) over a, b in mags and signs sa, sb in that
+    # nesting order, close pairs left out
+    a, b, sa, sb = np.meshgrid(mags, mags, (-1.0, 1.0), (-1.0, 1.0), indexing="ij")
+    u, v = (sa * a).ravel(), (sb * b).ravel()
+    keep = ~np.isclose(u, v)
+    u, v = u[keep], v[keep]
+    m = u.size
+    extra_p, extra_q = np.zeros((d, d * m)), np.zeros((d, d * m))
     for axis in range(d):
-        for a in mags:
-            for b in mags:
-                for sa in (-1.0, 1.0):
-                    for sb in (-1.0, 1.0):
-                        u = np.zeros(d)
-                        v = np.zeros(d)
-                        u[axis] = sa * a
-                        v[axis] = sb * b
-                        if np.allclose(u, v):
-                            continue
-                        extra_p.append(u)
-                        extra_q.append(v)
-    p = np.concatenate([p, np.array(extra_p).T], axis=1)
-    q = np.concatenate([q, np.array(extra_q).T], axis=1)
-    return p, q
+        extra_p[axis, axis * m:(axis + 1) * m] = u
+        extra_q[axis, axis * m:(axis + 1) * m] = v
+    return np.concatenate([p, extra_p], axis=1), np.concatenate([q, extra_q], axis=1)
 
 
 def validate_operator(op, sample_count=2000, radius=2.0, seed=0, tau=0.0):

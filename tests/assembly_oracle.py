@@ -5,6 +5,10 @@ the cell flux of ``grid.phys_gradient``).  The tests check it against the
 textbook construction kept here: per cell the element matrix
 phi^T A phi * vol, scattered to the global nodes of the cell's 2^d corners
 and summed by a COO -> CSR conversion.  scipy is a test-only dependency.
+
+``lift`` is the stencil form of the reference solver's harmonic extension:
+the residual of the repeated bottom from one gradient / scatter pair, then
+a full reference solve.  The library builds the same residual in mode space.
 """
 
 from __future__ import annotations
@@ -69,3 +73,15 @@ def strip_dof_partition(grid, n_components):
         return (comp[:, None] + nodes[None, :]).ravel()
 
     return expand(node_ids[..., 1:].ravel()), expand(node_ids[..., 0].ravel())
+
+
+def apply_reference(grid, U):
+    """Discrete Laplacian (A = I) applied componentwise, matrix free."""
+    return grid.scatter_flux(grid.phys_gradient(U))
+
+
+def lift(ref, bottom):
+    """Harmonic extension of bottom (N, *lat) through the stencil: the
+    repeated bottom minus the reference solve of its residual."""
+    U = np.repeat(bottom[..., None], ref.grid.n_vert + 1, axis=-1)
+    return U - ref.solve(apply_reference(ref.grid, U))

@@ -120,6 +120,26 @@ def test_config_rejects_unknown_keys(tmp_path, patch):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"limit": {"sample_count": "x"}},
+        {"mesh": {"h": "0.0625"}},  # a number in a string
+        {"limit": {"sample_count": 8.5}},
+        {"strip": {"R_ladder": [1.0, "2"]}},
+    ],
+    ids=["int-text", "float-text", "int-fraction", "ladder-text"],
+)
+def test_config_rejects_mistyped_values(tmp_path, patch):
+    # a raw ValueError / TypeError would escape main instead of exit code 2
+    path, _ = write_cfg(tmp_path, out=str(tmp_path / "o"), **patch)
+    key = next(iter(patch))
+    with pytest.raises(ConfigError, match=f"^{key}\\."):
+        load_config(path)
+    assert main(["--config", path, "cell-solve"]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_readme_config_loads():
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as f:
@@ -238,7 +258,8 @@ def test_cli_homogenize_and_eps_study(tmp_path):
 
 def test_cli_eps_study_homogenizes_on_the_config_cell_mesh(tmp_path, monkeypatch):
     # h_cell = 1/16 is not the d = 2 default (1/64), so a study that falls
-    # back to the default cell mesh shows here
+    # back to the default cell mesh shows here; the study reuses the tensor
+    # of homogenized.json, so the operator is homogenized once
     import effbc.cli
     import effbc.homogenize
 
@@ -259,7 +280,7 @@ def test_cli_eps_study_homogenizes_on_the_config_cell_mesh(tmp_path, monkeypatch
         mesh=None, limit=None, out=str(tmp_path / "hg"),
     )
     assert main(["--config", path, "homogenize"]) == 0
-    assert cell_meshes == [1 / 16, 1 / 16]
+    assert cell_meshes == [1 / 16]
 
 
 def test_cli_decay_fit(tmp_path):

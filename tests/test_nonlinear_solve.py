@@ -148,7 +148,7 @@ def test_root_kink_3d_small_solve():
 @pytest.mark.parametrize("where", ["strip", "torus"])
 def test_descent_takes_one_gradient_per_energy(monkeypatch, where):
     # every residual of the descent reuses the gradient field of an energy
-    # evaluation; only the lift takes gradients of its own
+    # evaluation, and the lift, built in mode space, takes none
     counts = {"gradient": 0, "potential": 0, "lift": 0}
 
     def counted(name, fn):
@@ -176,7 +176,7 @@ def test_descent_takes_one_gradient_per_energy(monkeypatch, where):
             xi=None, operator=KinkPotential2D(), data=lambda c: 1 / 3 + np.cos(2 * np.pi * c[0]),
             R=2.0, grid=g, tau=1 / 16,
         ))
-        assert sol.iterations > 0 and counts["lift"] == 1
+        assert sol.iterations > 0 and counts["lift"] == 0
     else:
         monkeypatch.setattr(
             QuadraticPotential, "potential", counted("potential", QuadraticPotential.potential)

@@ -16,7 +16,46 @@ from effbc import (
     potential_gradient_consistency,
     validate_operator,
 )
-from effbc.operators import huber_abs, huber_abs_integral, root_kink_identity_residual
+from effbc.operators import (
+    _sample_pairs,
+    huber_abs,
+    huber_abs_integral,
+    root_kink_identity_residual,
+)
+
+
+def _looped_sample_pairs(d, sample_count, radius, rng):
+    """The axis pairs built one by one: the oracle of _sample_pairs."""
+    p = rng.uniform(-radius, radius, size=(d, sample_count))
+    q = rng.uniform(-radius, radius, size=(d, sample_count))
+    mags = np.concatenate([np.geomspace(1e-6, radius, 8), [0.0]])
+    extra_p, extra_q = [], []
+    for axis in range(d):
+        for a in mags:
+            for b in mags:
+                for sa in (-1.0, 1.0):
+                    for sb in (-1.0, 1.0):
+                        u = np.zeros(d)
+                        v = np.zeros(d)
+                        u[axis] = sa * a
+                        v[axis] = sb * b
+                        if np.allclose(u, v):
+                            continue
+                        extra_p.append(u)
+                        extra_q.append(v)
+    p = np.concatenate([p, np.array(extra_p).T], axis=1)
+    q = np.concatenate([q, np.array(extra_q).T], axis=1)
+    return p, q
+
+
+@pytest.mark.parametrize("d,count,radius", [(2, 10, 2.0), (3, 2000, 2.0), (2, 50, 1e-5)])
+def test_sample_pairs_match_the_loop(d, count, radius):
+    # the witness of validate_operator depends on the order of the pairs;
+    # bytes, so that the signs of zeros agree too
+    got = _sample_pairs(d, count, radius, np.random.default_rng(3))
+    expect = _looped_sample_pairs(d, count, radius, np.random.default_rng(3))
+    for x, y in zip(got, expect):
+        assert np.array_equal(x, y) and x.tobytes() == y.tobytes()
 
 
 def test_identity_map_constants():
