@@ -1,4 +1,5 @@
-"""StripReferenceSolver against a dense solve of the assembled A = I matrix.
+"""StripReferenceSolver against a dense solve of the assembled A = I matrix,
+and its mode-space lift against the stencil lift of ``assembly_oracle``.
 
 Small sheared and planar strips in d = 2 and 3 with a natural top, one and
 two components, odd and even lateral counts (even counts on 3-d strips carry
