@@ -29,14 +29,12 @@ print("== closed-form leg (approach along e1) ==")
 T, R = 2 * np.pi, 8.0
 grid = planar_strip_grid(T, R, 128, 128)
 data = lambda c: 1.0 / 3.0 + np.cos(c[0])
-sol1 = solve_nonlinear(StripProblem(xi=None, operator=ReducedRootKink(1.0),
-                                    data=data, R=R, grid=grid, tau=0.0))
+sol1 = solve_nonlinear(StripProblem(grid, ReducedRootKink(1.0), data))
 print(f"  far field along e1: {sol1.top_slice().mean(): .6f}  (exact solution gives 0)")
 
 print("\n== kink leg (approach along e2) ==")
 tau = 1.0 / 16.0
-sol2 = solve_nonlinear(StripProblem(xi=None, operator=KinkPotential2D(),
-                                    data=data, R=R, grid=grid, tau=tau))
+sol2 = solve_nonlinear(StripProblem(grid, KinkPotential2D(), data, tau=tau))
 pts = grid.node_coords()
 w = (1.0 / 3.0 + np.cos(pts[0])) * np.exp(-pts[1])
 diff = sol2.values[0] - w

@@ -70,7 +70,6 @@ from .operators import (
 )
 from .second_cell import (
     DirectionalLimit,
-    SecondCellProblem,
     SweepReport,
     continuity_sweep,
     directional_limit,

@@ -1,9 +1,10 @@
 """Fast reference solvers for the constant-coefficient Galerkin operator.
 
 The discrete operator is multilinear elements with one-point (cell
-center) quadrature.  Because every cell shares one Jacobian, the element
-geometry collapses to a single d x 2^d weight matrix ``grid.phi`` and the
-constant-coefficient operator is diagonalized exactly by fast transforms:
+center) quadrature.  Because every cell shares one Jacobian, the
+constant-coefficient operator is diagonalized exactly by fast transforms,
+and its symbol comes from the grid's own stencil passes (the difference and
+pair-sum passes of ``grid.phys_gradient`` and ``grid._gradient_map``):
 periodic lateral axes give a circulant structure (FFT), and the vertical
 axis leaves one Hermitian Toeplitz tridiagonal per lateral Fourier mode,
 which a phase twist and one DST-III / DST-II pair diagonalize.  The strip
@@ -25,10 +26,6 @@ import numpy as np
 __all__ = ["StripReferenceSolver", "TorusReferenceSolver"]
 
 
-def _element_matrix_identity(grid):
-    return grid.cellvol * (grid.phi.T @ grid.phi)
-
-
 def _mode_angles(shape, half=False):
     """Angles 2 pi k / n of the discrete Fourier modes, one meshgrid array per
     axis of ``shape``; ``half`` keeps only the n // 2 + 1 modes that rfftn
@@ -40,23 +37,50 @@ def _mode_angles(shape, half=False):
 
 
 def _stencil_symbol(grid, modes):
-    """Fourier symbol of the A = I element stencil, keyed by vertical offset.
+    """Fourier symbol of the A = I stencil, keyed by vertical offset.
 
     ``modes`` holds the mode angles of the leading, Fourier-transformed grid
-    axes.  Corner pairs are grouped by their offset along the next axis, so
-    a strip gets the bands {-1, 0, 1} of one vertical tridiagonal per mode;
-    when every axis is transformed the single key 0 holds the whole symbol.
+    axes.  The reference gradient along axis a is the forward difference
+    along a of the pair sums along every other axis: on a transformed axis
+    each pass multiplies a mode by e^{i theta} - 1 or e^{i theta} + 1, and on
+    the untransformed vertical axis of a strip by lo + hi z, z the shift by
+    one level.  The stencil is vol sigma^H (G^T G) sigma with G =
+    ``grid._gradient_map``; the pair (z^p, z^q) of coefficients of sigma
+    lands in band q - p, so a strip gets the bands {-1, 0, 1} of one vertical
+    tridiagonal per mode, and a torus, every axis transformed, the key 0.
     """
-    Ke = _element_matrix_identity(grid)
-    n = len(modes)
+    phases = [np.exp(1j * th) for th in modes]
+    vertical = len(phases) < grid.d
+    sigma = []  # per axis, the coefficients of z^0 and z^1
+    for a in range(grid.d):
+        lateral = 1.0
+        for b, z in enumerate(phases):
+            lateral = lateral * (z - 1.0 if b == a else z + 1.0)
+        if vertical:
+            sigma.append((-lateral if a == len(phases) else lateral, lateral))
+        else:
+            sigma.append((lateral,))
+    G = grid._gradient_map
+    M = grid.cellvol * (G.T @ G)
     bands = {}
-    for ci, c in enumerate(grid.corners):
-        for cj, c2 in enumerate(grid.corners):
-            diff = np.subtract(c2, c)
-            key = int(diff[n]) if n < grid.d else 0
-            phase = np.exp(1j * sum(k * th for k, th in zip(diff, modes)))
-            bands[key] = bands.get(key, 0.0) + Ke[ci, cj] * phase
+    for p in range(len(sigma[0])):
+        for q in range(len(sigma[0])):
+            band = sum(
+                M[a, b] * np.conj(sigma[a][p]) * sigma[b][q]
+                for a in range(grid.d) for b in range(grid.d)
+            )
+            bands[q - p] = bands.get(q - p, 0.0) + band
     return bands
+
+
+def _interior_diagonal(grid):
+    """Diagonal entry of the A = I operator at an interior node.
+
+    Each of the 2^d cells there adds vol |G s|^2, s the sign vector of the
+    node's corner and G = ``grid._gradient_map``; summed over the corners
+    the cross terms cancel, leaving vol 2^d sum G^2.
+    """
+    return grid.cellvol * 2.0**grid.d * float((grid._gradient_map**2).sum())
 
 
 class StripReferenceSolver:

@@ -282,10 +282,7 @@ def cmd_discontinuity_demo(cfg: ExperimentConfig, rep: Reporter) -> int:
     n_lat, n_vert = 128, 128
     grid = planar_strip_grid(T, R, n_lat, n_vert)
     reduced = op.reduced(np.array([0.0, 1.0, 0.0])) if hasattr(op, "reduced") else op
-    prob = StripProblem(
-        xi=None, operator=reduced, data=lambda c: 1.0 / 3.0 + np.cos(c[0]),
-        R=R, grid=grid, tau=tau,
-    )
+    prob = StripProblem(grid, reduced, lambda c: 1.0 / 3.0 + np.cos(c[0]), tau=tau)
     sol = solve_nonlinear(prob)
     pts = grid.node_coords()
     w = (1.0 / 3.0 + np.cos(pts[0])) * np.exp(-pts[1])

@@ -191,14 +191,10 @@ class LinearTensorField:
         return out
 
     def scale_argument(self, factor: int) -> "LinearTensorField":
-        ent = tuple(
-            tuple(
-                tuple(tuple(e.scale_argument(factor) for e in row_j) for row_j in row_i)
-                for row_i in row_b
-            )
-            for row_b in self.entries
+        return _tensor(
+            self.d, self.n_components,
+            lambda a, b, i, j: self.entries[a][b][i][j].scale_argument(factor), self.lam,
         )
-        return LinearTensorField(self.d, self.n_components, ent, self.lam)
 
     def is_symmetric(self, samples=64, seed=0):
         rng = np.random.default_rng(seed)
@@ -229,44 +225,27 @@ class LinearTensorField:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def identity_tensor(d, n_components=1, scale=1.0) -> LinearTensorField:
-    """Constant tensor A = scale * I (the Laplacian when scale = 1)."""
-    zero = constant_field(d, 0.0)
-    one = constant_field(d, scale)
+def _tensor(d, N, entry, lam) -> LinearTensorField:
+    """The field with entries[a][b][i][j] = entry(a, b, i, j)."""
     ent = tuple(
-        tuple(
-            tuple(
-                tuple(
-                    one if (a == b and i == j) else zero
-                    for j in range(n_components)
-                )
-                for i in range(n_components)
-            )
-            for b in range(d)
-        )
+        tuple(tuple(tuple(entry(a, b, i, j) for j in range(N)) for i in range(N)) for b in range(d))
         for a in range(d)
     )
-    return LinearTensorField(d, n_components, ent, lam=scale)
+    return LinearTensorField(d, N, ent, lam=lam)
+
+
+def identity_tensor(d, n_components=1, scale=1.0) -> LinearTensorField:
+    """Constant tensor A = scale * I (the Laplacian when scale = 1)."""
+    return isotropic_tensor(constant_field(d, scale), scale, n_components)
 
 
 def isotropic_tensor(profile: PeriodicFieldExpr, lam, n_components=1) -> LinearTensorField:
     """A(y) = a(y) * I for a scalar profile a."""
-    d = profile.d
-    zero = constant_field(d, 0.0)
-    ent = tuple(
-        tuple(
-            tuple(
-                tuple(
-                    profile if (a == b and i == j) else zero
-                    for j in range(n_components)
-                )
-                for i in range(n_components)
-            )
-            for b in range(d)
-        )
-        for a in range(d)
+    zero = constant_field(profile.d, 0.0)
+    return _tensor(
+        profile.d, n_components,
+        lambda a, b, i, j: profile if (a == b and i == j) else zero, lam,
     )
-    return LinearTensorField(d, n_components, ent, lam=lam)
 
 
 def laminate_tensor(d=2, amplitude=0.5, mean_scale=2.0 / 3.0, axis=0, n_components=1):

@@ -12,13 +12,13 @@ quadrature); this is part of the definition of the discrete operator.
 There the reference gradient along axis a is the forward difference along
 a of the nodal values averaged over every other axis, so ``phys_gradient``
 is d difference-and-average passes, one per axis, and ``scatter_flux`` is
-their exact transpose.  The per-corner description (``corners`` and the
-weights ``phi``) remains for the Fourier symbol of the reference solvers.
+their exact transpose.  These passes are the only description of the
+discrete operator: the reference solvers take its Fourier symbol from the
+same passes and ``_gradient_map``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -81,20 +81,12 @@ class _MeshBase:
     """
 
     def _setup(self, edges):
-        d = self.d
         self.edges = np.asarray(edges, dtype=float)  # columns are cell edge vectors
-        self.jacobian = self.edges
-        self.cellvol = abs(float(np.linalg.det(self.jacobian)))
-        self.grad_map = np.linalg.inv(self.jacobian).T  # ref gradient -> physical
-        self.corners = tuple(itertools.product((0, 1), repeat=d))
-        ref_weights = np.empty((d, 2**d))
-        for ci, c in enumerate(self.corners):
-            for ax in range(d):
-                ref_weights[ax, ci] = (1.0 if c[ax] else -1.0) / 2.0 ** (d - 1)
-        self.phi = self.grad_map @ ref_weights  # physical gradient weights per corner
+        self.cellvol = abs(float(np.linalg.det(self.edges)))
+        self.grad_map = np.linalg.inv(self.edges).T  # ref gradient -> physical
         # the passes below add and subtract without the 1/2 of each average,
         # which rides on the geometry factors instead
-        halves = 0.5 ** (d - 1)
+        halves = 0.5 ** (self.d - 1)
         self._gradient_map = self.grad_map * halves
         self._flux_map = self.grad_map.T * (self.cellvol * halves)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .assembly import StripReferenceSolver, TorusReferenceSolver
 from .errors import NonConvergedError, SolverFailureError
-from .fields import LinearTensorField, constant_field
+from .fields import LinearTensorField, _tensor, constant_field
 from .grid import TorusGrid, build_strip_grid
 from .solve import (
     StripProblem, _apply_tensor, _descent, _krylov_solve, _symmetric_cells, solve_linear,
@@ -44,17 +44,7 @@ def constant_tensor(A0, lam) -> LinearTensorField:
     """Wrap a constant (d, d, N, N) array as a LinearTensorField."""
     A0 = np.asarray(A0, dtype=float)
     d, _, N, _ = A0.shape
-    ent = tuple(
-        tuple(
-            tuple(
-                tuple(constant_field(d, A0[a, b, i, j]) for j in range(N))
-                for i in range(N)
-            )
-            for b in range(d)
-        )
-        for a in range(d)
-    )
-    return LinearTensorField(d, N, ent, lam=lam)
+    return _tensor(d, N, lambda a, b, i, j: constant_field(d, A0[a, b, i, j]), lam)
 
 
 @dataclass
@@ -187,15 +177,15 @@ class EffectiveMapSampler:
     so the cache only ever holds unit directions in that case.
     """
 
-    def __init__(self, op, h_cell=None, tau=0.0, quantum=1e-6):
+    def __init__(self, op, h_cell=None, tau=0.0):
         self.op = op
         self.h_cell = h_cell
         self.tau = tau
-        self.quantum = quantum
         self._cache = {}
 
     def _key(self, p):
-        return tuple(np.round(np.asarray(p) / self.quantum).astype(np.int64).tolist())
+        # gradients that agree to 1e-6 share a sample
+        return tuple(np.round(np.asarray(p) / 1e-6).astype(np.int64).tolist())
 
     def sample(self, p) -> EffectiveMapSample:
         p = np.asarray(p, dtype=float)
@@ -245,7 +235,7 @@ def epsilon_refinement_study(
             grid = build_strip_grid(xi, 0.0, R, h=h)
             ref = StripReferenceSolver(grid)
             u_eps, u_hom = (
-                solve_linear(StripProblem(xi=xi, operator=A, data=data, R=R, grid=grid), ref)
+                solve_linear(StripProblem(grid, A, data), ref)
                 for A in (A_eps, A0f)
             )
             err = float(np.abs(u_eps.values - u_hom.values).max())

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .assembly import StripReferenceSolver
+from .grid import build_strip_grid
 from .lattice import RationalDirection
 from .solve import StripProblem, solve_strip
 
@@ -125,9 +126,7 @@ def _reference_solver(solvers, grid):
     return ref
 
 
-def ladder_limit(
-    problem_for_height, ladder, tolerance, stop_on_tolerance=True, min_rungs=2, solvers=None
-):
+def ladder_limit(problem_for_height, ladder, tolerance, stop_on_tolerance=True, solvers=None):
     """Run strip solves over a height ladder and extract the far field.
 
     ``problem_for_height`` maps a height R to a StripProblem.  A rung
@@ -143,13 +142,11 @@ def ladder_limit(
     rungs = []
     for R in ladder:
         problem = problem_for_height(R)
-        grid = problem.build_grid()
         prev = solutions[-1] if solutions else None
-        warm = prev is not None and _nests(prev.grid, grid)
-        # the solver continues the lower rung upward by its top slice
-        start = prev.values if warm else problem.start
-        problem = replace(problem, grid=grid, start=start)
-        sol = solve_strip(problem, _reference_solver(solvers, grid))
+        warm = prev is not None and _nests(prev.grid, problem.grid)
+        if warm:  # the solver continues the lower rung upward by its top slice
+            problem = replace(problem, start=prev.values)
+        sol = solve_strip(problem, _reference_solver(solvers, problem.grid))
         solutions.append(sol)
         mean, osc = slice_stats(sol.top_slice())
         heights.append(float(R))
@@ -157,7 +154,8 @@ def ladder_limit(
         oscs.append(osc)
         iters += sol.iterations
         rungs.append({"R": float(R), "iterations": sol.iterations, "warm": warm})
-        if stop_on_tolerance and len(heights) >= min_rungs and osc <= tolerance:
+        # two rungs at least: the error bar compares the last two
+        if stop_on_tolerance and len(heights) > 1 and osc <= tolerance:
             break
     value = means[-1]
     ladder_term = float(np.max(np.abs(means[-1] - means[-2]))) if len(means) > 1 else 0.0
@@ -236,10 +234,8 @@ def boundary_layer_limit(
         h = min(0.125, M / 16.0)
 
     def make(R):
-        return StripProblem(
-            xi=xi, operator=operator, data=data, R=R, s=s,
-            tau=tau, rtol=rtol, **_mesh_for(xi, R, h, R_ladder[0]),
-        )
+        grid = build_strip_grid(xi, s, R, **_mesh_for(xi, R, h, R_ladder[0]))
+        return StripProblem(grid, operator, data, tau=tau, rtol=rtol)
 
     result, solutions = ladder_limit(
         make, R_ladder, tolerance, stop_on_tolerance, solvers=solvers

@@ -156,18 +156,16 @@ class SvgPlot:
         )
 
 
-def svg_panels(panels, ncols=1):
-    """Compose several SvgPlot objects into one SVG document."""
-    n = len(panels)
-    nrows = (n + ncols - 1) // ncols
+def svg_panels(panels):
+    """Compose several SvgPlot objects into one SVG document, one per row."""
     W, H = SvgPlot.W, SvgPlot.H
+    n = len(panels)
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{ncols * W}" '
-        f'height="{nrows * H}" viewBox="0 0 {ncols * W} {nrows * H}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" '
+        f'height="{n * H}" viewBox="0 0 {W} {n * H}">'
     ]
     for i, p in enumerate(panels):
-        r, c = divmod(i, ncols)
-        parts.append(p.render(x_offset=c * W, y_offset=r * H))
+        parts.append(p.render(y_offset=i * H))
     parts.append("</svg>\n")
     return "\n".join(parts)
 
@@ -220,15 +218,13 @@ class Reporter:
     def write_svg(self, name, svg_text):
         return self.write_text(name, svg_text)
 
-    def finalize(self, extra=None):
+    def finalize(self):
         manifest = {
             "artifact_version": self.version,
             "config_hash": config_hash(self.config) if self.config is not None else None,
             "files": sorted(self.files),
             "timings_seconds": {k: round(v, 6) for k, v in self.timings.items()},
         }
-        if extra:
-            manifest.update(extra)
         path = os.path.join(self.out_dir, "manifest.json")
         with open(path, "w", encoding="utf-8") as f:
             f.write(canonical_json(manifest))
@@ -239,7 +235,7 @@ def _solution_chunks(solution):
     """The solution file in pieces, each ending in a newline: the header,
     then the node rows of one first-lateral-index slab at a time."""
     prob = solution.problem
-    op_hash = hashlib.sha256(canonical_json(prob.describe()["operator"]).encode()).hexdigest()[:16]
+    op_hash = hashlib.sha256(canonical_json(prob.operator.describe()).encode()).hexdigest()[:16]
     grid = solution.grid
     lines = []
     lines.append("# effbc strip solution v1")

@@ -33,7 +33,6 @@ from .solve import StripProblem
 
 __all__ = [
     "DirectionalLimit",
-    "SecondCellProblem",
     "SweepReport",
     "directional_limit",
     "eta_independence_check",
@@ -53,27 +52,6 @@ class DirectionalLimit:
     heights_used: list = field(default_factory=list)
     converged: bool = True
     diagnostics: dict = field(default_factory=dict)
-
-
-@dataclass
-class SecondCellProblem:
-    """Half-space problem for the effective operator with profile data.
-
-    The boundary data profile(x . eta) is periodic along eta with the
-    profile period and invariant under every translation orthogonal to
-    both xi and eta, so the solve depends on two variables only; calling
-    ``solve`` runs that reduction.
-    """
-
-    xi: RationalDirection
-    eta: np.ndarray
-    profile: ShiftProfile
-    effective: object
-
-    def solve(self, tolerance=1e-8, **kwargs) -> "DirectionalLimit":
-        return directional_limit(
-            self.xi, self.eta, self.profile, self.effective, tolerance, **kwargs
-        )
 
 
 def reduce_tensor(A0, eta, xi_hat):
@@ -114,7 +92,7 @@ class _ReducedMonotone:
         return {"kind": "reduced", "base": self._op.describe(), "Q": self._Q.tolist()}
 
 
-def _reduced_operator(effective, eta, xi_hat, lam_default=0.1):
+def _reduced_operator(effective, eta, xi_hat):
     """Build the 2-d operator of the reduction from whatever was given."""
     if isinstance(effective, HomogenizedTensor):
         red = reduce_tensor(effective.A0, eta, xi_hat)
@@ -123,8 +101,6 @@ def _reduced_operator(effective, eta, xi_hat, lam_default=0.1):
         # must be constant already (an effective tensor)
         A0 = effective(np.zeros((effective.d, 1)))[..., 0]
         return constant_tensor(reduce_tensor(A0, eta, xi_hat), lam=effective.lam), True
-    if isinstance(effective, np.ndarray):
-        return constant_tensor(reduce_tensor(effective, eta, xi_hat), lam=lam_default), True
     if hasattr(effective, "reduced"):
         return effective.reduced(np.asarray(eta, dtype=float)), False
     if hasattr(effective, "flux"):
@@ -156,7 +132,6 @@ def directional_limit(
     n_lat=None,
     tau=0.0,
     max_factor=64,
-    interp=None,
     solvers=None,
 ) -> DirectionalLimit:
     """Limit along approach direction eta of the reduced effective problem.
@@ -173,8 +148,7 @@ def directional_limit(
     if abs(float(eta @ xi.xi)) > 1e-9:
         raise EffbcError("eta must be orthogonal to xi")
     op2, is_linear = _reduced_operator(effective, eta, xi.xi_hat)
-    if interp is None:
-        interp = "cubic" if is_linear else "linear"
+    interp = "cubic" if is_linear else "linear"
     data = _profile_data(profile, interp)
     T = profile.period
     if n_lat is None:
@@ -183,9 +157,8 @@ def directional_limit(
     ladder = doubling_ladder(4.0 * T, max_factor * T)
 
     def make(R):
-        n_vert = int(round(R / h_t))
-        grid = planar_strip_grid(T, R, n_lat, n_vert)
-        return StripProblem(xi=None, operator=op2, data=data, R=R, grid=grid, tau=tau)
+        grid = planar_strip_grid(T, R, n_lat, int(round(R / h_t)))
+        return StripProblem(grid, op2, data, tau=tau)
 
     result, _ = ladder_limit(make, ladder, tolerance, solvers=solvers)
     bar = result.error_bar + profile.max_error_bar + profile.interpolation_gap()
@@ -245,8 +218,6 @@ def predict_phi_star(
     h=None,
     tau=0.0,
     effective=None,
-    angle_prefactor=None,
-    angle_exponent=0.5,
     n_lat=None,
 ) -> PredictedValue:
     """Far-field value at an arbitrary direction via a rational approximant.
@@ -254,9 +225,9 @@ def predict_phi_star(
     Chain: Dirichlet approximation -> approach split -> shift profile ->
     reduced directional limit.  For rational n the angle epsilon vanishes
     and the result is exactly the directional limit of its own direction;
-    otherwise the bar carries an extra fitted-prefactor angle term
-    C |xi|^alpha eps^alpha (the constants are not pinned by theory, the
-    prefactor defaults to the gradient bound of the data).
+    otherwise the bar carries an extra angle term C |xi|^(1/2) eps^(1/2)
+    (the constants are not pinned by theory; C is the gradient bound of the
+    data, or 1 when it has none).
     """
     n = np.asarray(n, dtype=float)
     ap = dirichlet_approximate(n, Q)
@@ -278,14 +249,11 @@ def predict_phi_star(
         else:
             raise EffbcError("pass a precomputed effective operator for this case")
     lim = directional_limit(xi, dec.eta, profile, effective, tolerance, tau=tau, n_lat=n_lat)
-    if angle_prefactor is None:
-        angle_prefactor = data.grad_sup_bound() if hasattr(data, "grad_sup_bound") else 1.0
     angle_term = 0.0
     provenance = "rational"
     if dec.epsilon > 1e-13:
-        angle_term = float(
-            angle_prefactor * xi.norm**angle_exponent * dec.epsilon**angle_exponent
-        )
+        C = data.grad_sup_bound() if hasattr(data, "grad_sup_bound") else 1.0
+        angle_term = float(C * xi.norm**0.5 * dec.epsilon**0.5)
         provenance = "prediction"
     return PredictedValue(
         n=n,

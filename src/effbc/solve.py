@@ -55,11 +55,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import StripReferenceSolver, _element_matrix_identity
+from .assembly import StripReferenceSolver, _interior_diagonal
 from .errors import NonConvergedError, SolverFailureError
 from .fields import LinearTensorField, PeriodicFieldExpr, evaluate_field
-from .grid import StripGrid, build_strip_grid
-from .lattice import RationalDirection
+from .grid import StripGrid
 
 __all__ = [
     "StripProblem",
@@ -68,7 +67,6 @@ __all__ = [
     "solve_linear",
     "solve_nonlinear",
     "discrete_residual",
-    "top_slice",
 ]
 
 # accepted steps that the monotone fixed point mixes (Anderson depth)
@@ -77,22 +75,13 @@ ANDERSON_DEPTH = 3
 
 @dataclass
 class StripProblem:
-    """One truncated half-space solve: geometry, operator, data, knobs.
+    """One truncated half-space solve: grid, operator, data, knobs."""
 
-    Either ``xi`` plus mesh knobs describe the strip, or a prebuilt
-    ``grid`` (planar reduced problems) is injected directly.
-    """
-
-    xi: RationalDirection
+    grid: StripGrid
     operator: object
     data: object
-    R: float
-    h: float = None
-    cells: tuple = None
-    s: float = 0.0
     tau: float = 0.0
     rtol: float = 1e-10
-    grid: StripGrid = None
     # optional initial iterate (N, *lat, n) on this grid, n <= levels; levels
     # above n repeat its top slice (so a lower ladder rung's values serve
     # as they are), and its Dirichlet rows are replaced by the lift's
@@ -103,24 +92,6 @@ class StripProblem:
         if isinstance(self.operator, LinearTensorField):
             return self.operator.n_components
         return 1
-
-    def build_grid(self) -> StripGrid:
-        if self.grid is not None:
-            return self.grid
-        return build_strip_grid(self.xi, self.s, self.R, h=self.h, cells=self.cells)
-
-    def describe(self):
-        data = self.data.describe() if hasattr(self.data, "describe") else repr(self.data)
-        return {
-            "xi": self.xi.xi.tolist() if self.xi is not None else None,
-            "s": self.s,
-            "R": self.R,
-            "h": self.h,
-            "cells": list(self.cells) if self.cells else None,
-            "tau": self.tau,
-            "operator": self.operator.describe(),
-            "data": data,
-        }
 
 
 @dataclass
@@ -141,10 +112,6 @@ class StripSolution:
 
     def top_slice(self):
         return self.values[..., -1]
-
-
-def top_slice(solution):
-    return solution.top_slice()
 
 
 def boundary_values(problem, grid):
@@ -222,7 +189,11 @@ def _norm(u):
 
 def _pcg(matvec, precond, b, rtol, cap, ref_norm):
     """Preconditioned CG from x = 0 to residual rtol * ref_norm; returns x and
-    the residual (recursive) relative to ref_norm after each iteration."""
+    the residual (recursive) relative to ref_norm after each iteration.
+
+    A breakdown (r . z or p . q zero) stops the loop and leaves the verdict
+    to the caller's true-residual gate.
+    """
     x = np.zeros_like(b)
     r = b.copy()
     target = rtol * ref_norm
@@ -231,13 +202,18 @@ def _pcg(matvec, precond, b, rtol, cap, ref_norm):
     for _ in range(cap):
         z = precond(r)
         rho = _dot(r, z)
+        if not rho:
+            break
         if p is None:
             p = z
         else:
             p *= rho / rho_prev
             p += z
         q = matvec(p)
-        alpha = rho / _dot(p, q)
+        pq = _dot(p, q)
+        if not pq:
+            break
+        alpha = rho / pq
         x += alpha * p
         r -= alpha * q
         rho_prev = rho
@@ -363,7 +339,7 @@ def solve_linear(problem: StripProblem, ref=None) -> StripSolution:
     op = problem.operator
     if not isinstance(op, LinearTensorField):
         raise ValueError("solve_linear needs a LinearTensorField operator")
-    grid = problem.build_grid()
+    grid = problem.grid
     if ref is None:
         ref = StripReferenceSolver(grid)
     U0 = ref.lift(boundary_values(problem, grid))
@@ -376,8 +352,7 @@ def solve_linear(problem: StripProblem, ref=None) -> StripSolution:
     r0 = _zero_fixed(-full)
     rnorm0 = _norm(r0)
     # of the order of the largest diagonal entry of the assembled matrix
-    Ke = _element_matrix_identity(grid)
-    diag = float(np.abs(A).max()) * 2**grid.d * float(Ke.diagonal().max())
+    diag = float(np.abs(A).max()) * _interior_diagonal(grid)
     scale = max(_norm(full), diag * _norm(U0), 1e-30)
     if rnorm0 <= 1e-12 * scale:
         # the harmonic-extension start already solves the discrete system
@@ -664,7 +639,7 @@ def solve_nonlinear(problem: StripProblem, ref=None) -> StripSolution:
     op = problem.operator
     if isinstance(op, LinearTensorField):
         raise ValueError("use solve_linear for tensor operators")
-    grid = problem.build_grid()
+    grid = problem.grid
     if ref is None:
         ref = StripReferenceSolver(grid)
     U0 = ref.lift(boundary_values(problem, grid))

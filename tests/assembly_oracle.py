@@ -3,8 +3,12 @@
 The library applies every operator matrix free (``grid.scatter_flux`` of
 the cell flux of ``grid.phys_gradient``).  The tests check it against the
 textbook construction kept here: per cell the element matrix
-phi^T A phi * vol, scattered to the global nodes of the cell's 2^d corners
-and summed by a COO -> CSR conversion.  scipy is a test-only dependency.
+phi^T A phi * vol, phi the physical gradient weight of each of the cell's
+2^d corners, scattered to the corners' global nodes and summed by a
+COO -> CSR conversion.  scipy is a test-only dependency.  The same corner
+weights give ``corner_symbol``, the Fourier symbol of the A = I element
+stencil summed over corner pairs, the oracle of the reference solvers'
+symbol, which the library takes from the stencil passes.
 
 ``lift`` is the stencil form of the reference solver's harmonic extension:
 the residual of the repeated bottom from one gradient / scatter pair, then
@@ -13,8 +17,41 @@ a full reference solve.  The library builds the same residual in mode space.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import scipy.sparse as sp
+
+
+def corners(d):
+    """The 2^d corners of a cell as 0/1 offsets per axis."""
+    return tuple(itertools.product((0, 1), repeat=d))
+
+
+def corner_weights(grid):
+    """Physical gradient weight of each cell corner, (d, 2^d): the cell
+    gradient is sum_c phi[:, c] U(corner c)."""
+    d = grid.d
+    ref = np.array([[(1.0 if c[ax] else -1.0) for c in corners(d)] for ax in range(d)])
+    return grid.grad_map @ ref / 2.0 ** (d - 1)
+
+
+def corner_symbol(grid, modes):
+    """Fourier symbol of the A = I element stencil summed over corner pairs,
+    keyed by the offset along the first untransformed axis (0 when ``modes``
+    covers every axis)."""
+    phi = corner_weights(grid)
+    Ke = grid.cellvol * (phi.T @ phi)
+    n = len(modes)
+    cs = corners(grid.d)
+    bands = {}
+    for ci, c in enumerate(cs):
+        for cj, c2 in enumerate(cs):
+            diff = np.subtract(c2, c)
+            key = int(diff[n]) if n < grid.d else 0
+            phase = np.exp(1j * sum(k * th for k, th in zip(diff, modes)))
+            bands[key] = bands.get(key, 0.0) + Ke[ci, cj] * phase
+    return bands
 
 
 def gather_corner(grid, U, c):
@@ -37,7 +74,7 @@ def gather_corner(grid, U, c):
 def corner_node_ids(grid):
     """Global node index of each cell corner: array (2^d, n_cells)."""
     ids = np.arange(grid.n_nodes).reshape(grid.node_shape)
-    return np.stack([gather_corner(grid, ids, c).ravel() for c in grid.corners])
+    return np.stack([gather_corner(grid, ids, c).ravel() for c in corners(grid.d)])
 
 
 def assemble_matrix(grid, tensor):
@@ -50,7 +87,7 @@ def assemble_matrix(grid, tensor):
     nn = grid.n_nodes
     A = tensor(grid.cell_centers())  # (d, d, N, N, *cells)
     A = A.reshape(A.shape[:4] + (-1,))  # flatten cells
-    phi = grid.phi
+    phi = corner_weights(grid)
     vals = np.einsum("ac,abijs,bd->sicjd", phi, A, phi, optimize=True) * grid.cellvol
     cid = corner_node_ids(grid)  # (2^d, ncells)
     comp = np.arange(N) * nn

@@ -19,6 +19,7 @@ from effbc import (
     StripProblem,
     StripSolution,
     boundary_layer_limit,
+    build_strip_grid,
     cosine_field,
     directional_limit,
     discrete_residual,
@@ -60,10 +61,7 @@ def _gap_certificate(n_lat, n_vert, tau):
     """
     T, R = 2.0 * math.pi, 8.0
     grid = planar_strip_grid(T, R, n_lat, n_vert)
-    prob = StripProblem(
-        xi=None, operator=KinkPotential2D(),
-        data=lambda c: 1.0 / 3.0 + np.cos(c[0]), R=R, grid=grid, tau=tau,
-    )
+    prob = StripProblem(grid, KinkPotential2D(), lambda c: 1.0 / 3.0 + np.cos(c[0]), tau=tau)
     sol = solve_nonlinear(prob)
     pts = grid.node_coords()
     w = (1.0 / 3.0 + np.cos(pts[0])) * np.exp(-pts[1])
@@ -91,8 +89,8 @@ def test_criterion_1_closed_form_residual_order():
     hs = (1 / 16, 1 / 32, 1 / 64)
     rms, sup = [], []
     for h in hs:
-        prob = StripProblem(xi=xi3, operator=RootKinkOperator(), data=None, R=1.0, h=h)
-        g = prob.build_grid()
+        prob = StripProblem(build_strip_grid(xi3, 0.0, 1.0, h=h), RootKinkOperator(), None)
+        g = prob.grid
         pts = g.node_coords()
         U = ((1.0 / 3.0 + np.cos(2 * np.pi * pts[0])) * np.exp(-2 * np.pi * pts[2]))[None]
         res = discrete_residual(StripSolution(prob, g, U, 0.0, 0))
@@ -278,7 +276,7 @@ def test_criterion_9_property_suites(tmp_path, certificates):
     data = make_field(2, terms=[(1.0, [1, 1], "cos")], constant=1 / 3)
     from effbc import solve_linear
 
-    sol = solve_linear(StripProblem(xi=xi_e2, operator=lam2, data=data, R=2.0, h=1 / 16))
+    sol = solve_linear(StripProblem(build_strip_grid(xi_e2, 0.0, 2.0, h=1 / 16), lam2, data))
     mp = (
         sol.values[..., 1:].max() <= sol.values[..., 0].max() + 1e-10
         and sol.values[..., 1:].min() >= sol.values[..., 0].min() - 1e-10
@@ -289,8 +287,7 @@ def test_criterion_9_property_suites(tmp_path, certificates):
     # energy descent on a kink solve
     g = planar_strip_grid(1.0, 2.0, 16, 32)
     prob = StripProblem(
-        xi=None, operator=KinkPotential2D(),
-        data=lambda c: 1 / 3 + np.cos(2 * np.pi * c[0]), R=2.0, grid=g, tau=1 / 16,
+        g, KinkPotential2D(), lambda c: 1 / 3 + np.cos(2 * np.pi * c[0]), tau=1 / 16
     )
     nsol = solve_nonlinear(prob)
     tr = nsol.energy_trace

@@ -6,7 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from effbc import ConfigError, identity_tensor, make_field, make_rational_direction
+from effbc import (
+    ConfigError, build_strip_grid, identity_tensor, make_field, make_rational_direction,
+)
 from effbc.cli import main
 from effbc.config import load_config, parse_field, parse_operator
 from effbc.fields import LinearTensorField
@@ -459,9 +461,11 @@ def test_streamed_solution_text_is_the_joined_text(tmp_path):
     import io
 
     prob = StripProblem(
-        xi=make_rational_direction([1, 2]), operator=identity_tensor(2),
-        data=make_field(2, terms=[(1.0, [1, 1], "cos")], constant=0.25),
-        R=math.sqrt(5.0) / 5.0, h=math.sqrt(5.0) / 20.0,
+        build_strip_grid(
+            make_rational_direction([1, 2]), 0.0, math.sqrt(5.0) / 5.0, h=math.sqrt(5.0) / 20.0
+        ),
+        identity_tensor(2),
+        make_field(2, terms=[(1.0, [1, 1], "cos")], constant=0.25),
     )
     sol = solve_strip(prob)
     stream = io.StringIO()
@@ -503,9 +507,8 @@ def test_solution_text_matches_per_node_loop(v, N, h):
     xi = make_rational_direction(v)
     d = len(v)
     prob = StripProblem(
-        xi=xi, operator=identity_tensor(d, n_components=N),
-        data=make_field(d, terms=[(1.0, [1] * d, "cos")], constant=0.25, n_components=N),
-        R=4 * h, h=h,
+        build_strip_grid(xi, 0.0, 4 * h, h=h), identity_tensor(d, n_components=N),
+        make_field(d, terms=[(1.0, [1] * d, "cos")], constant=0.25, n_components=N),
     )
     sol = solve_strip(prob)
     specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324, -1.0 / 3.0, 1e300, 12345678.0]

@@ -19,6 +19,7 @@ from effbc import (
     ReducedRootKink,
     RootKinkOperator,
     StripProblem,
+    build_strip_grid,
     cosine_field,
     make_rational_direction,
     planar_strip_grid,
@@ -35,7 +36,7 @@ from effbc.solve import (
 
 
 def run(problem, depth, maxiter=2000):
-    grid = problem.build_grid()
+    grid = problem.grid
     ref = StripReferenceSolver(grid)
     U0 = ref.lift(boundary_values(problem, grid))
     U, iters, trace, rsup = _fixed_point_monotone(
@@ -73,9 +74,8 @@ def reduced_problem(mu, tau, n_lat=16, n_vert=32, amp=1.0, freq=1):
     T, R = 1.0, n_vert / 16.0
     grid = planar_strip_grid(T, R, n_lat, n_vert)
     return StripProblem(
-        xi=None, operator=ReducedRootKink(mu),
-        data=lambda c: amp / 3.0 + amp * np.cos(2 * np.pi * freq * c[0]),
-        R=R, grid=grid, tau=tau,
+        grid, ReducedRootKink(mu),
+        lambda c: amp / 3.0 + amp * np.cos(2 * np.pi * freq * c[0]), tau=tau,
     )
 
 
@@ -100,7 +100,7 @@ def test_root_kink_3d_matches_damped_oracle():
     xi3 = make_rational_direction([0, 0, 1])
     data = cosine_field(3, [1, 0, 0], constant=1.0 / 3.0)
     problem = StripProblem(
-        xi=xi3, operator=RootKinkOperator(), data=data, R=1.0, h=1 / 8, tau=1 / 64
+        build_strip_grid(xi3, 0.0, 1.0, h=1 / 8), RootKinkOperator(), data, tau=1 / 64
     )
     assert check_against_oracle(problem) == 36
 
@@ -122,8 +122,5 @@ def test_wide_spectrum_map_matches_damped_oracle(amp):
     # where tanh bends; an unguarded mix raises the preconditioned norm here
     op = DirectMap(lambda p: p + 2.0 * np.tanh(5.0 * p), 2, lam=1.0, lip=11.0)
     grid = planar_strip_grid(1.0, 2.0, 16, 32)
-    problem = StripProblem(
-        xi=None, operator=op, data=lambda c: amp * np.cos(2 * np.pi * c[0]),
-        R=2.0, grid=grid, tau=0.0,
-    )
+    problem = StripProblem(grid, op, lambda c: amp * np.cos(2 * np.pi * c[0]), tau=0.0)
     check_against_oracle(problem)

@@ -51,6 +51,18 @@ def test_torus_solve_fails_loudly_below_rounding(laminate2, symmetric):
     assert exc.value.trace and exc.value.residual > 1e-28
 
 
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_torus_solve_breakdown_fails_loudly(laminate2, symmetric):
+    # a constant right-hand side is the preconditioner's null mode, so
+    # r . z vanishes at once: the true-residual gate fails it, not a division
+    grid = TorusGrid(2, 16)
+    Ac = laminate2(grid.cell_centers())
+    b = np.ones((1,) + grid.node_shape)
+    with pytest.raises(SolverFailureError) as exc:
+        _torus_linear_solve(grid, Ac, TorusReferenceSolver(grid), b, symmetric)
+    assert exc.value.residual == pytest.approx(1.0)
+
+
 def test_corrector_gauge_zero_mean(laminate2):
     hom = homogenize_linear(laminate2, h_cell=1 / 32)
     assert hom.corrector_means() <= 1e-12

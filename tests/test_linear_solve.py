@@ -7,6 +7,7 @@ from effbc import (
     LinearTensorField,
     SolverFailureError,
     StripProblem,
+    build_strip_grid,
     constant_field,
     cosine_field,
     identity_tensor,
@@ -19,9 +20,7 @@ from effbc import (
 def closed_form_error(h, R=3.0):
     # the harmonic function with a natural top: d/dz vanishes at z = R
     xi = make_rational_direction([0, 1])
-    p = StripProblem(
-        xi=xi, operator=identity_tensor(2), data=cosine_field(2, [1, 0]), R=R, h=h
-    )
+    p = StripProblem(build_strip_grid(xi, 0.0, R, h=h), identity_tensor(2), cosine_field(2, [1, 0]))
     sol = solve_linear(p)
     pts = sol.grid.node_coords()
     exact = (
@@ -39,7 +38,9 @@ def test_laplace_strip_closed_form_second_order():
 
 
 def test_constant_data_exact_for_any_tensor(laminate2, xi_e2):
-    p = StripProblem(xi=xi_e2, operator=laminate2, data=constant_field(2, 0.37), R=2.0, h=1 / 16)
+    p = StripProblem(
+        build_strip_grid(xi_e2, 0.0, 2.0, h=1 / 16), laminate2, constant_field(2, 0.37)
+    )
     sol = solve_linear(p)
     assert np.abs(sol.values - 0.37).max() == 0.0
     assert sol.iterations == 0
@@ -60,10 +61,10 @@ def test_two_component_decoupled_blocks(xi_e2):
     data = make_field(
         2, terms=[([1.0, 1.0], [1, 0], "cos")], constant=[0.0, 0.0], n_components=2
     )
-    p2 = StripProblem(xi=xi_e2, operator=A2, data=data, R=1.0, h=1 / 16)
+    p2 = StripProblem(build_strip_grid(xi_e2, 0.0, 1.0, h=1 / 16), A2, data)
     sol2 = solve_linear(p2)
     p1 = StripProblem(
-        xi=xi_e2, operator=identity_tensor(2), data=cosine_field(2, [1, 0]), R=1.0, h=1 / 16
+        build_strip_grid(xi_e2, 0.0, 1.0, h=1 / 16), identity_tensor(2), cosine_field(2, [1, 0])
     )
     sol1 = solve_linear(p1)
     assert np.abs(sol2.values[0] - sol1.values[0]).max() <= 1e-10
@@ -71,7 +72,7 @@ def test_two_component_decoupled_blocks(xi_e2):
 
 
 def test_discrete_maximum_principle(laminate2, xi_e2, data_diag):
-    p = StripProblem(xi=xi_e2, operator=laminate2, data=data_diag, R=2.0, h=1 / 16)
+    p = StripProblem(build_strip_grid(xi_e2, 0.0, 2.0, h=1 / 16), laminate2, data_diag)
     sol = solve_linear(p)
     bottom = sol.values[..., 0]
     interior = sol.values[..., 1:]
@@ -84,7 +85,7 @@ def test_discrete_maximum_principle(laminate2, xi_e2, data_diag):
 
 
 def test_linf_bound_scalar(laminate2, xi_e2, data_diag):
-    p = StripProblem(xi=xi_e2, operator=laminate2, data=data_diag, R=2.0, h=1 / 16)
+    p = StripProblem(build_strip_grid(xi_e2, 0.0, 2.0, h=1 / 16), laminate2, data_diag)
     sol = solve_linear(p)
     data_sup = np.abs(sol.values[..., 0]).max()
     assert np.abs(sol.values).max() <= (1.0 + 1e-10) * data_sup
@@ -117,7 +118,7 @@ def test_linf_bound_system_stable_under_refinement(xi_e2):
     )
     cs = []
     for h in (1 / 8, 1 / 16):
-        p = StripProblem(xi=xi_e2, operator=A, data=data, R=2.0, h=h)
+        p = StripProblem(build_strip_grid(xi_e2, 0.0, 2.0, h=h), A, data)
         sol = solve_linear(p)
         c = np.abs(sol.values).max() / np.abs(sol.values[..., 0]).max()
         cs.append(c)
@@ -152,15 +153,15 @@ def test_lateral_shift_equivariance(xi_e2):
     )
     A = isotropic_tensor(prof, lam=1.0 / 3.0)
     A_shift = isotropic_tensor(shifted_field(m * h), lam=1.0 / 3.0)
-    p0 = StripProblem(xi=xi_e2, operator=A, data=data, R=1.0, h=h)
-    p1 = StripProblem(xi=xi_e2, operator=A_shift, data=data_shift, R=1.0, h=h)
+    p0 = StripProblem(build_strip_grid(xi_e2, 0.0, 1.0, h=h), A, data)
+    p1 = StripProblem(build_strip_grid(xi_e2, 0.0, 1.0, h=h), A_shift, data_shift)
     u0 = solve_linear(p0).values[0]
     u1 = solve_linear(p1).values[0]
     # lateral axis points along -e1 for xi = (0, 1), so the physical shift
     # by +m h e1 is an index shift by -m
     assert np.abs(np.roll(u0, m, axis=0) - u1).max() <= 1e-9
     # full-period shift is the identity, exactly
-    p_full = StripProblem(xi=xi_e2, operator=A, data=data, R=1.0, h=h)
+    p_full = StripProblem(build_strip_grid(xi_e2, 0.0, 1.0, h=h), A, data)
     assert np.array_equal(solve_linear(p_full).values, u0[None])
 
 
@@ -177,9 +178,7 @@ def test_solver_failure_raises_with_trace(monkeypatch, laminate2, xi_e2, data_co
         return solve(self, r)
 
     monkeypatch.setattr(StripReferenceSolver, "solve", counted)
-    p = StripProblem(
-        xi=xi_e2, operator=laminate2, data=data_cos1, R=2.0, h=1 / 16, rtol=1e-30
-    )
+    p = StripProblem(build_strip_grid(xi_e2, 0.0, 2.0, h=1 / 16), laminate2, data_cos1, rtol=1e-30)
     with pytest.raises(SolverFailureError) as exc:
         solve_linear(p)
     trace = exc.value.trace

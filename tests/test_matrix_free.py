@@ -21,6 +21,7 @@ from effbc import (
     LinearTensorField,
     SolverFailureError,
     StripProblem,
+    build_strip_grid,
     make_field,
     make_rational_direction,
     planar_strip_grid,
@@ -113,7 +114,7 @@ def strip_problem(grid, tensor, rng):
         d, terms=[(rng.uniform(0.5, 1.0, N), rng.integers(-2, 3, size=d).tolist(), "cos")],
         constant=rng.uniform(-1, 1, N), n_components=N,
     )
-    return StripProblem(xi=None, operator=tensor, data=data, R=grid.R, grid=grid)
+    return StripProblem(grid, tensor, data)
 
 
 @settings(max_examples=40, deadline=None)
@@ -156,7 +157,8 @@ def test_solve_linear_never_assembles(laminate2, xi_e2, data_diag):
     rng = np.random.default_rng(3)
     for symmetric in (True, False):
         tensor = laminate2 if symmetric else random_tensor(rng, 2, 1, False)
-        sol = solve_linear(StripProblem(xi=xi_e2, operator=tensor, data=data_diag, R=1.0, h=1 / 16))
+        grid = build_strip_grid(xi_e2, 0.0, 1.0, h=1 / 16)
+        sol = solve_linear(StripProblem(grid, tensor, data_diag))
         assert sol.iterations > 0 and sol.residual_norm <= 1e-9
 
 

@@ -10,6 +10,7 @@ from effbc import (
     RootKinkOperator,
     StripProblem,
     StripSolution,
+    build_strip_grid,
     cosine_field,
     discrete_residual,
     make_rational_direction,
@@ -25,9 +26,9 @@ from effbc.solve import _masked_residual, nonlinear_energy
 
 
 def test_quadratic_potential_matches_linear_path(laminate2, xi_e2, data_cos1):
-    pL = StripProblem(xi=xi_e2, operator=laminate2, data=data_cos1, R=1.0, h=1 / 16)
+    pL = StripProblem(build_strip_grid(xi_e2, 0.0, 1.0, h=1 / 16), laminate2, data_cos1)
     pN = StripProblem(
-        xi=xi_e2, operator=QuadraticPotential(laminate2), data=data_cos1, R=1.0, h=1 / 16
+        build_strip_grid(xi_e2, 0.0, 1.0, h=1 / 16), QuadraticPotential(laminate2), data_cos1
     )
     solL = solve_linear(pL)
     solN = solve_nonlinear(pN)
@@ -36,7 +37,7 @@ def test_quadratic_potential_matches_linear_path(laminate2, xi_e2, data_cos1):
 
 def test_energy_trace_nonincreasing(laminate2, xi_e2, data_diag):
     p = StripProblem(
-        xi=xi_e2, operator=QuadraticPotential(laminate2), data=data_diag, R=1.0, h=1 / 16
+        build_strip_grid(xi_e2, 0.0, 1.0, h=1 / 16), QuadraticPotential(laminate2), data_diag
     )
     sol = solve_nonlinear(p)
     tr = sol.energy_trace
@@ -73,8 +74,8 @@ def test_injected_closed_form_residual_second_order():
     rmss = []
     hs = (1 / 16, 1 / 32)
     for h in hs:
-        prob = StripProblem(xi=xi3, operator=RootKinkOperator(), data=None, R=1.0, h=h)
-        g = prob.build_grid()
+        prob = StripProblem(build_strip_grid(xi3, 0.0, 1.0, h=h), RootKinkOperator(), None)
+        g = prob.grid
         pts = g.node_coords()
         U = ((1.0 / 3.0 + np.cos(2 * np.pi * pts[0])) * np.exp(-2 * np.pi * pts[2]))[None]
         res = discrete_residual(StripSolution(prob, g, U, 0.0, 0))
@@ -83,7 +84,7 @@ def test_injected_closed_form_residual_second_order():
 
 
 def test_residual_grows_under_perturbation(xi_e2, data_cos1, laminate2):
-    p = StripProblem(xi=xi_e2, operator=laminate2, data=data_cos1, R=1.0, h=1 / 16)
+    p = StripProblem(build_strip_grid(xi_e2, 0.0, 1.0, h=1 / 16), laminate2, data_cos1)
     sol = solve_linear(p)
     base = discrete_residual(sol)["sup"]
     h = 1 / 16
@@ -96,7 +97,7 @@ def test_residual_grows_under_perturbation(xi_e2, data_cos1, laminate2):
 def test_exact_discrete_solve_has_tiny_residual(xi_e2, data_cos1):
     from effbc import identity_tensor
 
-    p = StripProblem(xi=xi_e2, operator=identity_tensor(2), data=data_cos1, R=1.0, h=1 / 16)
+    p = StripProblem(build_strip_grid(xi_e2, 0.0, 1.0, h=1 / 16), identity_tensor(2), data_cos1)
     sol = solve_linear(p)
     # algebraic residual of the solve itself
     assert sol.residual_norm <= 1e-9
@@ -107,10 +108,7 @@ def test_subsolution_dominated_by_kink_solution():
     T, R = 2.0 * math.pi, 8.0
     g = planar_strip_grid(T, R, 64, 64)
     tau = R / 64
-    prob = StripProblem(
-        xi=None, operator=KinkPotential2D(),
-        data=lambda c: 1.0 / 3.0 + np.cos(c[0]), R=R, grid=g, tau=tau,
-    )
+    prob = StripProblem(g, KinkPotential2D(), lambda c: 1.0 / 3.0 + np.cos(c[0]), tau=tau)
     sol = solve_nonlinear(prob)
     pts = g.node_coords()
     w = (1.0 / 3.0 + np.cos(pts[0])) * np.exp(-pts[1])
@@ -123,8 +121,7 @@ def test_monotone_fixed_point_reduced_map():
     T, R = 1.0, 6.0
     g = planar_strip_grid(T, R, 32, 192)
     prob = StripProblem(
-        xi=None, operator=ReducedRootKink(1.0),
-        data=lambda c: 1.0 / 3.0 + np.cos(2 * np.pi * c[0]), R=R, grid=g, tau=0.0,
+        g, ReducedRootKink(1.0), lambda c: 1.0 / 3.0 + np.cos(2 * np.pi * c[0]), tau=0.0
     )
     sol = solve_nonlinear(prob)
     assert sol.energy is None
@@ -139,7 +136,7 @@ def test_monotone_fixed_point_reduced_map():
 def test_root_kink_3d_small_solve():
     xi3 = make_rational_direction([0, 0, 1])
     data = cosine_field(3, [1, 0, 0], constant=1.0 / 3.0)
-    p = StripProblem(xi=xi3, operator=RootKinkOperator(), data=data, R=2.0, h=1 / 8, tau=0.0)
+    p = StripProblem(build_strip_grid(xi3, 0.0, 2.0, h=1 / 8), RootKinkOperator(), data, tau=0.0)
     sol = solve_nonlinear(p)
     # far field of the closed-form solution is 0; coarse mesh bias only
     assert abs(sol.top_slice().mean()) <= 0.05
@@ -173,8 +170,7 @@ def test_descent_takes_one_gradient_per_energy(monkeypatch, where):
         )
         g = planar_strip_grid(1.0, 2.0, 16, 32)
         sol = solve_nonlinear(StripProblem(
-            xi=None, operator=KinkPotential2D(), data=lambda c: 1 / 3 + np.cos(2 * np.pi * c[0]),
-            R=2.0, grid=g, tau=1 / 16,
+            g, KinkPotential2D(), lambda c: 1 / 3 + np.cos(2 * np.pi * c[0]), tau=1 / 16
         ))
         assert sol.iterations > 0 and counts["lift"] == 0
     else:

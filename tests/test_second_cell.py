@@ -52,12 +52,6 @@ def test_average_formula_linear(laminate2, xi_e2, data_diag):
     hom = homogenize_linear(laminate2)
     lim = directional_limit(xi_e2, [1.0, 0.0], prof, hom, tolerance=1e-9)
     assert np.abs(lim.value - prof.mean).max() <= 2.0 * lim.error_bar
-    # the bundled problem object runs the same reduction
-    from effbc import SecondCellProblem
-
-    scp = SecondCellProblem(xi_e2, np.array([1.0, 0.0]), prof, hom)
-    lim2 = scp.solve(tolerance=1e-9)
-    assert lim2.value[0] == lim.value[0]
 
 
 def test_eta_independence_flat_profile(xi_e2, laminate2):

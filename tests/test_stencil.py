@@ -3,16 +3,23 @@
 The kernels run one difference-and-average pass per axis; the oracles here
 are the cell-corner loop they replaced and the assembled matrices of A = I
 and of a non-identity tensor field (the matrix-free operator
-``_apply_tensor``, which also serves the torus cell problems).  Sheared and
-planar strips and tori in d = 2 and 3, one and two components.
+``_apply_tensor``, which also serves the torus cell problems).  The
+reference solvers' Fourier symbol, built from the same passes, is checked
+against the corner-pair symbol, and the interior diagonal closed form
+against the assembled A = I matrix.  Sheared and planar strips and tori in
+d = 2 and 3, one and two components.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from assembly_oracle import assemble_matrix, gather_corner
+from assembly_oracle import assemble_matrix, corner_symbol, corners, gather_corner
 from effbc import identity_tensor, make_rational_direction, planar_strip_grid
+from effbc.assembly import (
+    StripReferenceSolver, TorusReferenceSolver, _interior_diagonal, _mode_angles,
+    _stencil_symbol,
+)
 from effbc.grid import StripGrid, TorusGrid
 from effbc.solve import _apply_tensor
 from test_matrix_free import random_tensor
@@ -40,9 +47,9 @@ def grids(draw):
 def corner_gradient(grid, U):
     """Physical cell gradient summed over the 2^d rolled cell corners."""
     d = grid.d
-    corners = [gather_corner(grid, U, c) for c in grid.corners]
-    g = np.zeros((d,) + corners[0].shape)
-    for c, Uc in zip(grid.corners, corners):
+    values = [gather_corner(grid, U, c) for c in corners(d)]
+    g = np.zeros((d,) + values[0].shape)
+    for c, Uc in zip(corners(d), values):
         for ax in range(d):
             g[ax] += (1.0 if c[ax] else -1.0) / 2.0 ** (d - 1) * Uc
     return np.tensordot(grid.grad_map, g, axes=(1, 0))
@@ -79,3 +86,29 @@ def test_stencil_matches_corner_oracles(grid, N, seed):
     lhs = float((grid.scatter_flux(q) * U).sum())
     rhs = float((q * g).sum()) * grid.cellvol
     assert abs(lhs - rhs) <= 1e-12 * grid.cellvol * float(np.abs(q * g).sum())
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid=grids())
+def test_symbol_matches_corner_oracle(grid):
+    torus = isinstance(grid, TorusGrid)
+    modes = _mode_angles(grid.node_shape) if torus else _mode_angles(grid.lat_cells, half=True)
+    T = _stencil_symbol(grid, modes)
+    ref = corner_symbol(grid, modes)
+    assert sorted(T) == sorted(ref) == ([0] if torus else [-1, 0, 1])
+    scale = max(np.abs(b).max() for b in ref.values())
+    for key, band in ref.items():
+        assert np.abs(T[key] - band).max() <= 1e-14 * scale
+
+    # the reference solvers' null masks, recomputed from the oracle symbol
+    if torus:
+        null = np.abs(ref[0]) <= 1e-12 * np.abs(ref[0]).max()
+        assert np.array_equal(TorusReferenceSolver(grid).null_mask, null)
+    else:
+        null = np.maximum(np.abs(ref[1]), np.abs(ref[0])) <= 1e-12 * scale
+        assert np.array_equal(StripReferenceSolver(grid).null_mask, null)
+
+    K = assemble_matrix(grid, identity_tensor(grid.d))
+    diag = K.diagonal().reshape(grid.node_shape)
+    interior = diag if torus else diag[..., 1:-1]
+    assert np.abs(interior - _interior_diagonal(grid)).max() <= 1e-13 * interior.max()

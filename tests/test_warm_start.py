@@ -27,6 +27,7 @@ from effbc import (
     RootKinkOperator,
     StripProblem,
     boundary_layer_limit,
+    build_strip_grid,
     cosine_field,
     directional_limit,
     eta_independence_check,
@@ -115,7 +116,7 @@ def problem_maker(op, make_grid, h_r, rng, tau=1.0 / 16.0):
 
     def make(R):
         grid = make_grid(R, int(round(R / h_r)))
-        return StripProblem(xi=None, operator=op, data=data, R=R, grid=grid, tau=tau)
+        return StripProblem(grid, op, data, tau=tau)
 
     return make
 
@@ -145,7 +146,7 @@ def without_null_modes(grid, V):
 def gate(problem, U):
     """Whether U passes the cold solve's stopping gate of ``problem``: the
     true residual against the residual of the lift."""
-    grid = problem.build_grid()
+    grid = problem.grid
     U0 = StripReferenceSolver(grid).lift(boundary_values(problem, grid))
     op = problem.operator
     if isinstance(op, LinearTensorField):
@@ -226,7 +227,7 @@ def test_start_dirichlet_rows_are_ignored(case, levels):
 
 
 def test_start_must_live_on_the_grid(xi_e2, laminate2, data_diag):
-    problem = StripProblem(xi=xi_e2, operator=laminate2, data=data_diag, R=1.0, h=1 / 16)
+    problem = StripProblem(build_strip_grid(xi_e2, 0.0, 1.0, h=1 / 16), laminate2, data_diag)
     for shape in [(1, 15, 17), (1, 16, 18), (2, 16, 17), (1, 16, 0)]:
         with pytest.raises(ValueError):
             solve_strip(replace(problem, start=np.zeros(shape)))
@@ -241,8 +242,8 @@ NONLINEAR = pytest.mark.parametrize(
 def test_short_start_is_continued_by_its_top_slice(op, xi_e2, data_diag):
     # a start on fewer levels (a lower ladder rung) equals its explicit
     # continuation by the top slice
-    problem = StripProblem(xi=xi_e2, operator=op, data=data_diag, R=2.0, h=1 / 16, tau=1 / 16)
-    lower = solve_strip(replace(problem, R=1.0)).values
+    problem = StripProblem(build_strip_grid(xi_e2, 0.0, 2.0, h=1 / 16), op, data_diag, tau=1 / 16)
+    lower = solve_strip(replace(problem, grid=build_strip_grid(xi_e2, 0.0, 1.0, h=1 / 16))).values
     full = np.concatenate([lower, np.repeat(lower[..., -1:], 16, axis=-1)], axis=-1)
     a = solve_strip(replace(problem, start=lower))
     b = solve_strip(replace(problem, start=full))
@@ -251,7 +252,7 @@ def test_short_start_is_continued_by_its_top_slice(op, xi_e2, data_diag):
 
 @NONLINEAR
 def test_nonlinear_residual_is_the_last_tested_one(op, xi_e2, data_diag):
-    problem = StripProblem(xi=xi_e2, operator=op, data=data_diag, R=1.0, h=1 / 16, tau=1 / 16)
+    problem = StripProblem(build_strip_grid(xi_e2, 0.0, 1.0, h=1 / 16), op, data_diag, tau=1 / 16)
     sol = solve_strip(problem)
     r = _masked_residual(sol.grid, op, sol.values, None, problem.tau)
     assert sol.iterations > 0 and sol.residual_norm == float(np.abs(r).max())
@@ -259,7 +260,7 @@ def test_nonlinear_residual_is_the_last_tested_one(op, xi_e2, data_diag):
 
 def test_fixed_point_start_at_target_skips_the_reference_solve(monkeypatch, xi_e2, data_diag):
     problem = StripProblem(
-        xi=xi_e2, operator=ReducedRootKink(), data=data_diag, R=1.0, h=1 / 16, tau=1 / 16
+        build_strip_grid(xi_e2, 0.0, 1.0, h=1 / 16), ReducedRootKink(), data_diag, tau=1 / 16
     )
     cold = solve_strip(problem)
     calls = []
