@@ -83,6 +83,13 @@ def _interior_diagonal(grid):
     return grid.cellvol * 2.0**grid.d * float((grid._gradient_map**2).sum())
 
 
+def _plane_constant(bottom):
+    """Whether bottom values (N, *lat) are constant on the plane, per
+    component; decided by equality, so NaN data is never constant."""
+    first = bottom[(slice(None),) + (slice(0, 1),) * (bottom.ndim - 1)]
+    return bool((bottom == first).all())
+
+
 class StripReferenceSolver:
     """Exact solver for the constant-coefficient (A = I) strip operator.
 
@@ -197,8 +204,7 @@ class StripReferenceSolver:
         On a null mode every band vanishes, and so does its residual.
         """
         U = np.repeat(bottom[..., None], self.grid.n_vert + 1, axis=-1)
-        first = bottom[(slice(None),) + (slice(0, 1),) * len(self.lat_axes)]
-        if (bottom == first).all():
+        if _plane_constant(bottom):
             return U  # a constant column is exactly harmonic
         bhat = self._lateral_fft(bottom)
         rhat = np.empty(bhat.shape + (self.n_free,), dtype=complex)

@@ -190,6 +190,13 @@ class LinearTensorField:
                         out[a, b, i, j] = evaluate_field(self.entries[a][b][i][j], y)
         return out
 
+    @property
+    def y_dependent(self):
+        """Whether any entry varies with y (a constant tensor has no terms)."""
+        return any(
+            e.terms for row in self.entries for col in row for comp in col for e in comp
+        )
+
     def scale_argument(self, factor: int) -> "LinearTensorField":
         return _tensor(
             self.d, self.n_components,

@@ -82,11 +82,7 @@ class QuadraticPotential:
         self.d = tensor.d
         self.lam = tensor.lam
         self.lip = 1.0
-        self.y_dependent = any(
-            len(tensor.entries[a][b][0][0].terms) > 0
-            for a in range(self.d)
-            for b in range(self.d)
-        )
+        self.y_dependent = tensor.y_dependent
 
     def _matrix(self, y):
         if y is None:

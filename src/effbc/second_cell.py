@@ -98,7 +98,11 @@ def _reduced_operator(effective, eta, xi_hat):
         red = reduce_tensor(effective.A0, eta, xi_hat)
         return constant_tensor(red, lam=effective.lam), True
     if isinstance(effective, LinearTensorField):
-        # must be constant already (an effective tensor)
+        if effective.y_dependent:
+            raise EffbcError(
+                "linear directional limits need a constant effective tensor "
+                "(homogenize first)"
+            )
         A0 = effective(np.zeros((effective.d, 1)))[..., 0]
         return constant_tensor(reduce_tensor(A0, eta, xi_hat), lam=effective.lam), True
     if hasattr(effective, "reduced"):

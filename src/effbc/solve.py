@@ -24,6 +24,13 @@ extension by the solver's own cheap measure (residual norm, sup residual,
 energy) is dropped, and a start that already meets the target returns
 without an iteration.
 
+An exact lift is returned before any stencil pass: when the boundary data
+is constant on the plane, its lift is a constant column, and when the
+flux of a zero gradient is exactly zero on every cell, that column solves
+the strip exactly.  Every solver then returns the lift after 0 iterations
+with residual 0.0 (the descent with the lift's energy as its one-entry
+trace), the same solution its loop would have returned, start or no start.
+
 Variational nonlinear equations (flux = gradient of a convex density):
 one descent core, ``_descent``, minimizes the strip energy here and the
 periodic cell energy of ``homogenize``: monotone accelerated descent
@@ -55,7 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import StripReferenceSolver, _interior_diagonal
+from .assembly import StripReferenceSolver, _interior_diagonal, _plane_constant
 from .errors import NonConvergedError, SolverFailureError
 from .fields import LinearTensorField, PeriodicFieldExpr, evaluate_field
 from .grid import StripGrid
@@ -169,6 +176,33 @@ def _zero_fixed(r):
 def _masked_residual(grid, op, U, centers, tau):
     grads = grid.phys_gradient(U)
     return _zero_fixed(grid.scatter_flux(operator_flux(op, grads, centers, tau)))
+
+
+def _exact_lift(problem, grid, bottom, U0, centers):
+    """The solution when the lift U0 of ``bottom`` is exact, else None.
+
+    Finite bottom data that is constant on the plane lifts to a constant
+    column, whose discrete gradient is zero on every cell; when the flux of
+    a zero gradient is exactly zero on every cell (NaN is not), the residual
+    of U0 is exactly zero and every solver would return U0 after 0
+    iterations, dropping any start (the descent's too: U0 is the minimum of
+    its convex energy).  This returns that same solution with no stencil
+    pass: residual 0.0, and for the descent the energy of U0,
+    summed over the full cell shape as the descent sums it.  ``centers``
+    are the cell centers, needed by a tensor or a y-dependent operator.
+    """
+    if not (_plane_constant(bottom) and np.isfinite(bottom).all()):
+        return None
+    op = problem.operator
+    cells = grid.cell_shape if op.y_dependent else (1,) * grid.d
+    zero = np.zeros((grid.d, problem.n_components) + cells)
+    if operator_flux(op, zero, centers, problem.tau).any():
+        return None
+    if isinstance(op, LinearTensorField) or not op.is_variational:
+        return StripSolution(problem, grid, U0, 0.0, 0)
+    zero = np.zeros((grid.d,) + grid.cell_shape)
+    E = float(grid.cellvol * op.potential(zero, y=centers, tau=problem.tau).sum())
+    return StripSolution(problem, grid, U0, 0.0, 0, energy=E, energy_trace=[E])
 
 
 def _apply_tensor(grid, A, V):
@@ -334,7 +368,8 @@ def solve_linear(problem: StripProblem, ref=None) -> StripSolution:
     problem.rtol times that of the extension within
     20 sqrt(n_free) iterations (at least 200).  Fails loudly
     (SolverFailureError with the residual history) when the true residual
-    stays above 10 rtol.
+    stays above 10 rtol.  An exact lift (data constant on the plane, finite
+    cell tensors) is returned at once, with no operator application.
     """
     op = problem.operator
     if not isinstance(op, LinearTensorField):
@@ -342,8 +377,13 @@ def solve_linear(problem: StripProblem, ref=None) -> StripSolution:
     grid = problem.grid
     if ref is None:
         ref = StripReferenceSolver(grid)
-    U0 = ref.lift(boundary_values(problem, grid))
-    A = op(grid.cell_centers())  # (d, d, N, N, *cells)
+    bottom = boundary_values(problem, grid)
+    U0 = ref.lift(bottom)
+    centers = grid.cell_centers()
+    exact = _exact_lift(problem, grid, bottom, U0, centers)
+    if exact is not None:
+        return exact
+    A = op(centers)  # (d, d, N, N, *cells)
 
     def matvec(V):
         return _zero_fixed(_apply_tensor(grid, A, V))
@@ -634,7 +674,9 @@ def solve_nonlinear(problem: StripProblem, ref=None) -> StripSolution:
     boundary data by the loop's own measure, else from the extension, and
     are preconditioned by ``ref`` (a StripReferenceSolver of this strip's
     geometry, built when not given).  The reported residual is the sup of
-    the one the loop tested last.
+    the one the loop tested last.  An exact lift (data constant on the
+    plane, a flux that vanishes at zero gradient on every cell) is returned
+    at once, before any stencil pass, with residual 0.0 and 0 iterations.
     """
     op = problem.operator
     if isinstance(op, LinearTensorField):
@@ -642,8 +684,12 @@ def solve_nonlinear(problem: StripProblem, ref=None) -> StripSolution:
     grid = problem.grid
     if ref is None:
         ref = StripReferenceSolver(grid)
-    U0 = ref.lift(boundary_values(problem, grid))
+    bottom = boundary_values(problem, grid)
+    U0 = ref.lift(bottom)
     centers = grid.cell_centers() if op.y_dependent else None
+    exact = _exact_lift(problem, grid, bottom, U0, centers)
+    if exact is not None:
+        return exact
     if op.is_variational:
         U, E, iters, trace, rsup = _descent_variational(problem, grid, ref, op, U0, centers)
         return StripSolution(problem, grid, U, rsup, iters, energy=E, energy_trace=trace)
@@ -660,7 +706,7 @@ def solve_strip(problem: StripProblem, ref=None) -> StripSolution:
 def discrete_residual(solution: StripSolution, values=None):
     """Interior residual density of the discrete divergence-form operator.
 
-    Applies the assembled operator to ``values`` (default: the stored
+    Applies the matrix-free operator to ``values`` (default: the stored
     solution) and reports sup and root-mean-square of the nodal residual
     divided by the cell volume, over interior levels only.  For a
     function injected from outside this measures the consistency error of
