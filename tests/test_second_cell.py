@@ -83,6 +83,29 @@ def test_eta_must_be_orthogonal(xi_e2, laminate2, data_diag):
         directional_limit(xi_e2, [0.0, 1.0], prof, homogenize_linear(laminate2))
 
 
+def test_directional_limit_rejects_a_raw_laminate(xi_e2, laminate2):
+    # read at y = 0 the laminate would pass for diag(1, 1), not for A0
+    prof = shift_profile(
+        laminate2, constant_field(2, 0.4), xi_e2, sample_count=8, tolerance=1e-9, h=1 / 16
+    )
+    with pytest.raises(EffbcError, match="homogenize first"):
+        directional_limit(xi_e2, [1.0, 0.0], prof, laminate2)
+
+
+def test_reduced_operator_takes_constant_tensors_as_they_stand():
+    from effbc.homogenize import constant_tensor
+    from effbc.second_cell import _reduced_operator
+
+    eta, xi_hat = [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]
+    A0 = np.zeros((3, 3, 1, 1))
+    A0[:, :, 0, 0] = np.diag([1.0, 2.0, 3.0])
+    cases = ((identity_tensor(3), np.eye(2)), (constant_tensor(A0, 0.5), np.diag([1.0, 3.0])))
+    for tensor, expected in cases:
+        op2, is_linear = _reduced_operator(tensor, eta, xi_hat)
+        assert is_linear and not op2.y_dependent
+        assert np.array_equal(op2(np.zeros((2, 1)))[:, :, 0, 0, 0], expected)
+
+
 def test_root_kink_limits_split_by_approach():
     op = RootKinkOperator()
     xi = make_rational_direction([0, 0, 1])
