@@ -187,9 +187,9 @@ def _exact_lift(problem, grid, bottom, U0, centers):
     of U0 is exactly zero and every solver would return U0 after 0
     iterations, dropping any start (the descent's too: U0 is the minimum of
     its convex energy).  This returns that same solution with no stencil
-    pass: residual 0.0, and for the descent the energy of U0,
-    summed over the full cell shape as the descent sums it.  ``centers``
-    are the cell centers, needed by a tensor or a y-dependent operator.
+    pass: residual 0.0, and for the descent the energy of U0, summed over
+    the full cell shape as the descent sums it.  ``centers`` are the cell
+    centers, needed by a tensor or a y-dependent operator.
     """
     if not (_plane_constant(bottom) and np.isfinite(bottom).all()):
         return None
