@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import StripReferenceSolver, TorusReferenceSolver
+from .assembly import TorusReferenceSolver
 from .errors import NonConvergedError, SolverFailureError
 from .fields import LinearTensorField, _tensor, constant_field
 from .grid import TorusGrid, build_strip_grid
@@ -214,7 +214,7 @@ def epsilon_refinement_study(
     """Uniform error between the A(y/eps) solve and the effective solve.
 
     Meshes resolve the oscillation (h <= eps / cells_per_eps); both solves
-    share the grid, its reference solver and the data, Neumann top.  The
+    share the grid, one reference-solver cache and the data, Neumann top.  The
     operator is homogenized on the cell mesh ``h_cell`` unless its
     HomogenizedTensor is given as ``effective``.  Returns the error table,
     the consecutive ratios, and the fitted order in eps.  Any solve failure
@@ -233,9 +233,9 @@ def epsilon_refinement_study(
             A_eps = operator.scale_argument(int(round(inv)))
             h = eps / cells_per_eps
             grid = build_strip_grid(xi, 0.0, R, h=h)
-            ref = StripReferenceSolver(grid)
+            solvers = {}
             u_eps, u_hom = (
-                solve_linear(StripProblem(grid, A, data), ref)
+                solve_linear(StripProblem(grid, A, data), solvers)
                 for A in (A_eps, A0f)
             )
             err = float(np.abs(u_eps.values - u_hom.values).max())

@@ -18,9 +18,13 @@ counts are rounded up per period and the vertical spacing is fixed once
 from the first rung's height.  The stopping targets are those of a cold
 start, so a warm rung is held to the same absolute residual.  A shift
 profile builds one reference solver per rung geometry and shares it
-between its shifts, which move only the strip's origin.
-``diagnostics["rungs"]`` records each rung's height, iteration count and
-whether it started warm.
+between its shifts, which move only the strip's origin.  A rung whose data
+and start are constant along lateral axes, under a y-independent operator,
+is solved two cells wide along them and its values broadcast back
+(``effbc.solve``); the cache then holds only the narrow solver.
+``diagnostics["rungs"]`` records each rung's height, iteration count,
+whether it started warm, and the lateral cells it was solved on; the
+result's ``summary()`` carries that list.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .assembly import StripReferenceSolver
 from .grid import build_strip_grid
 from .lattice import RationalDirection
 from .solve import StripProblem, solve_strip
@@ -76,6 +79,7 @@ class BoundaryLayerResult:
             "heights_used": list(self.heights_used),
             "converged": bool(self.converged),
             "oscillations": [float(o) for o in self.oscillations],
+            "rungs": list(self.diagnostics.get("rungs", [])),
         }
 
 
@@ -114,27 +118,20 @@ def _nests(lower, upper):
     )
 
 
-def _reference_solver(solvers, grid):
-    """The cached StripReferenceSolver of grid's geometry (any origin), or
-    None (solve_strip builds one) without a cache."""
-    if solvers is None:
-        return None
-    key = (grid.lat_cells, grid.n_vert, grid.edges.tobytes())
-    ref = solvers.get(key)
-    if ref is None:
-        ref = solvers[key] = StripReferenceSolver(grid)
-    return ref
-
-
 def ladder_limit(problem_for_height, ladder, tolerance, stop_on_tolerance=True, solvers=None):
     """Run strip solves over a height ladder and extract the far field.
 
     ``problem_for_height`` maps a height R to a StripProblem.  A rung
     whose grid nests the previous rung's starts from that rung's values,
     extended upward by their top slice.  ``solvers``, a dict, caches one
-    reference solver per rung geometry (shared by the ladders of a shift
-    profile).  Never silent: when the ladder is exhausted above tolerance
-    the result carries converged=False plus diagnostics.
+    reference solver per geometry solved on (shared by the ladders of a
+    shift profile); it is handed to the solve, so a rung that is solved two
+    cells wide (laterally invariant data and start, y-independent operator;
+    its values broadcast back) builds only the narrow solver.  Each entry of
+    ``diagnostics["rungs"]`` records the rung's height, iterations, warm
+    start and the lateral ``cells`` it was solved on.  Never silent: when
+    the ladder is exhausted above tolerance the result carries
+    converged=False plus diagnostics.
     """
     heights, means, oscs = [], [], []
     iters = 0
@@ -146,14 +143,17 @@ def ladder_limit(problem_for_height, ladder, tolerance, stop_on_tolerance=True, 
         warm = prev is not None and _nests(prev.grid, problem.grid)
         if warm:  # the solver continues the lower rung upward by its top slice
             problem = replace(problem, start=prev.values)
-        sol = solve_strip(problem, _reference_solver(solvers, problem.grid))
+        sol = solve_strip(problem, solvers)
         solutions.append(sol)
         mean, osc = slice_stats(sol.top_slice())
         heights.append(float(R))
         means.append(mean)
         oscs.append(osc)
         iters += sol.iterations
-        rungs.append({"R": float(R), "iterations": sol.iterations, "warm": warm})
+        rungs.append({
+            "R": float(R), "iterations": sol.iterations, "warm": warm,
+            "cells": list(sol.solved_cells),
+        })
         # two rungs at least: the error bar compares the last two
         if stop_on_tolerance and len(heights) > 1 and osc <= tolerance:
             break

@@ -31,6 +31,18 @@ the strip exactly.  Every solver then returns the lift after 0 iterations
 with residual 0.0 (the descent with the lift's energy as its one-entry
 trace), the same solution its loop would have returned, start or no start.
 
+A laterally invariant strip is solved on a strip two cells wide.  When the
+operator is y-independent and the bottom data, and the start if there is
+one, are constant per component along some lateral axes (by equality, so
+NaN data never is), the discrete solution is constant along them too: the
+discrete operator commutes with lateral shifts and the solution is unique.
+If one of those axes has more than 2 cells and the lift is not exact, the
+solver runs on the same cells with 2 of them along each such axis, and its
+values are broadcast back along those axes.  Sums over the strip (the
+energy, the descent's slope and scale, the fixed point's preconditioned
+norm) carry the replication count as a weight, so the residual, energy and
+trace reported are those of the full strip, and so are the stopping rules.
+
 Variational nonlinear equations (flux = gradient of a convex density):
 one descent core, ``_descent``, minimizes the strip energy here and the
 periodic cell energy of ``homogenize``: monotone accelerated descent
@@ -57,8 +69,9 @@ strictly and a stall still fails loudly.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -113,9 +126,14 @@ class StripSolution:
     # preconditioned residual norms sqrt(r . K_ref^-1 r) (fixed point); a
     # fixed point whose start already meets its target records none
     energy_trace: list = field(default_factory=list)
+    # lateral cells of the strip the solver ran on: grid.lat_cells, or fewer
+    # when a laterally invariant problem was solved two cells wide
+    solved_cells: tuple = None
 
     def __post_init__(self):
         self.values.setflags(write=False)
+        if self.solved_cells is None:
+            self.solved_cells = self.grid.lat_cells
 
     def top_slice(self):
         return self.values[..., -1]
@@ -137,14 +155,24 @@ def boundary_values(problem, grid):
     return vals
 
 
+def _check_start(problem, grid):
+    """Raise ValueError unless ``problem.start`` is None or has the shape
+    (N, *lat, n) of this strip with 1 <= n <= levels."""
+    if problem.start is None:
+        return
+    shape = np.shape(problem.start)
+    lead = (problem.n_components,) + grid.lat_cells
+    if shape[:-1] != lead or not 1 <= shape[-1] <= grid.n_vert + 1:
+        raise ValueError(f"start has shape {shape}, the strip needs {lead + (grid.n_vert + 1,)}")
+
+
 def _start_field(problem, U0):
-    """The initial iterate ``problem.start``, continued upward by its top
-    slice when it has fewer levels than the strip, with the Dirichlet rows
-    of the harmonic extension U0; a new array."""
+    """The initial iterate ``problem.start`` (checked by _check_start),
+    continued upward by its top slice when it has fewer levels than the
+    strip, with the Dirichlet rows of the harmonic extension U0; a new
+    array."""
     start = np.asarray(problem.start, dtype=float)
     n = start.shape[-1]
-    if start.shape[:-1] != U0.shape[:-1] or not 1 <= n <= U0.shape[-1]:
-        raise ValueError(f"start has shape {start.shape}, the strip needs {U0.shape}")
     U = np.empty_like(U0)
     U[..., :n] = start
     U[..., n:] = start[..., -1:]
@@ -178,31 +206,119 @@ def _masked_residual(grid, op, U, centers, tau):
     return _zero_fixed(grid.scatter_flux(operator_flux(op, grads, centers, tau)))
 
 
+def _lift_is_exact(problem, grid, bottom, centers):
+    """Whether the lift of ``bottom`` solves the strip exactly: finite data
+    constant on the plane, and a flux of a zero gradient that is exactly
+    zero on every cell (NaN is not).  ``centers`` are the cell centers,
+    needed by a tensor or a y-dependent operator."""
+    if not (_plane_constant(bottom) and np.isfinite(bottom).all()):
+        return False
+    op = problem.operator
+    cells = grid.cell_shape if op.y_dependent else (1,) * grid.d
+    zero = np.zeros((grid.d, problem.n_components) + cells)
+    return not operator_flux(op, zero, centers, problem.tau).any()
+
+
 def _exact_lift(problem, grid, bottom, U0, centers):
     """The solution when the lift U0 of ``bottom`` is exact, else None.
 
     Finite bottom data that is constant on the plane lifts to a constant
     column, whose discrete gradient is zero on every cell; when the flux of
-    a zero gradient is exactly zero on every cell (NaN is not), the residual
-    of U0 is exactly zero and every solver would return U0 after 0
-    iterations, dropping any start (the descent's too: U0 is the minimum of
-    its convex energy).  This returns that same solution with no stencil
-    pass: residual 0.0, and for the descent the energy of U0, summed over
-    the full cell shape as the descent sums it.  ``centers`` are the cell
-    centers, needed by a tensor or a y-dependent operator.
+    a zero gradient is exactly zero on every cell, the residual of U0 is
+    exactly zero and every solver would return U0 after 0 iterations,
+    dropping any start (the descent's too: U0 is the minimum of its convex
+    energy).  This returns that same solution with no stencil pass:
+    residual 0.0, and for the descent the energy of U0, summed over the
+    full cell shape as the descent sums it.
     """
-    if not (_plane_constant(bottom) and np.isfinite(bottom).all()):
+    if not _lift_is_exact(problem, grid, bottom, centers):
         return None
     op = problem.operator
-    cells = grid.cell_shape if op.y_dependent else (1,) * grid.d
-    zero = np.zeros((grid.d, problem.n_components) + cells)
-    if operator_flux(op, zero, centers, problem.tau).any():
-        return None
     if isinstance(op, LinearTensorField) or not op.is_variational:
         return StripSolution(problem, grid, U0, 0.0, 0)
     zero = np.zeros((grid.d,) + grid.cell_shape)
     E = float(grid.cellvol * op.potential(zero, y=centers, tau=problem.tau).sum())
     return StripSolution(problem, grid, U0, 0.0, 0, energy=E, energy_trace=[E])
+
+
+def _reference_solver(solvers, grid):
+    """The StripReferenceSolver of grid's geometry (any origin): from the
+    dict ``solvers`` when given, built and stored there on a miss."""
+    if solvers is None:
+        return StripReferenceSolver(grid)
+    key = (grid.lat_cells, grid.n_vert, grid.edges.tobytes())
+    ref = solvers.get(key)
+    if ref is None:
+        ref = solvers[key] = StripReferenceSolver(grid)
+    return ref
+
+
+def _constant_along(a, axis):
+    """Whether array a is constant along ``axis``, by equality."""
+    return bool((a == np.take(a, [0], axis=axis)).all())
+
+
+def _narrow_grid(grid, axes):
+    """The strip of ``grid`` with 2 cells along the lateral ``axes``: the
+    same cells (edges, origin, normal, levels), each such period 2 edges."""
+    narrow = copy.copy(grid)
+    narrow.xi = None  # its periods are no longer those of the direction
+    narrow.lat_cells = tuple(2 if j in axes else n for j, n in enumerate(grid.lat_cells))
+    narrow.node_shape = narrow.lat_cells + (grid.n_vert + 1,)
+    narrow.cell_shape = narrow.lat_cells + (grid.n_vert,)
+    return narrow
+
+
+def _reduced_solve(problem, grid, bottom, solvers, loop):
+    """The solution through a strip two cells wide, or None.
+
+    For a y-independent operator, the lateral axes with more than 2 cells
+    along which ``bottom`` (N, *lat) and the start are constant are
+    narrowed to 2 cells, unless the lift is exact (the full path returns it
+    at once).  ``loop`` solves the narrow strip, weighting its sums by the
+    replication count, and its values are broadcast back along those axes.
+    """
+    if problem.operator.y_dependent:
+        return None
+    arrays = [bottom] if problem.start is None else [bottom, np.asarray(problem.start, dtype=float)]
+    axes = [
+        j for j, n in enumerate(grid.lat_cells)
+        if n > 2 and all(_constant_along(a, 1 + j) for a in arrays)
+    ]
+    if not axes:
+        return None
+    narrow = _narrow_grid(grid, axes)
+    if _lift_is_exact(problem, narrow, bottom, narrow.cell_centers()):
+        return None
+
+    def first(n):  # the first n entries along the narrowed axes
+        return (slice(None),) + tuple(
+            slice(0, n) if j in axes else slice(None) for j in range(grid.d - 1)
+        )
+
+    start = None if problem.start is None else arrays[1][first(2)]
+    weight = math.prod(grid.lat_cells[j] for j in axes) / 2 ** len(axes)
+    sol = loop(
+        replace(problem, grid=narrow, start=start), narrow, bottom[first(2)],
+        _reference_solver(solvers, narrow), weight,
+    )
+    values = np.broadcast_to(sol.values[first(1)], (bottom.shape[0],) + grid.node_shape).copy()
+    return StripSolution(
+        problem, grid, values, sol.residual_norm, sol.iterations, energy=sol.energy,
+        energy_trace=sol.energy_trace, solved_cells=narrow.lat_cells,
+    )
+
+
+def _solve(problem, solvers, loop):
+    """The front shared by solve_linear and solve_nonlinear: the data and
+    the start's shape, then the reduced strip or ``loop`` on the full one."""
+    grid = problem.grid
+    bottom = boundary_values(problem, grid)
+    _check_start(problem, grid)
+    reduced = _reduced_solve(problem, grid, bottom, solvers, loop)
+    if reduced is not None:
+        return reduced
+    return loop(problem, grid, bottom, _reference_solver(solvers, grid), 1.0)
 
 
 def _apply_tensor(grid, A, V):
@@ -355,35 +471,39 @@ def _krylov_solve(matvec, precond, b, rtol, cap, symmetric, slack, ref_norm=None
     return x, len(history), rel
 
 
-def solve_linear(problem: StripProblem, ref=None) -> StripSolution:
+def solve_linear(problem: StripProblem, solvers=None) -> StripSolution:
     """Galerkin solve of the linear system on the strip, matrix free.
 
     The operator is applied as scatter_flux(A grad V) with A evaluated once
     at the cell centers; no matrix is assembled.  Preconditioned CG when
     the evaluated cell tensors are exactly symmetric, BiCGStab otherwise,
-    both preconditioned by the exact constant-coefficient solve (``ref``, a
-    StripReferenceSolver of this strip's geometry, built when not given)
-    and started from ``problem.start`` when its residual is below that of
-    the discrete harmonic extension, else from the extension, to residual
-    problem.rtol times that of the extension within
-    20 sqrt(n_free) iterations (at least 200).  Fails loudly
-    (SolverFailureError with the residual history) when the true residual
-    stays above 10 rtol.  An exact lift (data constant on the plane, finite
-    cell tensors) is returned at once, with no operator application.
+    both preconditioned by the exact constant-coefficient solve (a
+    StripReferenceSolver of the strip solved on, taken from the dict
+    ``solvers`` keyed by geometry when given, else built) and started from
+    ``problem.start`` when its residual is below that of the discrete
+    harmonic extension, else from the extension, to residual problem.rtol
+    times that of the extension within 20 sqrt(n_free) iterations (at least
+    200).  Fails loudly (SolverFailureError with the residual history) when
+    the true residual stays above 10 rtol.  An exact lift (data constant on
+    the plane, finite cell tensors) is returned at once, with no operator
+    application.  A constant tensor with data and start constant along
+    lateral axes of more than 2 cells is solved two cells wide along them
+    and its values are broadcast back (module docstring).
     """
-    op = problem.operator
-    if not isinstance(op, LinearTensorField):
+    if not isinstance(problem.operator, LinearTensorField):
         raise ValueError("solve_linear needs a LinearTensorField operator")
-    grid = problem.grid
-    if ref is None:
-        ref = StripReferenceSolver(grid)
-    bottom = boundary_values(problem, grid)
+    return _solve(problem, solvers, _linear_loop)
+
+
+def _linear_loop(problem, grid, bottom, ref, weight):
+    """solve_linear on ``grid`` after the front; ``weight`` is the number of
+    copies of this strip that the reported strip holds (it sizes the cap)."""
     U0 = ref.lift(bottom)
     centers = grid.cell_centers()
     exact = _exact_lift(problem, grid, bottom, U0, centers)
     if exact is not None:
         return exact
-    A = op(centers)  # (d, d, N, N, *cells)
+    A = problem.operator(centers)  # (d, d, N, N, *cells)
 
     def matvec(V):
         return _zero_fixed(_apply_tensor(grid, A, V))
@@ -403,7 +523,7 @@ def solve_linear(problem: StripProblem, ref=None) -> StripSolution:
         r_start = _zero_fixed(-_apply_tensor(grid, A, start))
         if _norm(r_start) < rnorm0:  # a start worse than the extension is dropped
             U, r = start, r_start
-    n_free = r0[..., 0].size * ref.n_free
+    n_free = weight * r0[..., 0].size * ref.n_free
     cap = max(200, int(20 * math.sqrt(n_free)))
     symmetric = _symmetric_cells(A)
     # the exact constant-coefficient solve is spectrally equivalent, so the
@@ -427,7 +547,7 @@ def _armijo(energy, X, d, EX, slope, t, scale):
     return None
 
 
-def _descent(energy, residual, precond, U, E, G, gtol, scale, maxiter):
+def _descent(energy, residual, precond, U, E, G, gtol, scale, maxiter, weight=1.0):
     """Monotone accelerated preconditioned descent from U to sup |R| <= gtol.
 
     ``energy(V)`` returns (E(V), G) with G the gradient field that E(V) was
@@ -435,6 +555,8 @@ def _descent(energy, residual, precond, U, E, G, gtol, scale, maxiter):
     point, zero on fixed rows.  The start comes with its E and G, and each
     accepted or momentum point hands its G on.  ``precond`` maps a residual
     to a descent direction; ``scale`` sets the line search's rounding slack.
+    An energy that counts each node ``weight`` times (a reduced strip) has
+    its slopes weighted alike.
     Returns (U, E, iterations, energy trace, sup |R(U)|).
     """
     trace = [E]
@@ -456,13 +578,13 @@ def _descent(energy, residual, precond, U, E, G, gtol, scale, maxiter):
             V, gV, EV = U, g, E  # V = U exactly
         t0 = min(1.0, 2.0 * t_prev)
         dV = precond(gV)
-        accepted = _armijo(energy, V, dV, EV, float((gV * dV).sum()), t0, scale)
+        accepted = _armijo(energy, V, dV, EV, weight * float((gV * dV).sum()), t0, scale)
         overshoot = accepted is None or accepted[1] > E
         if overshoot and momentum:
             # fall back to plain descent from U (at zero momentum that
             # search is the one just made)
             d = precond(g)
-            accepted = _armijo(energy, U, d, E, float((g * d).sum()), t0, scale)
+            accepted = _armijo(energy, U, d, E, weight * float((g * d).sum()), t0, scale)
         if accepted is None:
             raise NonConvergedError("line search failed to decrease energy", trace=trace)
         momentum = 0.0 if overshoot else min(0.9, momentum + 0.3)
@@ -477,18 +599,22 @@ def _descent(energy, residual, precond, U, E, G, gtol, scale, maxiter):
     )
 
 
-def _descent_variational(problem, grid, ref, op, U0, centers, gtol_rel=1e-9, maxiter=500):
-    """Preconditioned descent on the discrete strip energy.
+def _descent_variational(
+    problem, grid, ref, op, U0, centers, gtol_rel=1e-9, maxiter=500, weight=1.0
+):
+    """Preconditioned descent on the discrete strip energy, counted
+    ``weight`` times (the copies of a reduced strip in the full one).
 
     Starts from problem.start when its energy is below that of the lift U0,
     else from U0; the tolerance scale is max(1, |E(U0)|) either way.
     Returns (U, E, iterations, energy trace, sup |R(U)|).
     """
     tau = problem.tau
+    vol = weight * grid.cellvol
 
     def energy(V):
         G = grid.phys_gradient(V)
-        return float(grid.cellvol * op.potential(G[:, 0], y=centers, tau=tau).sum()), G
+        return float(vol * op.potential(G[:, 0], y=centers, tau=tau).sum()), G
 
     def residual(G):
         return _zero_fixed(grid.scatter_flux(operator_flux(op, G, centers, tau)))
@@ -501,7 +627,9 @@ def _descent_variational(problem, grid, ref, op, U0, centers, gtol_rel=1e-9, max
         if E_start < E:  # a start above the lift's energy is dropped
             U, E, G = start, E_start, G_start
         del start, G_start
-    return _descent(energy, residual, ref.solve, U, E, G, gtol_rel * scale, scale, maxiter)
+    return _descent(
+        energy, residual, ref.solve, U, E, G, gtol_rel * scale, scale, maxiter, weight
+    )
 
 
 def _solve_small(G, b):
@@ -576,7 +704,7 @@ class _AndersonHistory:
 
 def _fixed_point_monotone(
     problem, grid, ref, op, U0, centers, rtol=1e-8, maxiter=2000,
-    depth=ANDERSON_DEPTH,
+    depth=ANDERSON_DEPTH, weight=1.0,
 ):
     """Damped preconditioned fixed point for monotone non-gradient fluxes.
 
@@ -591,7 +719,8 @@ def _fixed_point_monotone(
     sufficient-decrease test of the damped step; otherwise the history is
     cleared and the damped step backtracks.  ``depth=0`` is the plain damped
     iteration.  Returns (U, iterations, trace of the accepted preconditioned
-    residual norms sqrt(r . K_ref^-1 r), strictly decreasing, sup |R(U)|).
+    residual norms sqrt(r . K_ref^-1 r), strictly decreasing, sup |R(U)|);
+    the norms count each node ``weight`` times (a reduced strip's copies).
     """
     tau = problem.tau
     r = _masked_residual(grid, op, U0, centers, tau)
@@ -618,7 +747,7 @@ def _fixed_point_monotone(
     rho = lam / lip**2
     rho_max = 1.5 * rho
     solved = ref.solve(r)
-    n_r = math.sqrt(max(float((r * solved).sum()), 0.0))
+    n_r = math.sqrt(max(weight * float((r * solved).sum()), 0.0))
     trace = [n_r]
     history = _AndersonHistory(depth)
 
@@ -626,7 +755,7 @@ def _fixed_point_monotone(
         # the damped step's sufficient-decrease test, at the current rho and n_r
         r_new = _masked_residual(grid, op, U_new, centers, tau)
         solved_new = ref.solve(r_new)
-        n_new = math.sqrt(max(float((r_new * solved_new).sum()), 0.0))
+        n_new = math.sqrt(max(weight * float((r_new * solved_new).sum()), 0.0))
         if n_new <= n_r * (1.0 - 0.25 * rho * lam) or n_new <= 1e-14 * (1.0 + n_r):
             return U_new, r_new, solved_new, n_new
         return None
@@ -665,42 +794,52 @@ def _fixed_point_monotone(
     )
 
 
-def solve_nonlinear(problem: StripProblem, ref=None) -> StripSolution:
+def solve_nonlinear(problem: StripProblem, solvers=None) -> StripSolution:
     """Solve the nonlinear strip problem.
 
     Gradient-form operators minimize the discrete energy; plain monotone
     maps run the preconditioned fixed point.  Both start from
     ``problem.start`` when it beats the discrete harmonic extension of the
     boundary data by the loop's own measure, else from the extension, and
-    are preconditioned by ``ref`` (a StripReferenceSolver of this strip's
-    geometry, built when not given).  The reported residual is the sup of
-    the one the loop tested last.  An exact lift (data constant on the
-    plane, a flux that vanishes at zero gradient on every cell) is returned
-    at once, before any stencil pass, with residual 0.0 and 0 iterations.
+    are preconditioned by a StripReferenceSolver of the strip solved on
+    (from the dict ``solvers`` keyed by geometry when given, else built).
+    The reported residual is the sup of the one the loop tested last.  An
+    exact lift (data constant on the plane, a flux that vanishes at zero
+    gradient on every cell) is returned at once, before any stencil pass,
+    with residual 0.0 and 0 iterations.  A y-independent operator with data
+    and start constant along lateral axes of more than 2 cells is solved
+    two cells wide along them, its values broadcast back, and its energy,
+    trace and residual reported for the full strip (module docstring).
     """
-    op = problem.operator
-    if isinstance(op, LinearTensorField):
+    if isinstance(problem.operator, LinearTensorField):
         raise ValueError("use solve_linear for tensor operators")
-    grid = problem.grid
-    if ref is None:
-        ref = StripReferenceSolver(grid)
-    bottom = boundary_values(problem, grid)
+    return _solve(problem, solvers, _nonlinear_loop)
+
+
+def _nonlinear_loop(problem, grid, bottom, ref, weight):
+    """solve_nonlinear on ``grid`` after the front; the loops weight their
+    sums by ``weight``, the copies of this strip in the reported one."""
+    op = problem.operator
     U0 = ref.lift(bottom)
     centers = grid.cell_centers() if op.y_dependent else None
     exact = _exact_lift(problem, grid, bottom, U0, centers)
     if exact is not None:
         return exact
     if op.is_variational:
-        U, E, iters, trace, rsup = _descent_variational(problem, grid, ref, op, U0, centers)
+        U, E, iters, trace, rsup = _descent_variational(
+            problem, grid, ref, op, U0, centers, weight=weight
+        )
         return StripSolution(problem, grid, U, rsup, iters, energy=E, energy_trace=trace)
-    U, iters, trace, rsup = _fixed_point_monotone(problem, grid, ref, op, U0, centers)
+    U, iters, trace, rsup = _fixed_point_monotone(
+        problem, grid, ref, op, U0, centers, weight=weight
+    )
     return StripSolution(problem, grid, U, rsup, iters, energy=None, energy_trace=trace)
 
 
-def solve_strip(problem: StripProblem, ref=None) -> StripSolution:
+def solve_strip(problem: StripProblem, solvers=None) -> StripSolution:
     if isinstance(problem.operator, LinearTensorField):
-        return solve_linear(problem, ref)
-    return solve_nonlinear(problem, ref)
+        return solve_linear(problem, solvers)
+    return solve_nonlinear(problem, solvers)
 
 
 def discrete_residual(solution: StripSolution, values=None):

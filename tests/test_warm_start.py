@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effbc import (
+    DirectMap,
     KinkPotential2D,
     LinearTensorField,
     ReducedRootKink,
@@ -28,6 +29,7 @@ from effbc import (
     StripProblem,
     boundary_layer_limit,
     build_strip_grid,
+    constant_field,
     cosine_field,
     directional_limit,
     eta_independence_check,
@@ -227,10 +229,22 @@ def test_start_dirichlet_rows_are_ignored(case, levels):
 
 
 def test_start_must_live_on_the_grid(xi_e2, laminate2, data_diag):
-    problem = StripProblem(build_strip_grid(xi_e2, 0.0, 1.0, h=1 / 16), laminate2, data_diag)
-    for shape in [(1, 15, 17), (1, 16, 18), (2, 16, 17), (1, 16, 0)]:
-        with pytest.raises(ValueError):
-            solve_strip(replace(problem, start=np.zeros(shape)))
+    # on the full path, on the exact-lift return (data constant on the
+    # plane, zero flux at rest) and on the two-cell-wide return (data
+    # constant on the plane, flux at rest not zero)
+    grid = build_strip_grid(xi_e2, 0.0, 1.0, h=1 / 16)
+    flat = constant_field(2, 0.25)
+    problems = [
+        StripProblem(grid, laminate2, data_diag),
+        StripProblem(grid, ReducedRootKink(), flat, tau=1 / 16),
+        StripProblem(grid, DirectMap(lambda p: p + 0.5, d=2, lam=1.0, lip=1.0), flat),
+    ]
+    assert solve_strip(problems[1]).iterations == 0
+    assert solve_strip(problems[2]).solved_cells == (2,)
+    for problem in problems:
+        for shape in [(1, 15, 17), (1, 16, 18), (2, 16, 17), (1, 16, 0), (1, 16)]:
+            with pytest.raises(ValueError):
+                solve_strip(replace(problem, start=np.zeros(shape)))
 
 
 NONLINEAR = pytest.mark.parametrize(
