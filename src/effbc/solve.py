@@ -219,8 +219,9 @@ def _lift_is_exact(problem, grid, bottom, centers):
     return not operator_flux(op, zero, centers, problem.tau).any()
 
 
-def _exact_lift(problem, grid, bottom, U0, centers):
-    """The solution when the lift U0 of ``bottom`` is exact, else None.
+def _exact_lift(problem, grid, U0, centers, exact):
+    """The solution when the lift U0 is exact (``exact``, the verdict of
+    _lift_is_exact on this strip's data), else None.
 
     Finite bottom data that is constant on the plane lifts to a constant
     column, whose discrete gradient is zero on every cell; when the flux of
@@ -231,7 +232,7 @@ def _exact_lift(problem, grid, bottom, U0, centers):
     residual 0.0, and for the descent the energy of U0, summed over the
     full cell shape as the descent sums it.
     """
-    if not _lift_is_exact(problem, grid, bottom, centers):
+    if not exact:
         return None
     op = problem.operator
     if isinstance(op, LinearTensorField) or not op.is_variational:
@@ -272,11 +273,11 @@ def _narrow_grid(grid, axes):
 def _reduced_solve(problem, grid, bottom, solvers, loop):
     """The solution through a strip two cells wide, or None.
 
-    For a y-independent operator, the lateral axes with more than 2 cells
-    along which ``bottom`` (N, *lat) and the start are constant are
-    narrowed to 2 cells, unless the lift is exact (the full path returns it
-    at once).  ``loop`` solves the narrow strip, weighting its sums by the
-    replication count, and its values are broadcast back along those axes.
+    For a y-independent operator whose lift is not exact, the lateral axes
+    with more than 2 cells along which ``bottom`` (N, *lat) and the start
+    are constant are narrowed to 2 cells.  ``loop`` solves the narrow
+    strip from its lift, weighting its sums by the replication count, and
+    its values are broadcast back along those axes.
     """
     if problem.operator.y_dependent:
         return None
@@ -288,8 +289,6 @@ def _reduced_solve(problem, grid, bottom, solvers, loop):
     if not axes:
         return None
     narrow = _narrow_grid(grid, axes)
-    if _lift_is_exact(problem, narrow, bottom, narrow.cell_centers()):
-        return None
 
     def first(n):  # the first n entries along the narrowed axes
         return (slice(None),) + tuple(
@@ -298,9 +297,10 @@ def _reduced_solve(problem, grid, bottom, solvers, loop):
 
     start = None if problem.start is None else arrays[1][first(2)]
     weight = math.prod(grid.lat_cells[j] for j in axes) / 2 ** len(axes)
+    ref = _reference_solver(solvers, narrow)
     sol = loop(
-        replace(problem, grid=narrow, start=start), narrow, bottom[first(2)],
-        _reference_solver(solvers, narrow), weight,
+        replace(problem, grid=narrow, start=start), narrow, ref, ref.lift(bottom[first(2)]),
+        _centers(problem.operator, narrow), weight,
     )
     values = np.broadcast_to(sol.values[first(1)], (bottom.shape[0],) + grid.node_shape).copy()
     return StripSolution(
@@ -309,16 +309,32 @@ def _reduced_solve(problem, grid, bottom, solvers, loop):
     )
 
 
+def _centers(op, grid):
+    """The cell centers when the operator reads them (a tensor, or a
+    y-dependent operator), else None."""
+    return grid.cell_centers() if isinstance(op, LinearTensorField) or op.y_dependent else None
+
+
 def _solve(problem, solvers, loop):
-    """The front shared by solve_linear and solve_nonlinear: the data and
-    the start's shape, then the reduced strip or ``loop`` on the full one."""
+    """The front shared by solve_linear and solve_nonlinear: the data, the
+    start's shape and whether the lift is exact, then the reduced strip, the
+    exact lift or ``loop(problem, grid, ref, U0, centers, weight)``, the
+    solver proper, from the lift U0 on the full strip."""
     grid = problem.grid
     bottom = boundary_values(problem, grid)
     _check_start(problem, grid)
-    reduced = _reduced_solve(problem, grid, bottom, solvers, loop)
-    if reduced is not None:
-        return reduced
-    return loop(problem, grid, bottom, _reference_solver(solvers, grid), 1.0)
+    centers = _centers(problem.operator, grid)
+    exact = _lift_is_exact(problem, grid, bottom, centers)
+    if not exact:
+        reduced = _reduced_solve(problem, grid, bottom, solvers, loop)
+        if reduced is not None:
+            return reduced
+    ref = _reference_solver(solvers, grid)
+    U0 = ref.lift(bottom)
+    lifted = _exact_lift(problem, grid, U0, centers, exact)
+    if lifted is not None:
+        return lifted
+    return loop(problem, grid, ref, U0, centers, 1.0)
 
 
 def _apply_tensor(grid, A, V):
@@ -495,14 +511,9 @@ def solve_linear(problem: StripProblem, solvers=None) -> StripSolution:
     return _solve(problem, solvers, _linear_loop)
 
 
-def _linear_loop(problem, grid, bottom, ref, weight):
+def _linear_loop(problem, grid, ref, U0, centers, weight):
     """solve_linear on ``grid`` after the front; ``weight`` is the number of
     copies of this strip that the reported strip holds (it sizes the cap)."""
-    U0 = ref.lift(bottom)
-    centers = grid.cell_centers()
-    exact = _exact_lift(problem, grid, bottom, U0, centers)
-    if exact is not None:
-        return exact
     A = problem.operator(centers)  # (d, d, N, N, *cells)
 
     def matvec(V):
@@ -816,15 +827,10 @@ def solve_nonlinear(problem: StripProblem, solvers=None) -> StripSolution:
     return _solve(problem, solvers, _nonlinear_loop)
 
 
-def _nonlinear_loop(problem, grid, bottom, ref, weight):
+def _nonlinear_loop(problem, grid, ref, U0, centers, weight):
     """solve_nonlinear on ``grid`` after the front; the loops weight their
     sums by ``weight``, the copies of this strip in the reported one."""
     op = problem.operator
-    U0 = ref.lift(bottom)
-    centers = grid.cell_centers() if op.y_dependent else None
-    exact = _exact_lift(problem, grid, bottom, U0, centers)
-    if exact is not None:
-        return exact
     if op.is_variational:
         U, E, iters, trace, rsup = _descent_variational(
             problem, grid, ref, op, U0, centers, weight=weight

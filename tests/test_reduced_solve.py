@@ -194,13 +194,13 @@ class OffsetQuadratic(QuadraticPotential):
         return super().potential(p, y, tau) + 0.1
 
 
-def test_exact_lift_is_never_narrowed(monkeypatch):
+def test_exact_lift_is_never_narrowed(monkeypatch, narrowed):
     # data constant on the plane, one lateral axis already 2 cells wide: the
     # exact lift of the full strip, energy counted on all of its cells
     grid = StripGrid([[0.25, 0.0, 0.0], [0.0, 1.0, 0.0]], [0.0, 0.0, 1.0], 0.3, 0.5, (2, 8), 4)
     problem = StripProblem(grid, OffsetQuadratic(anisotropic(1)), constant_field(3, 0.25))
     sol = solve_strip(problem)
-    assert sol.solved_cells == (2, 8) and sol.iterations == 0
+    assert narrowed == [] and sol.solved_cells == (2, 8) and sol.iterations == 0
     oracle = full_path(monkeypatch, problem)
     assert sol.energy == oracle.energy == pytest.approx(0.1 * 2 * 8 * 4 * grid.cellvol, rel=1e-12)
 
