@@ -39,6 +39,11 @@ def _along(ndim, axis, sl):
     return tuple(idx)
 
 
+def _along_shape(ndim, axis, n):
+    """Shape with n on ``axis`` and 1 elsewhere."""
+    return (1,) * axis + (n,) + (1,) * (ndim - axis - 1)
+
+
 _LO, _HI = slice(None, -1), slice(1, None)
 _FIRST, _LAST = slice(0, 1), slice(-1, None)
 
@@ -197,14 +202,33 @@ class StripGrid(_MeshBase):
         self._setup(edges)
 
     # --- coordinates -----------------------------------------------------
+    def coord_columns(self, shape, offset=0.0):
+        """Per component, the coordinates of the points (index + offset) of
+        an index block ``shape``, as an array broadcastable to ``shape``
+        with length 1 along every axis it is constant on.
+
+        Each component starts from 0.0 and adds (index + offset) * edge per
+        axis in axis order, then the origin: the same operations, entry by
+        entry, as a sum over full meshgrid arrays.  A term that is the same
+        float (bit for bit) at every index keeps one entry, which adds what
+        every entry would have added.
+        """
+        cols = []
+        for comp in range(self.d):
+            acc = 0.0
+            for ax, n in enumerate(shape):
+                term = (np.arange(n) + offset) * self.edges[comp, ax]
+                if (term.view(np.int64) == term.view(np.int64)[0]).all():
+                    term = term[:1]
+                acc = acc + term.reshape(_along_shape(len(shape), ax, term.size))
+            cols.append(acc + self.origin[comp])
+        return cols
+
     def _coords(self, shape, offset):
-        idx = np.meshgrid(*[np.arange(n) for n in shape], indexing="ij")
-        pts = np.zeros((self.d,) + tuple(shape))
-        for ax in range(self.d):
-            coord = idx[ax] + offset
-            for comp in range(self.d):
-                pts[comp] += coord * self.edges[comp, ax]
-        return pts + self.origin.reshape((self.d,) + (1,) * len(shape))
+        # (d, *shape): one broadcast copy per component, no meshgrid, and the
+        # same bits as the meshgrid sum (tests/assembly_oracle.py); the node
+        # coordinates, the cell centers and the bottom plane all come here
+        return np.stack([np.broadcast_to(c, shape) for c in self.coord_columns(shape, offset)])
 
     def node_coords(self):
         return self._coords(self.node_shape, 0.0)

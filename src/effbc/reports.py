@@ -233,7 +233,16 @@ class Reporter:
 
 def _solution_chunks(solution):
     """The solution file in pieces, each ending in a newline: the header,
-    then the node rows of one first-lateral-index slab at a time."""
+    then the node rows of one first-lateral-index slab at a time.
+
+    Each column of the node table (the indices, y1..yd, u1..uN) is reduced
+    to the axes it varies along, and each distinct entry of the reduced
+    array is formatted once, with its trailing ',' or newline, into a table
+    of NUL-padded bytes ("%.17g" renders floats exactly as fmt does, nan
+    and inf included).  A slab's rows are assembled in one reused byte
+    buffer, one row per node with every column at a fixed offset, by
+    broadcast copies of the tables; dropping the NULs leaves the text.
+    """
     prob = solution.problem
     op_hash = hashlib.sha256(canonical_json(prob.operator.describe()).encode()).hexdigest()[:16]
     grid = solution.grid
@@ -250,27 +259,86 @@ def _solution_chunks(solution):
     val_names = [f"u{c + 1}" for c in range(N)]
     lines.append(",".join(idx_names + coord_names + val_names))
     yield "\n".join(lines) + "\n"
-    # every column is formatted one distinct entry at a time; "%.17g"
-    # renders floats exactly as fmt does, nan and inf included
-    index = [_column_text(a, "%d").ravel().tolist() for a in np.indices(grid.node_shape[1:])]
-    floats = [_column_text(a, "%.17g") for a in (*grid.node_coords(), *solution.values)]
-    for i0 in range(grid.node_shape[0]):
-        slab = [str(i0)] * len(index[0])
-        columns = [a[i0].ravel().tolist() for a in floats]
-        yield "\n".join(map(",".join, zip(slab, *index, *columns))) + "\n"
+    shape = grid.node_shape
+    index = np.indices(shape, sparse=True)
+    floats = [*grid.coord_columns(shape), *solution.values]
+    specs = ["%d"] * len(index) + ["%.17g"] * len(floats)
+    seps = [","] * (len(specs) - 1) + ["\n"]
+    slab_size = math.prod(shape[1:])
+    columns = [
+        _ColumnText(a, spec, sep, slab_size)
+        for a, spec, sep in zip([*index, *floats], specs, seps)
+    ]
+    buf = np.empty(shape[1:] + (sum(c.width for c in columns),), dtype=np.uint8)
+    for i0 in range(shape[0]):
+        at = 0
+        for c in columns:
+            buf[..., at:at + c.width] = c.slab(i0)
+            at += c.width
+        yield buf.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _column_text(a, spec):
-    """An object array of the %-``spec`` text of each entry of ``a``, each
-    distinct entry formatted once.  Floats are keyed on their bit pattern,
-    so -0.0 and 0.0 keep their own texts."""
-    a = np.ascontiguousarray(a)
-    keys = a.view(f"i{a.itemsize}") if a.dtype.kind == "f" else a
-    distinct, inverse = np.unique(keys, return_inverse=True)
+_FLOAT_WIDTH = 24  # the longest %.17g text: -1.2345678901234567e-308
+
+
+def _keys(a):
+    """a, or for floats their bit patterns, so that 0.0 and -0.0 (and nans
+    of two signs) differ."""
+    return a.view(f"i{a.itemsize}") if a.dtype.kind == "f" else a
+
+
+def _reduced(a):
+    """a with length 1 along every axis it is constant on, bit for bit."""
+    for ax in range(a.ndim):
+        if a.shape[ax] > 1:
+            first = (slice(None),) * ax + (slice(0, 1),)
+            keys = _keys(a)
+            if (keys == keys[first]).all():
+                a = a[first]
+    return a
+
+
+def _text_table(a, spec, sep, width=None):
+    """The text of every entry of a followed by sep, NUL-padded to one width
+    (``width``, else the longest): uint8 (*a.shape, width).  Each distinct
+    entry is formatted once."""
+    distinct, inverse = np.unique(_keys(a).ravel(), return_inverse=True)
     if a.dtype.kind == "f":
         distinct = distinct.view(a.dtype)
-    text = np.array([spec % x for x in distinct.tolist()], dtype=object)
-    return text[inverse.reshape(a.shape)]
+    texts = [(spec % x + sep).encode("ascii") for x in distinct.tolist()]
+    table = np.array(texts, dtype=None if width is None else f"S{width}")
+    return table.view(np.uint8).reshape(len(texts), -1)[inverse.reshape(a.shape)]
+
+
+class _ColumnText:
+    """The text of one column of the node table, slab by slab.
+
+    The text of the reduced column is made once, unless the column varies
+    along the first axis on more entries than a slab has (a sheared
+    coordinate, say): then each slab's text is made when it is asked for,
+    padded to the widest text the column can have, so that no text of the
+    column is ever larger than one slab's.
+    """
+
+    def __init__(self, a, spec, sep, slab_size):
+        self.a = _reduced(a)
+        self.spec, self.sep = spec, sep
+        if self.a.shape[0] > 1 and self.a.size > slab_size:
+            self.text = None
+            if spec == "%d":
+                longest = max(len(spec % x) for x in (self.a.min(), self.a.max()))
+            else:
+                longest = _FLOAT_WIDTH
+            self.width = longest + len(sep)
+        else:
+            self.text = _text_table(self.a, spec, sep)
+            self.width = self.text.shape[-1]
+
+    def slab(self, i0):
+        """uint8 text of slab i0, broadcastable to (*shape[1:], width)."""
+        if self.text is None:
+            return _text_table(self.a[i0], self.spec, self.sep, self.width)
+        return self.text[i0 if self.text.shape[0] > 1 else 0]
 
 
 def solution_text(solution, out=None):

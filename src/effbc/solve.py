@@ -24,12 +24,13 @@ extension by the solver's own cheap measure (residual norm, sup residual,
 energy) is dropped, and a start that already meets the target returns
 without an iteration.
 
-An exact lift is returned before any stencil pass: when the boundary data
-is constant on the plane, its lift is a constant column, and when the
-flux of a zero gradient is exactly zero on every cell, that column solves
-the strip exactly.  Every solver then returns the lift after 0 iterations
-with residual 0.0 (the descent with the lift's energy as its one-entry
-trace), the same solution its loop would have returned, start or no start.
+An exact lift is returned before any reference solver is set up and
+before any stencil pass: when the boundary data is constant on the plane,
+its lift is a constant column, and when the flux of a zero gradient is
+exactly zero on every cell, that column solves the strip exactly.  Every
+solver then returns the lift after 0 iterations with residual 0.0 (the
+descent with the lift's energy as its one-entry trace), the same solution
+its loop would have returned, start or no start.
 
 A laterally invariant strip is solved on a strip two cells wide.  When the
 operator is y-independent and the bottom data, and the start if there is
@@ -219,21 +220,24 @@ def _lift_is_exact(problem, grid, bottom, centers):
     return not operator_flux(op, zero, centers, problem.tau).any()
 
 
-def _exact_lift(problem, grid, U0, centers, exact):
-    """The solution when the lift U0 is exact (``exact``, the verdict of
-    _lift_is_exact on this strip's data), else None.
+def _exact_lift(problem, grid, bottom, centers, exact):
+    """The solution when the lift of ``bottom`` is exact (``exact``, the
+    verdict of _lift_is_exact on this strip's data), else None.
 
     Finite bottom data that is constant on the plane lifts to a constant
-    column, whose discrete gradient is zero on every cell; when the flux of
-    a zero gradient is exactly zero on every cell, the residual of U0 is
-    exactly zero and every solver would return U0 after 0 iterations,
-    dropping any start (the descent's too: U0 is the minimum of its convex
-    energy).  This returns that same solution with no stencil pass:
-    residual 0.0, and for the descent the energy of U0, summed over the
-    full cell shape as the descent sums it.
+    column U0, the bottom repeated on every level (what the reference
+    solver's lift returns for it, bit for bit), whose discrete gradient is
+    zero on every cell; when the flux of a zero gradient is exactly zero on
+    every cell, the residual of U0 is exactly zero and every solver would
+    return U0 after 0 iterations, dropping any start (the descent's too: U0
+    is the minimum of its convex energy).  This returns that same solution
+    with no reference solver and no stencil pass: residual 0.0, and for the
+    descent the energy of U0, summed over the full cell shape as the
+    descent sums it.
     """
     if not exact:
         return None
+    U0 = np.repeat(bottom[..., None], grid.n_vert + 1, axis=-1)
     op = problem.operator
     if isinstance(op, LinearTensorField) or not op.is_variational:
         return StripSolution(problem, grid, U0, 0.0, 0)
@@ -317,24 +321,24 @@ def _centers(op, grid):
 
 def _solve(problem, solvers, loop):
     """The front shared by solve_linear and solve_nonlinear: the data, the
-    start's shape and whether the lift is exact, then the reduced strip, the
-    exact lift or ``loop(problem, grid, ref, U0, centers, weight)``, the
-    solver proper, from the lift U0 on the full strip."""
+    start's shape and whether the lift is exact, then the exact lift (before
+    any reference solver is built or taken from ``solvers``), the reduced
+    strip or ``loop(problem, grid, ref, U0, centers, weight)``, the solver
+    proper, from the lift U0 on the full strip."""
     grid = problem.grid
     bottom = boundary_values(problem, grid)
     _check_start(problem, grid)
     centers = _centers(problem.operator, grid)
     exact = _lift_is_exact(problem, grid, bottom, centers)
+    lifted = _exact_lift(problem, grid, bottom, centers, exact)
+    if lifted is not None:
+        return lifted
     if not exact:
         reduced = _reduced_solve(problem, grid, bottom, solvers, loop)
         if reduced is not None:
             return reduced
     ref = _reference_solver(solvers, grid)
-    U0 = ref.lift(bottom)
-    lifted = _exact_lift(problem, grid, U0, centers, exact)
-    if lifted is not None:
-        return lifted
-    return loop(problem, grid, ref, U0, centers, 1.0)
+    return loop(problem, grid, ref, ref.lift(bottom), centers, 1.0)
 
 
 def _apply_tensor(grid, A, V):

@@ -13,6 +13,11 @@ symbol, which the library takes from the stencil passes.
 ``lift`` is the stencil form of the reference solver's harmonic extension:
 the residual of the repeated bottom from one gradient / scatter pair, then
 a full reference solve.  The library builds the same residual in mode space.
+
+``meshgrid_coords`` is the textbook form of a strip grid's point
+coordinates: full meshgrid index arrays, each times its edge vector, added
+axis by axis onto zeros, then the origin.  The library adds the same terms
+in the same order on broadcast arrays, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -115,6 +120,17 @@ def strip_dof_partition(grid, n_components):
 def apply_reference(grid, U):
     """Discrete Laplacian (A = I) applied componentwise, matrix free."""
     return grid.scatter_flux(grid.phys_gradient(U))
+
+
+def meshgrid_coords(grid, shape, offset):
+    """Coordinates (d, *shape) of the points (index + offset) of ``grid``."""
+    idx = np.meshgrid(*[np.arange(n) for n in shape], indexing="ij")
+    pts = np.zeros((grid.d,) + tuple(shape))
+    for ax in range(grid.d):
+        coord = idx[ax] + offset
+        for comp in range(grid.d):
+            pts[comp] += coord * grid.edges[comp, ax]
+    return pts + grid.origin.reshape((grid.d,) + (1,) * len(shape))
 
 
 def lift(ref, bottom):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from effbc import (
-    ConfigError, build_strip_grid, identity_tensor, make_field, make_rational_direction,
+    ConfigError, build_strip_grid, constant_field, identity_tensor, make_field,
+    make_rational_direction,
 )
 from effbc.cli import main
 from effbc.config import load_config, parse_field, parse_operator
@@ -521,6 +522,94 @@ def test_solution_text_matches_per_node_loop(v, N, h):
     for v in (sol.values, vals, repeated):
         s = StripSolution(sol.problem, sol.grid, v, sol.residual_norm, sol.iterations)
         assert solution_text(s) == _solution_text_per_node(s)
+
+
+def _writer_case(name):
+    """A solution whose columns reduce in the way ``name`` says."""
+    rng = np.random.default_rng(11)
+    if name == "broadcast_3d":
+        # the root kink on e3 with data varying along y1 only: solved two
+        # cells wide and broadcast along the second lateral axis
+        prob = StripProblem(
+            build_strip_grid(make_rational_direction([0, 0, 1]), 0.0, 0.5, h=1 / 8),
+            RootKinkOperator(), make_field(3, terms=[(1.0, [1, 0, 0], "cos")], constant=1 / 3),
+            tau=1 / 16,
+        )
+        sol = solve_strip(prob)
+        assert sol.solved_cells == (8, 2)
+        return sol
+    if name == "sheared_3d_N2":
+        grid = build_strip_grid(
+            make_rational_direction([2, -1, 3]), 0.45, 0.5, cells=(30, 30, 4)
+        )
+        values = rng.standard_normal((2,) + grid.node_shape)
+    elif name == "signed_zeros":
+        # equal by == along the second lateral axis, but 0.0 and -0.0 alternate
+        grid = build_strip_grid(make_rational_direction([0, 0, 1]), -0.25, 0.5, h=1 / 8)
+        values = np.zeros((2,) + grid.node_shape)
+        values[0, :, 1::2] = -0.0
+        values[1] = np.arange(grid.node_shape[0])[:, None, None] * 0.0
+        values[1, 3:] *= -1.0
+    elif name == "specials_on_reduced_axes":
+        # nan of both signs, infinities and subnormals, constant along the
+        # first axis (one text for every slab) and along the second one
+        grid = build_strip_grid(make_rational_direction([0, 0, 1]), 0.0, 1.0, h=1 / 8)
+        pool = np.array([np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.5e-310, 0.0, -0.0])
+        levels = rng.choice(pool, size=grid.node_shape[-1])
+        values = np.empty((2,) + grid.node_shape)
+        values[0] = levels
+        values[1] = rng.choice(pool, size=grid.node_shape[0])[:, None, None]
+    elif name == "more_slabs_than_rows":
+        # 2-d, 3 levels: the first-axis columns have more entries than a
+        # slab, so their text is made slab by slab, padded to the longest
+        # float text (24 characters, the negative subnormal's)
+        h = math.sqrt(5.0) / 20.0
+        grid = build_strip_grid(make_rational_direction([1, 2]), 0.3, 2 * h, h=h)
+        pool = np.array([np.nan, -np.nan, -0.0, 1e300, -1 / 3, -5e-324, -1.2345678901234567e-308])
+        values = rng.choice(pool, size=(1,) + grid.node_shape)
+    N = values.shape[0]
+    data = constant_field(grid.d, [0.0] * N, n_components=N)
+    prob = StripProblem(grid, identity_tensor(grid.d, n_components=N), data)
+    return StripSolution(prob, grid, values, 0.0, 0)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["broadcast_3d", "sheared_3d_N2", "signed_zeros", "specials_on_reduced_axes",
+     "more_slabs_than_rows"],
+)
+def test_solution_text_matches_per_node_loop_on_reduced_columns(name):
+    import io
+
+    sol = _writer_case(name)
+    text = solution_text(sol)
+    assert text == _solution_text_per_node(sol)
+    stream = io.StringIO()
+    assert solution_text(sol, out=stream) is None
+    assert stream.getvalue() == text
+
+
+def test_solution_text_memory_stays_near_the_values():
+    # a laterally invariant 32 x 32 x 129 solution, as kink-3d-ladder writes:
+    # the text is streamed slab by slab from per-axis tables, so the peak
+    # stays a small multiple of the values (11x before the byte assembly)
+    import tracemalloc
+
+    grid = build_strip_grid(make_rational_direction([0, 0, 1]), 0.0, 4.0, h=1 / 32)
+    assert grid.node_shape == (32, 32, 129)
+    i0, _, level = np.indices((32, 1, 129), sparse=True)
+    column = np.cos(i0 / 5.0) * np.exp(-level / 17.0)
+    values = np.broadcast_to(column, (1,) + grid.node_shape).copy()
+    prob = StripProblem(grid, RootKinkOperator(), constant_field(3, 0.0))
+    sol = StripSolution(prob, grid, values, 0.0, 0)
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        tracemalloc.start()
+        try:
+            solution_text(sol, out=sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 6 * values.nbytes
 
 
 def test_fmt_seventeen_digits():

@@ -13,9 +13,12 @@ from effbc import (
     make_rational_direction,
     planar_strip_grid,
 )
-from assembly_oracle import apply_reference, assemble_matrix, strip_dof_partition
+from assembly_oracle import (
+    apply_reference, assemble_matrix, meshgrid_coords, strip_dof_partition,
+)
 from effbc.assembly import StripReferenceSolver, TorusReferenceSolver
 from effbc.grid import TorusGrid
+from effbc.solve import _narrow_grid
 
 
 def test_axis_grid_shape():
@@ -121,6 +124,48 @@ def test_bottom_coords_is_level_zero_of_node_coords(v, cells, s):
     xi = make_rational_direction(v)
     g = build_strip_grid(xi, s, 1.0, cells=cells)
     assert np.array_equal(g.bottom_coords(), g.node_coords()[..., 0])
+
+
+def _coords_grids():
+    grids = {
+        "sheared_2d": build_strip_grid(make_rational_direction([1, 2]), 0.3, 1.0, cells=(20, 9)),
+        "sheared_2d_15": build_strip_grid(
+            make_rational_direction([1, 5]), -1.1, 1.0, cells=(42, 8)
+        ),
+        "sheared_3d": build_strip_grid(
+            make_rational_direction([1, 1, 1]), -0.7, 1.0, cells=(12, 12, 10)
+        ),
+        "sheared_3d_mixed": build_strip_grid(
+            make_rational_direction([2, -1, 3]), 0.45, 0.5, cells=(30, 30, 5)
+        ),
+        # s = 0 and negative normals: -0.0 terms, whose sum depends on
+        # starting from 0.0 (0.0 + -0.0 is 0.0)
+        "signed_zeros_2d": build_strip_grid(
+            make_rational_direction([-1, -1]), 0.0, 0.5, cells=(12, 4)
+        ),
+        "signed_zeros_3d": build_strip_grid(
+            make_rational_direction([-2, -1, -2]), 0.0, 0.5, cells=(12, 18, 4)
+        ),
+    }
+    wide = build_strip_grid(make_rational_direction([0, 0, 1]), 0.25, 1.0, cells=(16, 12, 8))
+    grids["narrowed"] = _narrow_grid(wide, [1])
+    grids["narrowed_sheared"] = _narrow_grid(grids["sheared_3d"], [0, 1])
+    return grids
+
+
+@pytest.mark.parametrize("name", sorted(_coords_grids()))
+def test_coords_equal_the_meshgrid_formula_bit_for_bit(name):
+    g = _coords_grids()[name]
+    for got, shape, offset in [
+        (g.node_coords(), g.node_shape, 0.0),
+        (g.cell_centers(), g.cell_shape, 0.5),
+        (g.bottom_coords(), g.lat_cells + (1,), 0.0),
+    ]:
+        want = meshgrid_coords(g, shape, offset)
+        if got.ndim < want.ndim:  # the bottom plane drops its level axis
+            want = want[..., 0]
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_torus_solver_pseudoinverse():
