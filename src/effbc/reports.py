@@ -238,10 +238,11 @@ def _solution_chunks(solution):
     Each column of the node table (the indices, y1..yd, u1..uN) is reduced
     to the axes it varies along, and each distinct entry of the reduced
     array is formatted once, with its trailing ',' or newline, into a table
-    of NUL-padded bytes ("%.17g" renders floats exactly as fmt does, nan
-    and inf included).  A slab's rows are assembled in one reused byte
-    buffer, one row per node with every column at a fixed offset, by
-    broadcast copies of the tables; dropping the NULs leaves the text.
+    of NUL-padded byte strings ("%.17g" renders floats exactly as fmt
+    does, nan and inf included).  A slab's rows are assembled in one reused
+    byte buffer, one row per node with every column a fixed-width field at
+    a fixed offset, by broadcast copies of the tables; dropping the NULs
+    leaves the text.
     """
     prob = solution.problem
     op_hash = hashlib.sha256(canonical_json(prob.operator.describe()).encode()).hexdigest()[:16]
@@ -266,15 +267,19 @@ def _solution_chunks(solution):
     seps = [","] * (len(specs) - 1) + ["\n"]
     slab_size = math.prod(shape[1:])
     columns = [
-        _ColumnText(a, spec, sep, slab_size)
+        _ColumnText(a, spec + sep, slab_size)
         for a, spec, sep in zip([*index, *floats], specs, seps)
     ]
-    buf = np.empty(shape[1:] + (sum(c.width for c in columns),), dtype=np.uint8)
+    widths = [c.dtype.itemsize for c in columns]
+    buf = np.empty(shape[1:] + (sum(widths),), dtype=np.uint8)
+    # each column's bytes in every row of buf, as one fixed-width string
+    fields = [
+        buf[..., at - w:at].view(c.dtype)[..., 0]
+        for at, w, c in zip(np.cumsum(widths), widths, columns)
+    ]
     for i0 in range(shape[0]):
-        at = 0
-        for c in columns:
-            buf[..., at:at + c.width] = c.slab(i0)
-            at += c.width
+        for field, c in zip(fields, columns):
+            field[...] = c.slab(i0)
         yield buf.tobytes().translate(None, b"\0").decode("ascii")
 
 
@@ -298,20 +303,20 @@ def _reduced(a):
     return a
 
 
-def _text_table(a, spec, sep, width=None):
-    """The text of every entry of a followed by sep, NUL-padded to one width
-    (``width``, else the longest): uint8 (*a.shape, width).  Each distinct
-    entry is formatted once."""
+def _text_table(a, spec, dtype="S"):
+    """The %-``spec`` text of every entry of a as bytes, NUL-padded to one
+    width (that of ``dtype``, else the longest).  Each distinct entry is
+    formatted once."""
     distinct, inverse = np.unique(_keys(a).ravel(), return_inverse=True)
     if a.dtype.kind == "f":
         distinct = distinct.view(a.dtype)
-    texts = [(spec % x + sep).encode("ascii") for x in distinct.tolist()]
-    table = np.array(texts, dtype=None if width is None else f"S{width}")
-    return table.view(np.uint8).reshape(len(texts), -1)[inverse.reshape(a.shape)]
+    table = np.array(list(map(spec.__mod__, distinct.tolist())), dtype=dtype)
+    return table[inverse.reshape(a.shape)]
 
 
 class _ColumnText:
-    """The text of one column of the node table, slab by slab.
+    """The text of one column of the node table (``spec`` includes its
+    separator), slab by slab.
 
     The text of the reduced column is made once, unless the column varies
     along the first axis on more entries than a slab has (a sheared
@@ -320,24 +325,24 @@ class _ColumnText:
     column is ever larger than one slab's.
     """
 
-    def __init__(self, a, spec, sep, slab_size):
+    def __init__(self, a, spec, slab_size):
         self.a = _reduced(a)
-        self.spec, self.sep = spec, sep
+        self.spec = spec
         if self.a.shape[0] > 1 and self.a.size > slab_size:
             self.text = None
-            if spec == "%d":
-                longest = max(len(spec % x) for x in (self.a.min(), self.a.max()))
+            if self.a.dtype.kind == "f":
+                longest = _FLOAT_WIDTH + 1  # and the separator
             else:
-                longest = _FLOAT_WIDTH
-            self.width = longest + len(sep)
+                longest = max(len(spec % x) for x in (self.a.min(), self.a.max()))
+            self.dtype = np.dtype(f"S{longest}")
         else:
-            self.text = _text_table(self.a, spec, sep)
-            self.width = self.text.shape[-1]
+            self.text = _text_table(self.a, spec)
+            self.dtype = self.text.dtype
 
     def slab(self, i0):
-        """uint8 text of slab i0, broadcastable to (*shape[1:], width)."""
+        """The text of slab i0, broadcastable to shape[1:]."""
         if self.text is None:
-            return _text_table(self.a[i0], self.spec, self.sep, self.width)
+            return _text_table(self.a[i0], self.spec, self.dtype)
         return self.text[i0 if self.text.shape[0] > 1 else 0]
 
 
