@@ -233,16 +233,17 @@ class Reporter:
 
 def _solution_chunks(solution):
     """The solution file in pieces, each ending in a newline: the header,
-    then the node rows of one first-lateral-index slab at a time.
+    then the node rows of one block of first-lateral-index slabs at a time,
+    as few slabs as make _BLOCK_ROWS rows (one, when a slab has that many).
 
     Each column of the node table (the indices, y1..yd, u1..uN) is reduced
     to the axes it varies along, and each distinct entry of the reduced
     array is formatted once, with its trailing ',' or newline, into a table
     of NUL-padded byte strings ("%.17g" renders floats exactly as fmt
-    does, nan and inf included).  A slab's rows are assembled in one reused
-    byte buffer, one row per node with every column a fixed-width field at
-    a fixed offset, by broadcast copies of the tables; dropping the NULs
-    leaves the text.
+    does, nan and inf included).  A block's rows are assembled in one
+    reused byte buffer, one row per node with every column a fixed-width
+    field at a fixed offset, by broadcast copies of the tables; dropping
+    the NULs leaves the text.
     """
     prob = solution.problem
     op_hash = hashlib.sha256(canonical_json(prob.operator.describe()).encode()).hexdigest()[:16]
@@ -266,21 +267,26 @@ def _solution_chunks(solution):
     specs = ["%d"] * len(index) + ["%.17g"] * len(floats)
     seps = [","] * (len(specs) - 1) + ["\n"]
     slab_size = math.prod(shape[1:])
+    block = -(-_BLOCK_ROWS // slab_size)  # slabs per piece
     columns = [
-        _ColumnText(a, spec + sep, slab_size)
+        _ColumnText(a, spec + sep, block * slab_size)
         for a, spec, sep in zip([*index, *floats], specs, seps)
     ]
     widths = [c.dtype.itemsize for c in columns]
-    buf = np.empty(shape[1:] + (sum(widths),), dtype=np.uint8)
+    buf = np.empty((block,) + shape[1:] + (sum(widths),), dtype=np.uint8)
     # each column's bytes in every row of buf, as one fixed-width string
     fields = [
         buf[..., at - w:at].view(c.dtype)[..., 0]
         for at, w, c in zip(np.cumsum(widths), widths, columns)
     ]
-    for i0 in range(shape[0]):
+    for i0 in range(0, shape[0], block):
+        n = min(block, shape[0] - i0)
         for field, c in zip(fields, columns):
-            field[...] = c.slab(i0)
-        yield buf.tobytes().translate(None, b"\0").decode("ascii")
+            field[:n] = c.rows(i0, n)
+        yield buf[:n].tobytes().translate(None, b"\0").decode("ascii")
+
+
+_BLOCK_ROWS = 4096  # rows per piece at least, unless one slab has more
 
 
 _FLOAT_WIDTH = 24  # the longest %.17g text: -1.2345678901234567e-308
@@ -316,19 +322,19 @@ def _text_table(a, spec, dtype="S"):
 
 class _ColumnText:
     """The text of one column of the node table (``spec`` includes its
-    separator), slab by slab.
+    separator), a block of first-index slabs at a time.
 
     The text of the reduced column is made once, unless the column varies
-    along the first axis on more entries than a slab has (a sheared
-    coordinate, say): then each slab's text is made when it is asked for,
-    padded to the widest text the column can have, so that no text of the
-    column is ever larger than one slab's.
+    along the first axis on more entries than a block has (a sheared
+    coordinate, say): then each block's text is made when it is asked
+    for, padded to the widest text the column can have, so that no text of
+    the column is ever larger than one block's.
     """
 
-    def __init__(self, a, spec, slab_size):
+    def __init__(self, a, spec, block_size):
         self.a = _reduced(a)
         self.spec = spec
-        if self.a.shape[0] > 1 and self.a.size > slab_size:
+        if self.a.shape[0] > 1 and self.a.size > block_size:
             self.text = None
             if self.a.dtype.kind == "f":
                 longest = _FLOAT_WIDTH + 1  # and the separator
@@ -339,11 +345,11 @@ class _ColumnText:
             self.text = _text_table(self.a, spec)
             self.dtype = self.text.dtype
 
-    def slab(self, i0):
-        """The text of slab i0, broadcastable to shape[1:]."""
+    def rows(self, i0, n):
+        """The text of slabs i0 .. i0 + n - 1, broadcastable to (n, *shape[1:])."""
         if self.text is None:
-            return _text_table(self.a[i0], self.spec, self.dtype)
-        return self.text[i0 if self.text.shape[0] > 1 else 0]
+            return _text_table(self.a[i0:i0 + n], self.spec, self.dtype)
+        return self.text[i0:i0 + n] if self.text.shape[0] > 1 else self.text
 
 
 def solution_text(solution, out=None):

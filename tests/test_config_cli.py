@@ -560,11 +560,11 @@ def _writer_case(name):
         values[0] = levels
         values[1] = rng.choice(pool, size=grid.node_shape[0])[:, None, None]
     elif name == "more_slabs_than_rows":
-        # 2-d, 3 levels: the first-axis columns have more entries than a
-        # slab, so their text is made slab by slab, padded to the longest
-        # float text (24 characters, the negative subnormal's)
-        h = math.sqrt(5.0) / 20.0
-        grid = build_strip_grid(make_rational_direction([1, 2]), 0.3, 2 * h, h=h)
+        # 2-d, 1400 slabs of 3 rows: the columns varying along the first
+        # axis have more entries than a block of slabs (4096 rows), so their
+        # text is made block by block, padded to the longest float text (24
+        # characters, the negative subnormal's)
+        grid = build_strip_grid(make_rational_direction([1, 2]), 0.3, 0.25, cells=(1400, 2))
         pool = np.array([np.nan, -np.nan, -0.0, 1e300, -1 / 3, -5e-324, -1.2345678901234567e-308])
         values = rng.choice(pool, size=(1,) + grid.node_shape)
     N = values.shape[0]
@@ -592,7 +592,7 @@ def test_solution_text_matches_per_node_loop_on_reduced_columns(name):
 def test_solution_text_memory_stays_near_the_values():
     # a laterally invariant 32 x 32 x 129 solution, as kink-3d-ladder writes:
     # the text is streamed slab by slab from per-axis tables, so the peak
-    # stays a small multiple of the values (11x before the byte assembly)
+    # stays a small multiple of the values
     import tracemalloc
 
     grid = build_strip_grid(make_rational_direction([0, 0, 1]), 0.0, 4.0, h=1 / 32)
