@@ -15,8 +15,11 @@ diagonal in the lateral modes as well, so the lift builds it in mode space
 from the bands of the symbol, without a stencil pass; laterally constant
 data is exactly harmonic and returns the repeated column as it is.  The
 torus solve preconditions the cell problems.  Every operator is applied
-matrix free (``grid.scatter_flux`` of the flux of ``grid.phys_gradient``);
-no matrix is assembled, and every transform runs on ``numpy.fft``.
+matrix free (``grid.scatter_flux`` of the flux of ``grid.phys_gradient``,
+or for cell tensors the ``grid.TensorOperator`` built from the same
+passes); no matrix is assembled, and every transform runs on
+``numpy.fft``.  ``solve`` writes into a given array, the free levels
+straight from the last inverse transform.
 """
 
 from __future__ import annotations
@@ -140,16 +143,20 @@ class StripReferenceSolver:
         untwist = np.conj(twist)
         twist[..., -1] *= 2.0
         w = np.exp(-0.5j * np.pi * np.arange(n) / n)
-        # V_k = conj(w_k) (u_k - i u_(n-k)) / 2 of u = rev(twist r)
+        # V_k = conj(w_k) (u_k - i u_(n-k)) / 2 of u = rev(twist r); the
+        # factors of u_(n-k) sit at k - 1, padded to full rows (the pad's
+        # product is never read), so that both passes run on whole arrays
         self._in_rev = 0.5 * np.conj(w) * twist[..., ::-1]
-        self._in_prev = -0.5j * np.conj(w[1:]) * twist[..., :-1]
+        self._in_prev = np.ones_like(self._in_rev)
+        self._in_prev[..., :-1] = -0.5j * np.conj(w[1:]) * twist[..., :-1]
         # v_m = x_(order[m])
         order = np.concatenate([np.arange(0, n, 2), np.arange(1, n, 2)[::-1]])
         self._inv = np.ascontiguousarray(inv[..., order])
         # y_k = C_(n-1-k) = w_(n-1-k) W_(n-1-k) + conj(w_(n-1-k)) W_(k+1 mod n),
-        # W the FFT of v, then untwisted
+        # W the FFT of v, then untwisted; the factor of W_(k+1 mod n) sits at
+        # k + 1 mod n, so that W is scaled as a whole
         self._out_rev = untwist * w[::-1]
-        self._out_next = untwist * np.conj(w[::-1])
+        self._out_next = np.roll(untwist * np.conj(w[::-1]), 1, axis=-1)
 
     def _lateral_fft(self, x):
         """Lateral modes of x (N, *lat, ...): rfft on the last lateral axis,
@@ -160,36 +167,49 @@ class StripReferenceSolver:
             np.fft.fft(xhat, axis=ax, out=xhat)
         return xhat
 
-    def _lateral_ifft(self, y):
-        """Inverse of _lateral_fft; overwrites y."""
+    def _lateral_ifft(self, y, out=None):
+        """Inverse of _lateral_fft, into ``out`` when given; overwrites y."""
         *other, last = self.lat_axes
         for ax in other:
             np.fft.ifft(y, axis=ax, out=y)
-        return np.fft.irfft(y, n=self.grid.lat_cells[-1], axis=last)
+        return np.fft.irfft(y, n=self.grid.lat_cells[-1], axis=last, out=out)
 
-    def solve_free(self, r_free):
-        """Solve for the free-level block; r_free is (N, *lat, n_free)."""
-        return self._lateral_ifft(self._dst3_dst2_pair(self._lateral_fft(r_free)))
+    def solve_free(self, r_free, out=None):
+        """Solve for the free-level block; r_free is (N, *lat, n_free).  The
+        result goes into ``out`` (an array or view of that shape) when
+        given."""
+        return self._lateral_ifft(self._dst3_dst2_pair(self._lateral_fft(r_free)), out)
 
     def _dst3_dst2_pair(self, rhat):
-        # rhat's buffer is reused: first for a product, then for the result
+        # rhat's buffer is reused: first for a product, then for the result.
+        # A shift by one level is a shift of the flat contiguous array; the
+        # one entry per row that it carries over from the next row is put
+        # back, so each pass is one contiguous ufunc.
         V = rhat[..., ::-1] * self._in_rev
-        rhat[..., :-1] *= self._in_prev
-        V[..., 1:] += rhat[..., :-1]
+        rhat *= self._in_prev
+        first = V[..., 0].copy()
+        V.reshape(-1)[1:] += rhat.reshape(-1)[:-1]  # V_k += rhat_(k-1)
+        V[..., 0] = first
         np.fft.ifft(V, axis=-1, out=V)
         V *= self._inv
         W = np.fft.fft(V, axis=-1, out=V)
         y = np.multiply(W[..., ::-1], self._out_rev, out=rhat)
-        y[..., -1] += W[..., 0] * self._out_next[..., -1]
-        W[..., 1:] *= self._out_next[..., :-1]
-        y[..., :-1] += W[..., 1:]
+        W *= self._out_next
+        y[..., -1] += W[..., 0]
+        last = y[..., -1].copy()
+        y.reshape(-1)[:-1] += W.reshape(-1)[1:]  # y_k += W_(k+1)
+        y[..., -1] = last
         return y
 
-    def solve(self, r_full):
-        """Solve with zero correction on the bottom level; r_full (N, *lat, levels)."""
-        corr = np.zeros_like(r_full)
-        corr[..., 1:] = self.solve_free(r_full[..., 1:])
-        return corr
+    def solve(self, r_full, out=None):
+        """Solve with zero correction on the bottom level; r_full (N, *lat,
+        levels).  The free levels are transformed straight into ``out`` when
+        given, else into a new array."""
+        if out is None:
+            out = np.empty_like(r_full)
+        out[..., 0] = 0.0
+        self.solve_free(r_full[..., 1:], out[..., 1:])
+        return out
 
     def lift(self, bottom):
         """Discrete harmonic extension of the bottom values (N, *lat).
@@ -232,9 +252,14 @@ class TorusReferenceSolver:
         self._inv = inv
         self.axes = tuple(range(1, grid.d + 1))
 
-    def solve(self, r):
+    def solve(self, r, out=None):
+        """The pseudo-inverse applied to r, into ``out`` when given."""
         rhat = np.fft.fftn(r, axes=self.axes)
-        return np.real(np.fft.ifftn(rhat * self._inv, axes=self.axes))
+        x = np.real(np.fft.ifftn(rhat * self._inv, axes=self.axes))
+        if out is None:
+            return x
+        np.copyto(out, x)
+        return out
 
     def project_out_null(self, U):
         uhat = np.fft.fftn(U, axes=self.axes)

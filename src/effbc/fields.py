@@ -180,14 +180,25 @@ class LinearTensorField:
     lam: float
 
     def __call__(self, y):
-        """Evaluate at points y (d, ...) -> array (d, d, N, N, ...)."""
+        """Evaluate at points y (d, ...) -> array (d, d, N, N, ...).
+
+        Each distinct entry is evaluated once (an isotropic tensor repeats
+        its profile and its zero), and an entry without terms is filled
+        with 0.0 + its constant, the value evaluate_field gives it.
+        """
         y = np.asarray(y, dtype=float)
         out = np.empty((self.d, self.d, self.n_components, self.n_components) + y.shape[1:])
-        for a in range(self.d):
-            for b in range(self.d):
-                for i in range(self.n_components):
-                    for j in range(self.n_components):
-                        out[a, b, i, j] = evaluate_field(self.entries[a][b][i][j], y)
+        values = {}
+        for idx in np.ndindex(out.shape[:4]):
+            a, b, i, j = idx
+            e = self.entries[a][b][i][j]
+            if not e.terms:
+                out[idx] = 0.0 + float(e.constant[0])
+                continue
+            key = _field_key(e)
+            if key not in values:
+                values[key] = evaluate_field(e, y)
+            out[idx] = values[key]
         return out
 
     @property
@@ -230,6 +241,13 @@ class LinearTensorField:
 
         blob = json.dumps(self.describe(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _field_key(e: PeriodicFieldExpr):
+    """What evaluate_field reads of a scalar field, as a hashable key."""
+    return (e.d, e.constant.tobytes()) + tuple(
+        (c.tobytes(), np.asarray(k).tobytes(), ph) for c, k, ph in e.terms
+    )
 
 
 def _tensor(d, N, entry, lam) -> LinearTensorField:

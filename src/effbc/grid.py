@@ -13,8 +13,12 @@ There the reference gradient along axis a is the forward difference along
 a of the nodal values averaged over every other axis, so ``phys_gradient``
 is d difference-and-average passes, one per axis, and ``scatter_flux`` is
 their exact transpose.  These passes are the only description of the
-discrete operator: the reference solvers take its Fourier symbol from the
-same passes and ``_gradient_map``.
+discrete operator: each is built as a list of ufunc steps on given views,
+which ``phys_gradient`` and ``scatter_flux`` build per call and
+``TensorOperator``, the linear Galerkin operator of cell tensors, builds
+once on the buffers it keeps, with the flux map, the gradient map and the
+cell volume folded into the cell tensors.  The reference solvers take the
+operator's Fourier symbol from the same passes and ``_gradient_map``.
 """
 
 from __future__ import annotations
@@ -32,11 +36,9 @@ _DIV_TOL = 1e-9
 _MAX_SPACING = 1.0 / 8.0  # at least 8 cells per unit length
 
 
-def _along(ndim, axis, sl):
+def _along(axis, sl):
     """Index tuple taking slice ``sl`` on ``axis`` and everything elsewhere."""
-    idx = [slice(None)] * ndim
-    idx[axis] = sl
-    return tuple(idx)
+    return (_ALL,) * axis + (sl,)
 
 
 def _along_shape(ndim, axis, n):
@@ -44,29 +46,68 @@ def _along_shape(ndim, axis, n):
     return (1,) * axis + (n,) + (1,) * (ndim - axis - 1)
 
 
-_LO, _HI = slice(None, -1), slice(1, None)
-_FIRST, _LAST = slice(0, 1), slice(-1, None)
+_ALL, _LO, _HI = slice(None), slice(None, -1), slice(1, None)
+_FIRST = slice(0, 1)
 
 
-def _pairsum(A, axis):
-    """Sum of neighbouring entries along axis: n + 1 -> n."""
-    return A[_along(A.ndim, axis, _HI)] + A[_along(A.ndim, axis, _LO)]
+def _flat_view(store, shape):
+    """The leading entries of the flat array ``store`` as a C-ordered
+    array of ``shape``."""
+    return store[: math.prod(shape)].reshape(shape)
 
 
-def _spread(B, axis, sign):
-    """Transpose of _pairsum (sign 1) or of the forward difference (sign -1)
-    along axis: n -> n + 1."""
-    shape = list(B.shape)
-    shape[axis] += 1
-    out = np.empty(shape)
-    mid = out[_along(out.ndim, axis, slice(1, -1))]
-    lo, hi = B[_along(B.ndim, axis, _LO)], B[_along(B.ndim, axis, _HI)]
-    (np.add if sign > 0 else np.subtract)(lo, hi, out=mid)
-    # a plain negated copy: np.negative(..., out=) into this strided end
-    # slice returns wrong values with numpy 2.4
-    out[_along(out.ndim, axis, _FIRST)] = sign * B[_along(B.ndim, axis, _FIRST)]
-    out[_along(out.ndim, axis, _LAST)] = B[_along(B.ndim, axis, _LAST)]
-    return out
+# A pass reads two views of an array that are one entry apart along an
+# axis.  On an array of its own shape they are slices.  On a frame, an
+# array of the wrapped-node shape whose leading corner holds the values,
+# they are the whole flat array shifted by the axis' stride: one contiguous
+# ufunc instead of a strided one.  Where the shift carries into the next
+# row the result mixes rows; no value in the corner reads such an entry,
+# and every entry of a frame is written again by each application.
+def _ends(A, axis, framed):
+    """Views of A without its last and without its first entry along axis."""
+    if framed:
+        s = A.strides[axis] // A.itemsize
+        flat = A.reshape(-1)
+        return flat[:-s], flat[s:]
+    return A[_along(axis, _LO)], A[_along(axis, _HI)]
+
+
+def _difference(op, A, axis, out, framed):
+    """Steps writing op(next, this) of A's neighbours along axis into out,
+    which has one entry less along axis, or is a frame (its last row
+    along the flat shift, mixed rows, is zeroed)."""
+    lo, hi = _ends(A, axis, framed)
+    if not framed:
+        return [(op, (hi, lo, out))]
+    flat = out.reshape(-1)
+    return [(op, (hi, lo, flat[: lo.size])), (np.copyto, (flat[lo.size :], 0.0))]
+
+
+def _assign_negated(out, B):
+    # a plain negated copy: np.negative(..., out=) into a strided end slice
+    # (B (8, 8) -> out (8, 9) along the last axis) returns wrong values with
+    # numpy 2.4
+    out[...] = -1 * B
+
+
+def _spread(B, axis, n, sign, out, framed):
+    """Steps writing into out the transpose of the pair sum (sign 1) or of
+    the forward difference (sign -1) of the n entries of B along axis: the
+    first n + 1 entries of out along axis."""
+    lo, hi = _ends(B, axis, framed)
+    mid = out.reshape(-1)[-lo.size :] if framed else out[_along(axis, slice(1, -1))]
+    first = (out[_along(axis, _FIRST)], B[_along(axis, _FIRST)])
+    last = (out[_along(axis, slice(n, n + 1))], B[_along(axis, slice(n - 1, n))])
+    return [
+        (np.add if sign > 0 else np.subtract, (lo, hi, mid)),
+        (np.copyto if sign > 0 else _assign_negated, first),
+        (np.copyto, last),
+    ]
+
+
+def _run(steps):
+    for f, args in steps:
+        f(*args)
 
 
 def _combine(row, arrays, out=None):
@@ -76,6 +117,26 @@ def _combine(row, arrays, out=None):
     for m, a in terms[1:]:
         acc += m * a
     return acc
+
+
+def _tensor_combination(blocks, sums, weights, tmp):
+    """Steps writing weights[a, i] = sum_(b, j) M^ab_ij sums[b, j] per cell,
+    over the blocks (a, b, i, j) of M that ``blocks`` holds."""
+    d, N = sums.shape[:2]
+    steps = []
+    for a, i in np.ndindex(d, N):
+        out = weights[a, i]
+        terms = [
+            (blocks[a, b, i, j], sums[b, j]) for b, j in np.ndindex(d, N) if (a, b, i, j) in blocks
+        ]
+        if not terms:  # out may hold another pass's scratch
+            steps.append((np.copyto, (out, 0.0)))
+            continue
+        steps.append((np.multiply, terms[0] + (out,)))
+        for m, x in terms[1:]:
+            steps.append((np.multiply, (m, x, tmp)))
+            steps.append((np.add, (out, tmp, out)))
+    return steps
 
 
 class _MeshBase:
@@ -97,39 +158,85 @@ class _MeshBase:
 
     # calculus -----------------------------------------------------------
     # A periodic axis is closed by appending its first node slice, so every
-    # pass is a slice sum or difference over n + 1 nodes and n cells.
-    def _wrap(self, U):
-        lead = U.ndim - self.d
-        E = np.empty(U.shape[:lead] + tuple(n + p for n, p in zip(U.shape[lead:], self.periodic)))
-        E[tuple(slice(0, n) for n in U.shape)] = U
+    # axis of the wrapped nodes has one entry more than the cells, and every
+    # pass is a slice sum or difference over n + 1 nodes and n cells.  Each
+    # pass is one step (ufunc, args) writing into a view given when the
+    # steps are built: phys_gradient and scatter_flux build them per call on
+    # arrays of each pass's own shape, TensorOperator once on frames.
+    def _wrapped_shape(self, lead):
+        return lead + tuple(n + 1 for n in self.cell_shape)
+
+    def _gradient_passes(self, E, scratch, sums, framed=False):
+        """Steps filling sums[a] (*lead, *cells, or frames) with the edge
+        sums of the wrapped nodes E (*lead, *wrapped), whose first node
+        slices are set: they close the periodic axes of E, then per axis a
+        sum neighbouring nodes along every other axis (into the flat
+        ``scratch`` arrays in turn) and take the forward difference along a."""
+        lead = E.ndim - self.d
+        steps = []
         for ax, p in enumerate(self.periodic):
             if p:
                 axis = lead + ax
-                E[_along(E.ndim, axis, _LAST)] = E[_along(E.ndim, axis, _FIRST)]
-        return E
+                last = E[_along(axis, slice(-1, None))]
+                steps.append((np.copyto, (last, E[_along(axis, _FIRST)])))
+        for a in range(self.d):
+            A = E
+            for k, b in enumerate(b for b in range(self.d) if b != a):
+                shape = list(A.shape)
+                shape[lead + b] -= not framed
+                out = _flat_view(scratch[k % 2], tuple(shape))
+                steps += _difference(np.add, A, lead + b, out, framed)
+                A = out
+            steps += _difference(np.subtract, A, lead + a, sums[a], framed)
+        return steps
 
-    def _fold(self, E):
+    def _scatter_passes(self, a, src, scratch, total, accumulate, framed=False):
+        """Steps spreading src (*lead, *cells, or a frame), the weight of
+        axis a's edge sums, back onto the wrapped nodes: the transposed
+        difference along a, then the transposed pair sum along every other
+        axis (into the flat ``scratch`` arrays in turn), the last into
+        ``total`` or, when ``accumulate``, added onto it."""
+        lead = src.ndim - self.d
+        axes = [a] + [b for b in range(self.d) if b != a]
+        extents = list(self.cell_shape)
+        steps = []
+        B = src
+        for k, b in enumerate(axes):
+            if k == len(axes) - 1 and not accumulate:
+                out = total
+            else:
+                shape = list(B.shape)
+                shape[lead + b] += not framed
+                out = _flat_view(scratch[k % 2], tuple(shape))
+            steps += _spread(B, lead + b, extents[b], 1 if k else -1, out, framed)
+            extents[b] += 1
+            B = out
+        if accumulate:
+            steps.append((np.add, (total, B, total)))
+        return steps
+
+    def _fold_passes(self, T):
+        """Steps adding the closing node slice of each periodic axis of the
+        wrapped nodes T onto the first, and the view of T they leave."""
+        steps = []
         for ax, p in enumerate(self.periodic):
             if p:
-                axis = E.ndim - self.d + ax
-                E[_along(E.ndim, axis, _FIRST)] += E[_along(E.ndim, axis, _LAST)]
-                E = E[_along(E.ndim, axis, _LO)]
-        return np.ascontiguousarray(E)
+                axis = T.ndim - self.d + ax
+                first = T[_along(axis, _FIRST)]
+                steps.append((np.add, (first, T[_along(axis, slice(-1, None))], first)))
+                T = T[_along(axis, _LO)]
+        return steps, T
 
     def _edge_sums(self, U):
         """Per axis a, the forward difference along a of U summed over the
         two nodes of every other axis: (d, ..., *cell_shape)."""
-        E = self._wrap(U)
-        lead = U.ndim - self.d
-        g = np.empty((self.d,) + U.shape[:lead] + self.cell_shape)
-        for a in range(self.d):
-            A = E
-            for b in range(self.d):
-                if b != a:
-                    A = _pairsum(A, lead + b)
-            axis = lead + a
-            np.subtract(A[_along(A.ndim, axis, _HI)], A[_along(A.ndim, axis, _LO)], out=g[a])
-        return g
+        lead = U.shape[: U.ndim - self.d]
+        E = np.empty(self._wrapped_shape(lead))
+        E[tuple(slice(0, n) for n in U.shape)] = U
+        scratch = [np.empty(E.size) for _ in range(min(2, self.d - 1))]
+        sums = np.empty((self.d,) + lead + self.cell_shape)
+        _run(self._gradient_passes(E, scratch, sums))
+        return sums
 
     def phys_gradient(self, U):
         """Physical cell-center gradient of nodal values U (..., *node_shape).
@@ -150,18 +257,86 @@ class _MeshBase:
         entries are the partial derivatives of sum_cells vol * F(grad u)
         with respect to nodal values when q = DF(grad u).
         """
-        lead = q.ndim - 1 - self.d
-        total = None
+        lead = q.shape[1 : q.ndim - self.d]
+        total = np.empty(self._wrapped_shape(lead))
+        scratch = [np.empty(total.size) for _ in range(2)]
+        weight = np.empty(lead + self.cell_shape)
         for a in range(self.d):
-            B = _spread(_combine(self._flux_map[a], q), lead + a, -1)
-            for b in range(self.d):
-                if b != a:
-                    B = _spread(B, lead + b, 1)
-            if total is None:
-                total = B
-            else:
-                total += B
-        return self._fold(total)
+            _combine(self._flux_map[a], q, out=weight)
+            _run(self._scatter_passes(a, weight, scratch, total, accumulate=a > 0))
+        steps, folded = self._fold_passes(total)
+        _run(steps)
+        return np.ascontiguousarray(folded)
+
+
+def _symmetric_cells(A):
+    """Whether every cell tensor of A (d, d, N, N, *cells) is exactly
+    symmetric, A^{ab}_{ij} = A^{ba}_{ji}; then so is the discrete operator."""
+    return np.array_equal(A, np.swapaxes(np.swapaxes(A, 0, 1), 2, 3))
+
+
+class TensorOperator:
+    """The Galerkin operator of the cell tensors A (d, d, N, N, *cells) on
+    ``grid``, matrix free at stencil cost: V (N, *node_shape) -> the
+    assembled matrix times V, on every level.
+
+    The flux map F, the gradient map G and the cell volume are folded into
+    the cell tensors once, M^ab_ij = F[a, c] A^ce_ij G[e, b], and A is not
+    kept; blocks of M that are zero on every cell are dropped, and when A is
+    ``symmetric`` (A^ab_ij = A^ba_ji on every cell) the block (b, a, j, i)
+    is the block (a, b, i, j), so M is exactly symmetric and half of it is
+    stored.  An application is the edge sums of phys_gradient, one
+    (d N) x (d N) combination with M per cell, and the transposed spreads
+    and the fold of scatter_flux: the same pass steps, built once here on
+    frames (arrays of the wrapped-node shape with the values in the leading
+    corner; M's blocks are zero outside it), so that each pass is one
+    contiguous ufunc writing into a view of three buffers.  Each buffer serves both halves: the wrapped
+    nodes also take the spread sums and the combination's products, the
+    edge sums share theirs with the scratch of the spreads, and the combined
+    weights with the scratch of the pair sums.
+    """
+
+    def __init__(self, grid, A):
+        d, N = grid.d, A.shape[2]
+        self.symmetric = symmetric = _symmetric_cells(A)
+        frame = grid._wrapped_shape(())
+        cells = tuple(slice(0, n) for n in grid.cell_shape)
+        F, G = grid._flux_map, grid._gradient_map
+        # per (i, j), the blocks A^ce_ij that are not zero on every cell
+        fields = {
+            (i, j): [(c, e, A[c, e, i, j]) for c, e in np.ndindex(d, d) if A[c, e, i, j].any()]
+            for i, j in np.ndindex(N, N)
+        }
+        blocks = {}
+        for a, b, i, j in np.ndindex(d, d, N, N):
+            if symmetric and (b, a, j, i) in blocks:
+                blocks[a, b, i, j] = blocks[b, a, j, i]
+                continue
+            terms = [(F[a, c] * G[e, b], x) for c, e, x in fields[i, j]]
+            if any(m for m, _ in terms):
+                blocks[a, b, i, j] = np.zeros(frame)
+                _combine(*zip(*terms), out=blocks[a, b, i, j][cells])
+        E = np.zeros((N,) + frame)
+        sums, weights = (np.zeros((d, N) + frame) for _ in range(2))
+        self._nodes = E[tuple(slice(0, n) for n in (N,) + grid.node_shape)]
+        steps = grid._gradient_passes(E, [w.reshape(-1) for w in weights], sums, framed=True)
+        steps += _tensor_combination(blocks, sums, weights, E[0])
+        for a in range(d):
+            steps += grid._scatter_passes(
+                a, weights[a], [x.reshape(-1) for x in sums], E, accumulate=a > 0, framed=True
+            )
+        fold, self._folded = grid._fold_passes(E)
+        self._steps = steps + fold
+
+    def __call__(self, V, out=None):
+        """The operator applied to V, into ``out`` when given, else into a
+        new array (the buffers are overwritten by the next application)."""
+        np.copyto(self._nodes, V)
+        _run(self._steps)
+        if out is None:
+            return self._folded.copy()
+        np.copyto(out, self._folded)
+        return out
 
 
 class StripGrid(_MeshBase):
@@ -209,17 +384,18 @@ class StripGrid(_MeshBase):
 
         Each component starts from 0.0 and adds (index + offset) * edge per
         axis in axis order, then the origin: the same operations, entry by
-        entry, as a sum over full meshgrid arrays.  A term that is the same
-        float (bit for bit) at every index keeps one entry, which adds what
-        every entry would have added.
+        entry, as a sum over full meshgrid arrays.  A term is the same float
+        at every index when its axis has one entry or its edge entry is zero
+        (index + offset is never negative, so every product is the same
+        signed zero); it keeps one entry, which adds what every entry would
+        have added.
         """
         cols = []
         for comp in range(self.d):
             acc = 0.0
             for ax, n in enumerate(shape):
-                term = (np.arange(n) + offset) * self.edges[comp, ax]
-                if (term.view(np.int64) == term.view(np.int64)[0]).all():
-                    term = term[:1]
+                edge = self.edges[comp, ax]
+                term = (np.arange(1 if edge == 0.0 else n) + offset) * edge
                 acc = acc + term.reshape(_along_shape(len(shape), ax, term.size))
             cols.append(acc + self.origin[comp])
         return cols

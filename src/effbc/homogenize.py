@@ -22,10 +22,8 @@ import numpy as np
 from .assembly import TorusReferenceSolver
 from .errors import NonConvergedError, SolverFailureError
 from .fields import LinearTensorField, _tensor, constant_field
-from .grid import TorusGrid, build_strip_grid
-from .solve import (
-    StripProblem, _apply_tensor, _descent, _krylov_solve, _symmetric_cells, solve_linear,
-)
+from .grid import TensorOperator, TorusGrid, _symmetric_cells, build_strip_grid
+from .solve import StripProblem, _descent, _krylov_solve, solve_linear
 
 __all__ = [
     "HomogenizedTensor",
@@ -77,9 +75,7 @@ def _unit_gradient(d, N, j, beta, shape):
 def _torus_linear_solve(grid, Ac, ref, b, symmetric, rtol=1e-11):
     """Krylov solve of the (singular, consistent) torus system K x = b, with
     K applied matrix free from the cell tensors Ac (d, d, N, N, *cells)."""
-    x, _, _ = _krylov_solve(
-        lambda v: _apply_tensor(grid, Ac, v), ref.solve, b, rtol, 600, symmetric, 100.0
-    )
+    x, _, _ = _krylov_solve(TensorOperator(grid, Ac), ref.solve, b, rtol, 600, symmetric, 100.0)
     return ref.project_out_null(x)
 
 

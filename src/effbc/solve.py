@@ -5,14 +5,17 @@ boundary condition per face: Dirichlet data on the bottom and a natural
 (Neumann) top, so the far field converges to its free constant without
 knowing it in advance.
 
-Linear N-component systems: a matrix-free Galerkin operator
-(scatter_flux of the cell tensor times phys_gradient), solved by
-preconditioned CG when the cell tensors are exactly symmetric and by
-BiCGStab otherwise (both written here on numpy arrays), preconditioned by
-the exact constant-coefficient FFT solve and started from the discrete
-harmonic extension of the boundary data, so iteration counts stay mesh
-independent.  Success is gated on the true residual, never on the Krylov
-method's own residual.
+Linear N-component systems: a matrix-free Galerkin operator, the
+``grid.TensorOperator`` of the cell tensors, which folds the geometry maps
+and the cell volume into them once per solve and then applies the stencil
+passes of phys_gradient and scatter_flux around one combination per cell
+on buffers built once; solved by preconditioned CG when the cell tensors
+are exactly symmetric and by BiCGStab otherwise (both written here on
+numpy arrays, each iteration writing into the arrays of the first),
+preconditioned by the exact constant-coefficient FFT solve and started
+from the discrete harmonic extension of the boundary data, so iteration
+counts stay mesh independent.  Success is gated on the true residual,
+never on the Krylov method's own residual.
 
 Every solver can start from a given iterate (``StripProblem.start``, e.g.
 the previous rung of a height ladder) instead of the harmonic extension.
@@ -79,7 +82,7 @@ import numpy as np
 from .assembly import StripReferenceSolver, _interior_diagonal, _plane_constant
 from .errors import NonConvergedError, SolverFailureError
 from .fields import LinearTensorField, PeriodicFieldExpr, evaluate_field
-from .grid import StripGrid
+from .grid import StripGrid, TensorOperator
 
 __all__ = [
     "StripProblem",
@@ -328,9 +331,9 @@ def _solve(problem, solvers, loop):
     grid = problem.grid
     bottom = boundary_values(problem, grid)
     _check_start(problem, grid)
-    centers = _centers(problem.operator, grid)
-    exact = _lift_is_exact(problem, grid, bottom, centers)
-    lifted = _exact_lift(problem, grid, bottom, centers, exact)
+    centers = [_centers(problem.operator, grid)]
+    exact = _lift_is_exact(problem, grid, bottom, centers[0])
+    lifted = _exact_lift(problem, grid, bottom, centers[0], exact)
     if lifted is not None:
         return lifted
     if not exact:
@@ -338,13 +341,8 @@ def _solve(problem, solvers, loop):
         if reduced is not None:
             return reduced
     ref = _reference_solver(solvers, grid)
-    return loop(problem, grid, ref, ref.lift(bottom), centers, 1.0)
-
-
-def _apply_tensor(grid, A, V):
-    """scatter_flux(A grad V) for cell tensors A (d, d, N, N, *cells): the
-    assembled Galerkin matrix times V, on every level, without the matrix."""
-    return grid.scatter_flux(np.einsum("abij...,bj...->ai...", A, grid.phys_gradient(V)))
+    # handed over, not kept here: the linear loop drops them once read
+    return loop(problem, grid, ref, ref.lift(bottom), centers.pop(), 1.0)
 
 
 def _dot(u, v):
@@ -361,31 +359,35 @@ def _pcg(matvec, precond, b, rtol, cap, ref_norm):
     """Preconditioned CG from x = 0 to residual rtol * ref_norm; returns x and
     the residual (recursive) relative to ref_norm after each iteration.
 
-    A breakdown (r . z or p . q zero) stops the loop and leaves the verdict
-    to the caller's true-residual gate.
+    ``matvec(V, out)`` and ``precond(r, out)`` write into ``out`` when it is
+    not None, so every iteration reuses the arrays of the first; x and r
+    take their updates through z, the one work array.  A breakdown (r . z
+    or p . q zero) stops the loop and leaves the verdict to the caller's
+    true-residual gate.
     """
     x = np.zeros_like(b)
     r = b.copy()
     target = rtol * ref_norm
     history = []
-    p = rho_prev = None
+    p = q = z = rho_prev = None
     for _ in range(cap):
-        z = precond(r)
+        z = precond(r, z)
         rho = _dot(r, z)
         if not rho:
             break
         if p is None:
-            p = z
+            p = z.copy()
         else:
             p *= rho / rho_prev
             p += z
-        q = matvec(p)
+        q = matvec(p, q)
         pq = _dot(p, q)
         if not pq:
             break
         alpha = rho / pq
-        x += alpha * p
-        r -= alpha * q
+        # z is spent once p is formed: it takes alpha p and alpha q
+        x += np.multiply(p, alpha, out=z)
+        r -= np.multiply(q, alpha, out=z)
         rho_prev = rho
         rnorm = _norm(r)
         history.append(rnorm / ref_norm)
@@ -399,44 +401,47 @@ def _bicgstab(matvec, precond, b, rtol, cap, ref_norm):
     Comput. 13, 1992) from x = 0 to residual rtol * ref_norm; returns x and
     the residual (recursive) relative to ref_norm after each iteration.
 
-    An iteration that meets the target at its half step s = r - alpha v
-    stops there and records |s|; a breakdown (rho, rtilde . v or omega
-    zero, or NaN) stops the loop and leaves the verdict to the caller's
-    true-residual gate.
+    ``matvec`` and ``precond`` take an output array as _pcg's do; v and t
+    keep arrays of their own, since v is read again after t is formed, and
+    the two preconditioned vectors share one.  An iteration that meets the
+    target at its half step s = r - alpha v stops there and records |s|; a
+    breakdown (rho, rtilde . v or omega zero, or NaN) stops the loop and
+    leaves the verdict to the caller's true-residual gate.
     """
     x = np.zeros_like(b)
     r = b.copy()
     r_tilde = b.copy()
+    work = np.empty_like(b)
     target = rtol * ref_norm
     history = []
-    p = v = None
+    p = v = t = z = None
     rho_prev = alpha = omega = 1.0
     for _ in range(cap):
         rho = _dot(r_tilde, r)
         if p is None:
             p = r.copy()
         else:
-            p -= omega * v
+            p -= np.multiply(v, omega, out=work)
             p *= (rho / rho_prev) * (alpha / omega)
             p += r
-        p_hat = precond(p)
-        v = matvec(p_hat)
+        z = precond(p, z)  # p_hat
+        v = matvec(z, v)
         rv = _dot(r_tilde, v)
         if not (rho and rv):  # breakdown: alpha or the next beta would divide by zero
             break
         alpha = rho / rv
-        x += alpha * p_hat
-        r -= alpha * v  # the half step s
+        x += np.multiply(z, alpha, out=work)
+        r -= np.multiply(v, alpha, out=work)  # the half step s
         snorm = _norm(r)
         if not snorm >= target:
             history.append(snorm / ref_norm)
             break
-        s_hat = precond(r)
-        t = matvec(s_hat)
+        z = precond(r, z)  # s_hat
+        t = matvec(z, t)
         tt = _dot(t, t)
         omega = _dot(t, r) / tt if tt else 0.0
-        x += omega * s_hat
-        r -= omega * t
+        x += np.multiply(z, omega, out=work)
+        r -= np.multiply(t, omega, out=work)
         rho_prev = rho
         rnorm = _norm(r)
         history.append(rnorm / ref_norm)
@@ -445,14 +450,9 @@ def _bicgstab(matvec, precond, b, rtol, cap, ref_norm):
     return x, history
 
 
-def _symmetric_cells(A):
-    """Whether every cell tensor of A (d, d, N, N, *cells) is exactly
-    symmetric, A^{ab}_{ij} = A^{ba}_{ji}; then so is the discrete operator."""
-    return np.array_equal(A, np.swapaxes(np.swapaxes(A, 0, 1), 2, 3))
-
-
 def _krylov_solve(matvec, precond, b, rtol, cap, symmetric, slack, ref_norm=None):
-    """Solve matvec(x) = b from x = 0 on arrays of b's shape.
+    """Solve matvec(x) = b from x = 0 on arrays of b's shape; ``matvec(V,
+    out=None)`` and ``precond(r, out=None)`` write into ``out`` when given.
 
     Residuals are measured relative to ``ref_norm`` (default |b|; a warm
     start passes the cold right-hand side's norm, so that it meets the cold
@@ -494,8 +494,9 @@ def _krylov_solve(matvec, precond, b, rtol, cap, symmetric, slack, ref_norm=None
 def solve_linear(problem: StripProblem, solvers=None) -> StripSolution:
     """Galerkin solve of the linear system on the strip, matrix free.
 
-    The operator is applied as scatter_flux(A grad V) with A evaluated once
-    at the cell centers; no matrix is assembled.  Preconditioned CG when
+    A is evaluated once at the cell centers and folded with the geometry
+    into a TensorOperator (the scatter of A grad V at stencil cost), and is
+    then dropped; no matrix is assembled.  Preconditioned CG when
     the evaluated cell tensors are exactly symmetric, BiCGStab otherwise,
     both preconditioned by the exact constant-coefficient solve (a
     StripReferenceSolver of the strip solved on, taken from the dict
@@ -519,34 +520,37 @@ def _linear_loop(problem, grid, ref, U0, centers, weight):
     """solve_linear on ``grid`` after the front; ``weight`` is the number of
     copies of this strip that the reported strip holds (it sizes the cap)."""
     A = problem.operator(centers)  # (d, d, N, N, *cells)
-
-    def matvec(V):
-        return _zero_fixed(_apply_tensor(grid, A, V))
-
-    full = _apply_tensor(grid, A, U0)
-    r0 = _zero_fixed(-full)
-    rnorm0 = _norm(r0)
     # of the order of the largest diagonal entry of the assembled matrix
     diag = float(np.abs(A).max()) * _interior_diagonal(grid)
+    apply = TensorOperator(grid, A)
+    del A, centers  # folded into the operator
+
+    def matvec(V, out=None):
+        return _zero_fixed(apply(V, out))
+
+    full = apply(U0)
+    r0 = _zero_fixed(-full)
+    rnorm0 = _norm(r0)
     scale = max(_norm(full), diag * _norm(U0), 1e-30)
+    del full
     if rnorm0 <= 1e-12 * scale:
         # the harmonic-extension start already solves the discrete system
         return StripSolution(problem, grid, U0, rnorm0 / scale, 0)
     U, r = U0, r0
     if problem.start is not None:
         start = _start_field(problem, U0)
-        r_start = _zero_fixed(-_apply_tensor(grid, A, start))
+        r_start = _zero_fixed(-apply(start))
         if _norm(r_start) < rnorm0:  # a start worse than the extension is dropped
             U, r = start, r_start
     n_free = weight * r0[..., 0].size * ref.n_free
     cap = max(200, int(20 * math.sqrt(n_free)))
-    symmetric = _symmetric_cells(A)
     # the exact constant-coefficient solve is spectrally equivalent, so the
     # iteration count is mesh independent
     x, iters, rel = _krylov_solve(
-        matvec, ref.solve, r, problem.rtol, cap, symmetric, 10.0, ref_norm=rnorm0
+        matvec, ref.solve, r, problem.rtol, cap, apply.symmetric, 10.0, ref_norm=rnorm0
     )
-    return StripSolution(problem, grid, U + x, rel, iters)
+    x += U
+    return StripSolution(problem, grid, x, rel, iters)
 
 
 def _armijo(energy, X, d, EX, slope, t, scale):

@@ -10,6 +10,11 @@ weights give ``corner_symbol``, the Fourier symbol of the A = I element
 stencil summed over corner pairs, the oracle of the reference solvers'
 symbol, which the library takes from the stencil passes.
 
+``apply_tensor`` is the unfolded form of the library's linear operator
+(``grid.TensorOperator``, which folds both geometry maps into the cell
+tensors): the cell flux of the tensor times ``grid.phys_gradient``, then
+``grid.scatter_flux``.
+
 ``lift`` is the stencil form of the reference solver's harmonic extension:
 the residual of the repeated bottom from one gradient / scatter pair, then
 a full reference solve.  The library builds the same residual in mode space.
@@ -120,6 +125,12 @@ def strip_dof_partition(grid, n_components):
 def apply_reference(grid, U):
     """Discrete Laplacian (A = I) applied componentwise, matrix free."""
     return grid.scatter_flux(grid.phys_gradient(U))
+
+
+def apply_tensor(grid, A, V):
+    """scatter_flux(A grad V) for cell tensors A (d, d, N, N, *cells): the
+    flux of the physical gradient, each geometry map applied on its own."""
+    return grid.scatter_flux(np.einsum("abij...,bj...->ai...", A, grid.phys_gradient(V)))
 
 
 def meshgrid_coords(grid, shape, offset):

@@ -69,20 +69,22 @@ def plane_constant_problem(op, d, N, with_start):
 
 @pytest.fixture
 def stencil_calls(monkeypatch):
-    """Counts of phys_gradient and scatter_flux calls on strip grids."""
+    """Counts of the stencil passes built on strip grids: the gradient half
+    and the scatter half that phys_gradient, scatter_flux and the linear
+    solver's TensorOperator share."""
     calls = {"gradient": 0, "scatter": 0}
-    gradient, scatter = StripGrid.phys_gradient, StripGrid.scatter_flux
+    gradient, scatter = StripGrid._gradient_passes, StripGrid._scatter_passes
 
-    def counted_gradient(self, U):
+    def counted_gradient(self, *args, **kwargs):
         calls["gradient"] += 1
-        return gradient(self, U)
+        return gradient(self, *args, **kwargs)
 
-    def counted_scatter(self, q):
+    def counted_scatter(self, *args, **kwargs):
         calls["scatter"] += 1
-        return scatter(self, q)
+        return scatter(self, *args, **kwargs)
 
-    monkeypatch.setattr(StripGrid, "phys_gradient", counted_gradient)
-    monkeypatch.setattr(StripGrid, "scatter_flux", counted_scatter)
+    monkeypatch.setattr(StripGrid, "_gradient_passes", counted_gradient)
+    monkeypatch.setattr(StripGrid, "_scatter_passes", counted_scatter)
     return calls
 
 

@@ -109,3 +109,31 @@ def test_identity_tensor_symmetric():
 
 def test_tensor_digest_stable(laminate2):
     assert laminate2.digest() == laminate_tensor(2).digest()
+
+
+def _per_entry(tensor, y):
+    """Every entry evaluated on its own."""
+    d, N = tensor.d, tensor.n_components
+    out = np.empty((d, d, N, N) + y.shape[1:])
+    for a, b, i, j in np.ndindex(d, d, N, N):
+        out[a, b, i, j] = evaluate_field(tensor.entries[a][b][i][j], y)
+    return out
+
+
+@pytest.mark.parametrize("case", ["laminate_2d_N2", "laminate_3d_N2", "random_3d_N2"])
+def test_tensor_evaluates_each_distinct_entry_once(case):
+    # isotropic tensors repeat one profile object and one zero; the values
+    # are those of evaluating every entry on its own
+    from test_matrix_free import random_tensor
+
+    rng = np.random.default_rng(4)
+    tensor = {
+        "laminate_2d_N2": lambda: laminate_tensor(2, n_components=2),
+        "laminate_3d_N2": lambda: laminate_tensor(3, n_components=2),
+        "random_3d_N2": lambda: random_tensor(rng, 3, 2, symmetric=False),
+    }[case]()
+    y = rng.random((tensor.d, 5, 7))
+    got = tensor(y)
+    want = _per_entry(tensor, y)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))

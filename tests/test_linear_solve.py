@@ -173,9 +173,9 @@ def test_solver_failure_raises_with_trace(monkeypatch, laminate2, xi_e2, data_co
     calls = []
     solve = StripReferenceSolver.solve
 
-    def counted(self, r):
+    def counted(self, r, out=None):
         calls.append(1)
-        return solve(self, r)
+        return solve(self, r, out)
 
     monkeypatch.setattr(StripReferenceSolver, "solve", counted)
     p = StripProblem(build_strip_grid(xi_e2, 0.0, 2.0, h=1 / 16), laminate2, data_cos1, rtol=1e-30)

@@ -1,7 +1,8 @@
 """The matrix-free linear strip solve against the assembled matrix.
 
-``solve_linear`` applies scatter_flux(A grad V) with the Dirichlet rows
-of the bottom level zeroed instead of assembling a matrix.  The oracles
+``solve_linear`` applies the folded operator ``TensorOperator`` (the
+scatter of A grad V) with the Dirichlet rows of the bottom level zeroed
+instead of assembling a matrix.  The oracles
 here are the test oracle ``assemble_matrix`` restricted to the free block,
 a dense solve of that block, and the sweep values of the assembled-matrix
 BiCGStab solver this path replaced.  Sheared and planar strips in d = 2
@@ -31,11 +32,9 @@ from effbc import assembly
 from assembly_oracle import assemble_matrix, strip_dof_partition
 from effbc.cli import main
 from effbc.assembly import StripReferenceSolver
-from effbc.grid import StripGrid
+from effbc.grid import StripGrid, TensorOperator, _symmetric_cells
 from effbc.solve import (
-    _apply_tensor,
     _krylov_solve,
-    _symmetric_cells,
     _zero_fixed,
     boundary_values,
 )
@@ -97,7 +96,7 @@ def test_operator_matches_assembled_free_block(grid, N, symmetric, seed):
     K, free, _ = free_block(grid, tensor)
     V = _zero_fixed(rng.standard_normal((N,) + grid.node_shape))
 
-    out = _zero_fixed(_apply_tensor(grid, A, V))
+    out = _zero_fixed(TensorOperator(grid, A)(V))
 
     fixed = np.ones(out.size, dtype=bool)
     fixed[free] = False
@@ -193,9 +192,10 @@ def test_bicgstab_matches_dense_solve_and_fails_loudly():
     A = tensor(grid.cell_centers())
     assert not _symmetric_cells(A)
     ref = StripReferenceSolver(grid)
+    apply = TensorOperator(grid, A)
 
-    def matvec(V):
-        return _zero_fixed(_apply_tensor(grid, A, V))
+    def matvec(V, out=None):
+        return _zero_fixed(apply(V, out))
 
     b = _zero_fixed(rng.standard_normal((2,) + grid.node_shape))
     x, iters, rel = _krylov_solve(matvec, ref.solve, b, 1e-12, 200, False, 10.0)

@@ -36,7 +36,7 @@ def test_reduce_tensor_keeps_exact_symmetry():
     # reduced strip solve takes the CG path
     from effbc import laminate_tensor
     from effbc.lattice import decompose_direction, dirichlet_approximate
-    from effbc.solve import _symmetric_cells
+    from effbc.grid import _symmetric_cells
 
     A0 = homogenize_linear(laminate_tensor(2)).A0
     assert _symmetric_cells(A0)

@@ -2,8 +2,8 @@
 
 The kernels run one difference-and-average pass per axis; the oracles here
 are the cell-corner loop they replaced and the assembled matrices of A = I
-and of a non-identity tensor field (the matrix-free operator
-``_apply_tensor``, which also serves the torus cell problems).  The
+and of a non-identity tensor field (the folded operator
+``TensorOperator``, which also serves the torus cell problems).  The
 reference solvers' Fourier symbol, built from the same passes, is checked
 against the corner-pair symbol, and the interior diagonal closed form
 against the assembled A = I matrix.  Sheared and planar strips and tori in
@@ -20,8 +20,7 @@ from effbc.assembly import (
     StripReferenceSolver, TorusReferenceSolver, _interior_diagonal, _mode_angles,
     _stencil_symbol,
 )
-from effbc.grid import StripGrid, TorusGrid
-from effbc.solve import _apply_tensor
+from effbc.grid import StripGrid, TensorOperator, TorusGrid
 from test_matrix_free import random_tensor
 
 
@@ -78,7 +77,7 @@ def test_stencil_matches_corner_oracles(grid, N, seed):
     tensor = random_tensor(rng, grid.d, N, symmetric=False)
     K = assemble_matrix(grid, tensor)
     KU = (K @ U.ravel()).reshape(U.shape)
-    AU = _apply_tensor(grid, tensor(grid.cell_centers()), U)
+    AU = TensorOperator(grid, tensor(grid.cell_centers()))(U)
     scale = abs(K).sum(axis=1).max() * np.abs(U).max()
     assert np.abs(AU - KU).max() <= 1e-12 * scale
 

@@ -41,11 +41,11 @@ from effbc import (
     shift_profile,
     solve_strip,
 )
+from assembly_oracle import apply_tensor
 from effbc.assembly import StripReferenceSolver
 from effbc.grid import StripGrid
 from effbc.layers import ladder_limit
 from effbc.solve import (
-    _apply_tensor,
     _masked_residual,
     _norm,
     _zero_fixed,
@@ -153,8 +153,8 @@ def gate(problem, U):
     op = problem.operator
     if isinstance(op, LinearTensorField):
         A = op(grid.cell_centers())
-        r0 = _norm(_zero_fixed(_apply_tensor(grid, A, U0)))
-        return _norm(_zero_fixed(_apply_tensor(grid, A, U))) <= 10.0 * problem.rtol * r0
+        r0 = _norm(_zero_fixed(apply_tensor(grid, A, U0)))
+        return _norm(_zero_fixed(apply_tensor(grid, A, U))) <= 10.0 * problem.rtol * r0
     residual = lambda V: float(np.abs(_masked_residual(grid, op, V, None, problem.tau)).max())
     if op.is_variational:
         E0 = nonlinear_energy(op, grid, U0, None, problem.tau)
