@@ -5,7 +5,8 @@ the cell tensors once and runs the stencil passes on buffers built once.
 The oracles: the assembled Galerkin matrix of ``assemble_matrix`` times V,
 and the unfolded form ``apply_tensor`` (the tensor's flux of
 ``phys_gradient``, then ``scatter_flux``).  Sheared and planar strips in
-d = 2 and 3, one and two components, symmetric and nonsymmetric tensors,
+d = 2 and 3 (the strips of test_matrix_free, and examples with 7 lateral
+cells), one and two components, symmetric and nonsymmetric tensors,
 lateral counts 2-7.  A strip of 8 levels spreads (N, n, 8) onto
 (N, n, 9), where numpy 2.4's ``np.negative(..., out=)`` into the strided
 first level returns wrong values.  Also: the BiCGStab strip solve, which
@@ -33,23 +34,7 @@ from effbc import (
 from effbc.assembly import StripReferenceSolver
 from effbc.grid import StripGrid, TensorOperator, _symmetric_cells
 from effbc.solve import _krylov_solve, _zero_fixed
-from test_matrix_free import random_tensor
-
-
-@st.composite
-def strips(draw):
-    d = draw(st.sampled_from([2, 3]))
-    n_vert = draw(st.integers(2, 8))
-    if d == 2 and draw(st.booleans()):
-        # planar_strip_grid keeps at least 8 cells per unit length
-        n_lat = draw(st.integers(2, 7))
-        period, R = (draw(st.floats(0.2, 1.0)) * n / 8.0 for n in (n_lat, n_vert))
-        return planar_strip_grid(period, R, n_lat, n_vert)
-    v = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any))
-    xi = make_rational_direction(v)
-    lat = tuple(draw(st.integers(2, 7)) for _ in range(d - 1))
-    R = draw(st.floats(0.5, 3.0))
-    return StripGrid(xi.periods, xi.xi_hat, 0.1, R, lat, n_vert, xi=xi, check_resolution=False)
+from test_matrix_free import random_tensor, strips
 
 
 def _sheared(v, lat, n_vert):
