@@ -33,13 +33,10 @@ from .fields import (
 )
 from .grid import StripGrid, TorusGrid, build_strip_grid, planar_strip_grid
 from .homogenize import (
-    EffectiveMapSample,
-    EffectiveMapSampler,
     HomogenizedTensor,
     constant_tensor,
     epsilon_refinement_study,
     homogenize_linear,
-    homogenize_nonlinear,
 )
 from .lattice import (
     DiophantineApprox,

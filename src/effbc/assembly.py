@@ -14,11 +14,11 @@ their initial guess, the discrete harmonic extension of the boundary data
 diagonal in the lateral modes as well, so the lift builds it in mode space
 from the bands of the symbol, without a stencil pass; laterally constant
 data is exactly harmonic and returns the repeated column as it is.  The
-torus solve preconditions the cell problems.  Every operator is applied
-matrix free (``grid.scatter_flux`` of the flux of ``grid.phys_gradient``,
-or for cell tensors the ``grid.TensorOperator`` built from the same
-passes); no matrix is assembled, and every transform runs on
-``numpy.fft``.  ``solve`` writes into a given array, the free levels
+torus solve preconditions the linear cell problems of ``homogenize``.
+Every operator is applied matrix free (``grid.scatter_flux`` of the flux
+of ``grid.phys_gradient``, or for cell tensors the
+``grid.TensorOperator``; both run the same passes on frames); no matrix
+is assembled, and every transform runs on ``numpy.fft``.  ``solve`` writes into a given array, the free levels
 straight from the last inverse transform.
 """
 

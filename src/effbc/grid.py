@@ -13,12 +13,14 @@ There the reference gradient along axis a is the forward difference along
 a of the nodal values averaged over every other axis, so ``phys_gradient``
 is d difference-and-average passes, one per axis, and ``scatter_flux`` is
 their exact transpose.  These passes are the only description of the
-discrete operator: each is built as a list of ufunc steps on given views,
-which ``phys_gradient`` and ``scatter_flux`` build per call and
-``TensorOperator``, the linear Galerkin operator of cell tensors, builds
-once on the buffers it keeps, with the flux map, the gradient map and the
-cell volume folded into the cell tensors.  The reference solvers take the
-operator's Fourier symbol from the same passes and ``_gradient_map``.
+discrete operator: each is a list of ufunc steps on frames, arrays of the
+wrapped-node shape with the values in their leading corner, so that every
+pass is one contiguous ufunc.  ``phys_gradient`` and ``scatter_flux``
+build the steps per call on new frames, and ``TensorOperator``, the linear
+Galerkin operator of cell tensors, once on the frames it keeps, with the
+flux map, the gradient map and the cell volume folded into the cell
+tensors.  The reference solvers take the operator's Fourier symbol from
+the same passes and ``_gradient_map``.
 """
 
 from __future__ import annotations
@@ -46,56 +48,50 @@ def _along_shape(ndim, axis, n):
     return (1,) * axis + (n,) + (1,) * (ndim - axis - 1)
 
 
-_ALL, _LO, _HI = slice(None), slice(None, -1), slice(1, None)
+_ALL, _LO = slice(None), slice(None, -1)
 _FIRST = slice(0, 1)
 
 
-def _flat_view(store, shape):
-    """The leading entries of the flat array ``store`` as a C-ordered
-    array of ``shape``."""
-    return store[: math.prod(shape)].reshape(shape)
+def _corner(A, shape):
+    """The leading corner of shape ``shape`` over A's last axes."""
+    return A[(Ellipsis,) + tuple(slice(0, n) for n in shape)]
 
 
-# A pass reads two views of an array that are one entry apart along an
-# axis.  On an array of its own shape they are slices.  On a frame, an
-# array of the wrapped-node shape whose leading corner holds the values,
-# they are the whole flat array shifted by the axis' stride: one contiguous
-# ufunc instead of a strided one.  Where the shift carries into the next
+# A pass reads two views of a frame, a C-ordered array of the wrapped-node
+# shape whose leading corner holds the values, that are one entry apart
+# along an axis: the whole flat array shifted by the axis' stride, so that
+# the pass is one contiguous ufunc.  Where the shift carries into the next
 # row the result mixes rows; no value in the corner reads such an entry,
-# and every entry of a frame is written again by each application.
-def _ends(A, axis, framed):
-    """Views of A without its last and without its first entry along axis."""
-    if framed:
-        s = A.strides[axis] // A.itemsize
-        flat = A.reshape(-1)
-        return flat[:-s], flat[s:]
-    return A[_along(axis, _LO)], A[_along(axis, _HI)]
+# and every entry of an output frame is written by each pass.
+def _ends(A, axis):
+    """Views of the frame A without its last and without its first entry
+    along axis, flat."""
+    s = A.strides[axis] // A.itemsize
+    flat = A.reshape(-1)
+    return flat[:-s], flat[s:]
 
 
-def _difference(op, A, axis, out, framed):
-    """Steps writing op(next, this) of A's neighbours along axis into out,
-    which has one entry less along axis, or is a frame (its last row
-    along the flat shift, mixed rows, is zeroed)."""
-    lo, hi = _ends(A, axis, framed)
-    if not framed:
-        return [(op, (hi, lo, out))]
+def _difference(op, A, axis, out):
+    """Steps writing op(next, this) of A's neighbours along axis into the
+    frame out (its last row along the flat shift, mixed rows, is zeroed)."""
+    lo, hi = _ends(A, axis)
     flat = out.reshape(-1)
     return [(op, (hi, lo, flat[: lo.size])), (np.copyto, (flat[lo.size :], 0.0))]
 
 
 def _assign_negated(out, B):
     # a plain negated copy: np.negative(..., out=) into a strided end slice
-    # (B (8, 8) -> out (8, 9) along the last axis) returns wrong values with
-    # numpy 2.4
+    # (the first entries along the last axis of a (2, 8) frame) returns
+    # wrong values with numpy 2.4
     out[...] = -1 * B
 
 
-def _spread(B, axis, n, sign, out, framed):
-    """Steps writing into out the transpose of the pair sum (sign 1) or of
-    the forward difference (sign -1) of the n entries of B along axis: the
-    first n + 1 entries of out along axis."""
-    lo, hi = _ends(B, axis, framed)
-    mid = out.reshape(-1)[-lo.size :] if framed else out[_along(axis, slice(1, -1))]
+def _spread(B, axis, n, sign, out):
+    """Steps writing into the frame out the transpose of the pair sum
+    (sign 1) or of the forward difference (sign -1) of the n entries of the
+    frame B along axis: the first n + 1 entries of out along axis."""
+    lo, hi = _ends(B, axis)
+    mid = out.reshape(-1)[-lo.size :]
     first = (out[_along(axis, _FIRST)], B[_along(axis, _FIRST)])
     last = (out[_along(axis, slice(n, n + 1))], B[_along(axis, slice(n - 1, n))])
     return [
@@ -159,19 +155,19 @@ class _MeshBase:
     # calculus -----------------------------------------------------------
     # A periodic axis is closed by appending its first node slice, so every
     # axis of the wrapped nodes has one entry more than the cells, and every
-    # pass is a slice sum or difference over n + 1 nodes and n cells.  Each
-    # pass is one step (ufunc, args) writing into a view given when the
-    # steps are built: phys_gradient and scatter_flux build them per call on
-    # arrays of each pass's own shape, TensorOperator once on frames.
+    # pass is a sum or difference over n + 1 nodes and n cells.  Each pass
+    # is one step (ufunc, args) writing into a frame given when the steps
+    # are built: phys_gradient and scatter_flux build them per call,
+    # TensorOperator once on the buffers it keeps.
     def _wrapped_shape(self, lead):
         return lead + tuple(n + 1 for n in self.cell_shape)
 
-    def _gradient_passes(self, E, scratch, sums, framed=False):
-        """Steps filling sums[a] (*lead, *cells, or frames) with the edge
+    def _gradient_passes(self, E, scratch, sums):
+        """Steps filling the corners of the frames sums[a] with the edge
         sums of the wrapped nodes E (*lead, *wrapped), whose first node
         slices are set: they close the periodic axes of E, then per axis a
-        sum neighbouring nodes along every other axis (into the flat
-        ``scratch`` arrays in turn) and take the forward difference along a."""
+        sum neighbouring nodes along every other axis (into the ``scratch``
+        frames in turn) and take the forward difference along a."""
         lead = E.ndim - self.d
         steps = []
         for ax, p in enumerate(self.periodic):
@@ -182,33 +178,25 @@ class _MeshBase:
         for a in range(self.d):
             A = E
             for k, b in enumerate(b for b in range(self.d) if b != a):
-                shape = list(A.shape)
-                shape[lead + b] -= not framed
-                out = _flat_view(scratch[k % 2], tuple(shape))
-                steps += _difference(np.add, A, lead + b, out, framed)
-                A = out
-            steps += _difference(np.subtract, A, lead + a, sums[a], framed)
+                steps += _difference(np.add, A, lead + b, scratch[k % 2])
+                A = scratch[k % 2]
+            steps += _difference(np.subtract, A, lead + a, sums[a])
         return steps
 
-    def _scatter_passes(self, a, src, scratch, total, accumulate, framed=False):
-        """Steps spreading src (*lead, *cells, or a frame), the weight of
-        axis a's edge sums, back onto the wrapped nodes: the transposed
+    def _scatter_passes(self, a, src, scratch, total, accumulate):
+        """Steps spreading the corner of the frame src, the weight of axis
+        a's edge sums, back onto the wrapped nodes: the transposed
         difference along a, then the transposed pair sum along every other
-        axis (into the flat ``scratch`` arrays in turn), the last into
-        ``total`` or, when ``accumulate``, added onto it."""
+        axis (into the ``scratch`` frames in turn), the last into ``total``
+        or, when ``accumulate``, added onto it."""
         lead = src.ndim - self.d
         axes = [a] + [b for b in range(self.d) if b != a]
         extents = list(self.cell_shape)
         steps = []
         B = src
         for k, b in enumerate(axes):
-            if k == len(axes) - 1 and not accumulate:
-                out = total
-            else:
-                shape = list(B.shape)
-                shape[lead + b] += not framed
-                out = _flat_view(scratch[k % 2], tuple(shape))
-            steps += _spread(B, lead + b, extents[b], 1 if k else -1, out, framed)
+            out = total if k == len(axes) - 1 and not accumulate else scratch[k % 2]
+            steps += _spread(B, lead + b, extents[b], 1 if k else -1, out)
             extents[b] += 1
             B = out
         if accumulate:
@@ -227,25 +215,20 @@ class _MeshBase:
                 T = T[_along(axis, _LO)]
         return steps, T
 
-    def _edge_sums(self, U):
-        """Per axis a, the forward difference along a of U summed over the
-        two nodes of every other axis: (d, ..., *cell_shape)."""
-        lead = U.shape[: U.ndim - self.d]
-        E = np.empty(self._wrapped_shape(lead))
-        E[tuple(slice(0, n) for n in U.shape)] = U
-        scratch = [np.empty(E.size) for _ in range(min(2, self.d - 1))]
-        sums = np.empty((self.d,) + lead + self.cell_shape)
-        _run(self._gradient_passes(E, scratch, sums))
-        return sums
-
     def phys_gradient(self, U):
         """Physical cell-center gradient of nodal values U (..., *node_shape).
 
         In reference coordinates the gradient along axis a is the forward
         difference along a of U averaged over every other axis.
         """
-        sums = self._edge_sums(U)
-        out = np.empty_like(sums)
+        frame = self._wrapped_shape(U.shape[: U.ndim - self.d])
+        E = np.empty(frame)
+        _corner(E, self.node_shape)[...] = U
+        sums = np.empty((self.d,) + frame)
+        _run(self._gradient_passes(E, np.empty((min(2, self.d - 1),) + frame), sums))
+        del E  # freed before the result is allocated
+        sums = _corner(sums, self.cell_shape)
+        out = np.empty(sums.shape)
         for row, g in zip(self._gradient_map, out):
             _combine(row, sums, out=g)
         return out
@@ -257,12 +240,14 @@ class _MeshBase:
         entries are the partial derivatives of sum_cells vol * F(grad u)
         with respect to nodal values when q = DF(grad u).
         """
-        lead = q.shape[1 : q.ndim - self.d]
-        total = np.empty(self._wrapped_shape(lead))
-        scratch = [np.empty(total.size) for _ in range(2)]
-        weight = np.empty(lead + self.cell_shape)
+        frame = self._wrapped_shape(q.shape[1 : q.ndim - self.d])
+        total = np.empty(frame)
+        scratch = np.empty((2,) + frame)
+        # zeroed: the spreads also read past the corner, into entries that a
+        # later step overwrites
+        weight = np.zeros(frame)
         for a in range(self.d):
-            _combine(self._flux_map[a], q, out=weight)
+            _combine(self._flux_map[a], q, out=_corner(weight, self.cell_shape))
             _run(self._scatter_passes(a, weight, scratch, total, accumulate=a > 0))
         steps, folded = self._fold_passes(total)
         _run(steps)
@@ -288,19 +273,17 @@ class TensorOperator:
     stored.  An application is the edge sums of phys_gradient, one
     (d N) x (d N) combination with M per cell, and the transposed spreads
     and the fold of scatter_flux: the same pass steps, built once here on
-    frames (arrays of the wrapped-node shape with the values in the leading
-    corner; M's blocks are zero outside it), so that each pass is one
-    contiguous ufunc writing into a view of three buffers.  Each buffer serves both halves: the wrapped
-    nodes also take the spread sums and the combination's products, the
-    edge sums share theirs with the scratch of the spreads, and the combined
-    weights with the scratch of the pair sums.
+    the frames of three buffers (M's blocks are zero outside the corner).
+    Each buffer serves both halves: the wrapped nodes also take the spread
+    sums and the combination's products, the edge sums share theirs with
+    the scratch of the spreads, and the combined weights with the scratch
+    of the pair sums.
     """
 
     def __init__(self, grid, A):
         d, N = grid.d, A.shape[2]
         self.symmetric = symmetric = _symmetric_cells(A)
         frame = grid._wrapped_shape(())
-        cells = tuple(slice(0, n) for n in grid.cell_shape)
         F, G = grid._flux_map, grid._gradient_map
         # per (i, j), the blocks A^ce_ij that are not zero on every cell
         fields = {
@@ -315,16 +298,14 @@ class TensorOperator:
             terms = [(F[a, c] * G[e, b], x) for c, e, x in fields[i, j]]
             if any(m for m, _ in terms):
                 blocks[a, b, i, j] = np.zeros(frame)
-                _combine(*zip(*terms), out=blocks[a, b, i, j][cells])
+                _combine(*zip(*terms), out=_corner(blocks[a, b, i, j], grid.cell_shape))
         E = np.zeros((N,) + frame)
         sums, weights = (np.zeros((d, N) + frame) for _ in range(2))
-        self._nodes = E[tuple(slice(0, n) for n in (N,) + grid.node_shape)]
-        steps = grid._gradient_passes(E, [w.reshape(-1) for w in weights], sums, framed=True)
+        self._nodes = _corner(E, grid.node_shape)
+        steps = grid._gradient_passes(E, weights, sums)
         steps += _tensor_combination(blocks, sums, weights, E[0])
         for a in range(d):
-            steps += grid._scatter_passes(
-                a, weights[a], [x.reshape(-1) for x in sums], E, accumulate=a > 0, framed=True
-            )
+            steps += grid._scatter_passes(a, weights[a], sums, E, accumulate=a > 0)
         fold, self._folded = grid._fold_passes(E)
         self._steps = steps + fold
 

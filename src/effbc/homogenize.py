@@ -3,9 +3,7 @@
 Linear tensors get the classical construction: for each coordinate
 direction and component, a periodic corrector solves
 -div(A(grad chi + e)) = 0 on the unit torus with zero-mean gauge, and the
-effective tensor is the cell average of the corrected flux.  Gradient
-form nonlinear operators minimize the periodic cell energy instead and
-return the averaged flux at a gradient point p.
+effective tensor is the cell average of the corrected flux.
 
 The epsilon refinement study solves strip problems with coefficients
 A(y/eps) against the effective-tensor solve with the same data and mesh
@@ -23,14 +21,11 @@ from .assembly import TorusReferenceSolver
 from .errors import NonConvergedError, SolverFailureError
 from .fields import LinearTensorField, _tensor, constant_field
 from .grid import TensorOperator, TorusGrid, _symmetric_cells, build_strip_grid
-from .solve import StripProblem, _descent, _krylov_solve, solve_linear
+from .solve import StripProblem, _krylov_solve, solve_linear
 
 __all__ = [
     "HomogenizedTensor",
-    "EffectiveMapSample",
-    "EffectiveMapSampler",
     "homogenize_linear",
-    "homogenize_nonlinear",
     "epsilon_refinement_study",
     "constant_tensor",
 ]
@@ -103,105 +98,6 @@ def homogenize_linear(A: LinearTensorField, h_cell=None) -> HomogenizedTensor:
             A0[:, j, :, beta] = mean_flux
             chis[j, beta] = chi
     return HomogenizedTensor(A0=A0, correctors=chis, cell_mesh=1.0 / n, lam=A.lam)
-
-
-@dataclass
-class EffectiveMapSample:
-    p: np.ndarray
-    a0_of_p: np.ndarray
-    energy: float
-    corrector: np.ndarray = None
-
-    def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float)
-        self.a0_of_p = np.asarray(self.a0_of_p, dtype=float)
-
-
-def _torus_descent(grid, ref, op, p, tau, gtol_rel=1e-10, maxiter=400):
-    """Minimize the periodic cell energy of p + grad chi over chi with the
-    shared descent core; returns the zero-mean corrector and its energy."""
-    p_cells = np.broadcast_to(
-        np.asarray(p, dtype=float).reshape((grid.d,) + (1,) * grid.d), (grid.d,) + grid.cell_shape
-    )
-    centers = grid.cell_centers() if op.y_dependent else None
-
-    def energy(chi):
-        G = grid.phys_gradient(chi)[:, 0] + p_cells
-        return float(grid.cellvol * op.potential(G, y=centers, tau=tau).sum()), G
-
-    def residual(G):
-        return grid.scatter_flux(op.flux(G, y=centers, tau=tau)[:, None])
-
-    chi = np.zeros((1,) + grid.node_shape)
-    E, G = energy(chi)
-    scale = max(1.0, abs(E))
-    gtol = gtol_rel * scale * grid.cellvol / grid.spacings[0] ** 2
-    chi, E, _, _, _ = _descent(energy, residual, ref.solve, chi, E, G, gtol, scale, maxiter)
-    return ref.project_out_null(chi), E
-
-
-def homogenize_nonlinear(op, p, h_cell=None, tau=0.0) -> EffectiveMapSample:
-    """Averaged flux of the corrected gradient field p + grad chi.
-
-    For y-independent operators the corrector vanishes and a0(p) = a(p)
-    without any solve.
-    """
-    p = np.asarray(p, dtype=float)
-    if not op.y_dependent:
-        a0 = op.flux(p.reshape(-1, 1), tau=tau)[:, 0]
-        en = float(op.potential(p.reshape(-1, 1), tau=tau)[0]) if op.is_variational else float("nan")
-        return EffectiveMapSample(p=p, a0_of_p=a0, energy=en)
-    if not op.is_variational:
-        raise ValueError("nonlinear homogenization needs a gradient-form operator")
-    d = op.d
-    h_cell = h_cell or _DEFAULT_CELL_MESH[d]
-    grid = TorusGrid(d, int(round(1.0 / h_cell)))
-    ref = TorusReferenceSolver(grid)
-    chi, E = _torus_descent(grid, ref, op, p, tau)
-    p_cells = np.broadcast_to(p.reshape((d,) + (1,) * d), (d,) + grid.cell_shape)
-    grads = grid.phys_gradient(chi)[:, 0] + p_cells
-    centers = grid.cell_centers() if op.y_dependent else None
-    q = op.flux(grads, y=centers, tau=tau)
-    a0 = q.reshape(d, -1).mean(axis=-1)
-    return EffectiveMapSample(p=p, a0_of_p=a0, energy=E, corrector=chi)
-
-
-class EffectiveMapSampler:
-    """On-demand cache of effective-map samples, keyed by gradient direction.
-
-    Positive 1-homogeneity lets a sample at p/|p| serve every magnitude,
-    so the cache only ever holds unit directions in that case.
-    """
-
-    def __init__(self, op, h_cell=None, tau=0.0):
-        self.op = op
-        self.h_cell = h_cell
-        self.tau = tau
-        self._cache = {}
-
-    def _key(self, p):
-        # gradients that agree to 1e-6 share a sample
-        return tuple(np.round(np.asarray(p) / 1e-6).astype(np.int64).tolist())
-
-    def sample(self, p) -> EffectiveMapSample:
-        p = np.asarray(p, dtype=float)
-        if getattr(self.op, "homogeneous", False):
-            norm = float(np.linalg.norm(p))
-            if norm == 0.0:
-                return EffectiveMapSample(p=p, a0_of_p=np.zeros_like(p), energy=0.0)
-            unit = p / norm
-            key = self._key(unit)
-            if key not in self._cache:
-                self._cache[key] = homogenize_nonlinear(self.op, unit, self.h_cell, self.tau)
-            base = self._cache[key]
-            return EffectiveMapSample(p=p, a0_of_p=norm * base.a0_of_p, energy=base.energy)
-        key = self._key(p)
-        if key not in self._cache:
-            self._cache[key] = homogenize_nonlinear(self.op, p, self.h_cell, self.tau)
-        return self._cache[key]
-
-    def __len__(self):
-        return len(self._cache)
 
 
 def epsilon_refinement_study(

@@ -48,8 +48,7 @@ norm) carry the replication count as a weight, so the residual, energy and
 trace reported are those of the full strip, and so are the stopping rules.
 
 Variational nonlinear equations (flux = gradient of a convex density):
-one descent core, ``_descent``, minimizes the strip energy here and the
-periodic cell energy of ``homogenize``: monotone accelerated descent
+``_descent`` minimizes the strip energy: monotone accelerated descent
 preconditioned by the exact constant-coefficient solver, with
 backtracking line search; the recorded energy trace is nonincreasing by
 construction.  The momentum restarts when it overshoots in energy or
@@ -566,7 +565,7 @@ def _armijo(energy, X, d, EX, slope, t, scale):
     return None
 
 
-def _descent(energy, residual, precond, U, E, G, gtol, scale, maxiter, weight=1.0):
+def _descent(energy, residual, precond, U, E, G, gtol, scale, maxiter, weight):
     """Monotone accelerated preconditioned descent from U to sup |R| <= gtol.
 
     ``energy(V)`` returns (E(V), G) with G the gradient field that E(V) was

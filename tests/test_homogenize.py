@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 
 from effbc import (
-    EffectiveMapSampler,
-    QuadraticPotential,
-    RootKinkOperator,
     SolverFailureError,
     cosine_field,
     epsilon_refinement_study,
     homogenize_linear,
-    homogenize_nonlinear,
     identity_tensor,
     isotropic_tensor,
     make_field,
@@ -111,42 +107,6 @@ def test_flux_consistency_by_construction(laminate2):
         q = np.einsum("abij...,bj...->ai...", Ac, grads)
         mean_flux = q.reshape(2, -1).mean(axis=-1)
         assert np.abs(mean_flux - hom.A0[:, j, 0, 0]).max() <= 1e-12
-
-
-def test_nonlinear_matches_linear_on_quadratic(laminate2):
-    hom = homogenize_linear(laminate2, h_cell=1 / 64)
-    qp = QuadraticPotential(laminate2)
-    for p in ([1.0, 0.0], [0.0, 1.0], [0.4, -0.8]):
-        s = homogenize_nonlinear(qp, p, h_cell=1 / 64)
-        expected = hom.A0[:, :, 0, 0] @ np.asarray(p)
-        assert np.abs(s.a0_of_p - expected).max() <= 1e-6
-
-
-def test_effective_map_monotone(laminate2):
-    qp = QuadraticPotential(laminate2)
-    rng = np.random.default_rng(2)
-    pts = rng.uniform(-1.5, 1.5, size=(6, 2))
-    samples = [homogenize_nonlinear(qp, p, h_cell=1 / 32) for p in pts]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            dp = samples[i].p - samples[j].p
-            da = samples[i].a0_of_p - samples[j].a0_of_p
-            assert float(da @ dp) >= 0.2 * float(dp @ dp)
-
-
-def test_y_independent_operator_is_its_own_average():
-    op = RootKinkOperator()
-    s = homogenize_nonlinear(op, [0.0, 0.0, -1.0])
-    assert np.allclose(s.a0_of_p, [0.0, 0.0, -0.75])
-    assert s.corrector is None
-
-
-def test_effective_map_scaling_homogeneous():
-    samp = EffectiveMapSampler(RootKinkOperator())
-    s1 = samp.sample([0.3, 0.0, -0.4])
-    s2 = samp.sample([0.6, 0.0, -0.8])
-    assert np.abs(2.0 * s1.a0_of_p - s2.a0_of_p).max() <= 1e-12
-    assert len(samp) == 1  # one cached direction serves both
 
 
 def test_eps_study_constant_coefficient(xi_e2):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -18,10 +19,9 @@ from effbc import (
     solve_linear,
     solve_nonlinear,
 )
-from effbc.assembly import StripReferenceSolver, TorusReferenceSolver
-from effbc.fields import laminate_tensor
-from effbc.grid import TorusGrid, _MeshBase
-from effbc.homogenize import _torus_descent
+from effbc.assembly import StripReferenceSolver
+from effbc.cli import main
+from effbc.grid import _MeshBase
 from effbc.solve import _masked_residual, nonlinear_energy
 
 
@@ -142,8 +142,7 @@ def test_root_kink_3d_small_solve():
     assert abs(sol.top_slice().mean()) <= 0.05
 
 
-@pytest.mark.parametrize("where", ["strip", "torus"])
-def test_descent_takes_one_gradient_per_energy(monkeypatch, where):
+def test_descent_takes_one_gradient_per_energy(monkeypatch):
     # every residual of the descent reuses the gradient field of an energy
     # evaluation, and the lift, built in mode space, takes none
     counts = {"gradient": 0, "potential": 0, "lift": 0}
@@ -164,21 +163,52 @@ def test_descent_takes_one_gradient_per_energy(monkeypatch, where):
 
     monkeypatch.setattr(_MeshBase, "phys_gradient", counted("gradient", _MeshBase.phys_gradient))
     monkeypatch.setattr(StripReferenceSolver, "lift", counted_lift)
-    if where == "strip":
-        monkeypatch.setattr(
-            KinkPotential2D, "potential", counted("potential", KinkPotential2D.potential)
-        )
-        g = planar_strip_grid(1.0, 2.0, 16, 32)
-        sol = solve_nonlinear(StripProblem(
-            g, KinkPotential2D(), lambda c: 1 / 3 + np.cos(2 * np.pi * c[0]), tau=1 / 16
-        ))
-        assert sol.iterations > 0 and counts["lift"] == 0
-    else:
-        monkeypatch.setattr(
-            QuadraticPotential, "potential", counted("potential", QuadraticPotential.potential)
-        )
-        grid = TorusGrid(2, 16)
-        op = QuadraticPotential(laminate_tensor(2))
-        _torus_descent(grid, TorusReferenceSolver(grid), op, [0.4, -0.8], 0.0)
-        assert counts["potential"] > 1  # the start and at least one step
+    monkeypatch.setattr(
+        KinkPotential2D, "potential", counted("potential", KinkPotential2D.potential)
+    )
+    g = planar_strip_grid(1.0, 2.0, 16, 32)
+    sol = solve_nonlinear(StripProblem(
+        g, KinkPotential2D(), lambda c: 1 / 3 + np.cos(2 * np.pi * c[0]), tau=1 / 16
+    ))
+    assert sol.iterations > 0 and counts["lift"] == 0
     assert counts["gradient"] - counts["lift"] == counts["potential"]
+
+
+# The benchmark's seed-0 nonlinear runs: root-kink data 1/3 + cos(2 pi y_k)
+# on the section 7 operator.
+
+def run_pinned(tmp_path, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(config, out=str(tmp_path / "out"))))
+    assert main(["--config", str(path), config["experiment"]]) == 0
+    return tmp_path / "out"
+
+
+def test_discontinuity_values_pinned(tmp_path):
+    out = run_pinned(tmp_path, {
+        "experiment": "discontinuity-demo",
+        "operator": {"kind": "builtin", "name": "section7"},
+        "data": {"constant": 1 / 3, "terms": [{"coef": 1.0, "freq": [0, 0, 1], "phase": "cos"}]},
+        "nonlinear": {"tau": 1 / 16},
+        "mesh": {"h": 1 / 16},
+        "limit": {"tolerance": 1e-6, "sample_count": 32},
+    })
+    demo = json.loads((out / "discontinuity.json").read_text())
+    values = [demo["L_e1"][0], demo["L_e2"][0]]
+    pinned = [0.008140320271891467, 0.12631366197725352]
+    assert values == pytest.approx(pinned, rel=1e-12, abs=0.0)
+
+
+def test_cell_solve_value_pinned(tmp_path):
+    out = run_pinned(tmp_path, {
+        "experiment": "cell-solve",
+        "operator": {"kind": "builtin", "name": "section7"},
+        "data": {"constant": 1 / 3, "terms": [{"coef": 1.0, "freq": [1, 0, 0], "phase": "cos"}]},
+        "direction": "rational: [0,0,1]",
+        "mesh": {"h": 1 / 32},
+        "strip": {"R_ladder": [2.0, 4.0]},
+        "nonlinear": {"tau": 1 / 64},
+        "limit": {"tolerance": 1e-6},
+    })
+    c_star = json.loads((out / "result.json").read_text())["value"][0]
+    assert c_star == pytest.approx(0.0037357381421962597, rel=1e-12, abs=0.0)

@@ -10,6 +10,8 @@ against the assembled A = I matrix.  Sheared and planar strips and tori in
 d = 2 and 3, one and two components.
 """
 
+import tracemalloc
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,10 +62,12 @@ def test_stencil_matches_corner_oracles(grid, N, seed):
     rng = np.random.default_rng(seed)
     U = rng.standard_normal((N,) + grid.node_shape)
     q = rng.standard_normal((grid.d, N) + grid.cell_shape)
+    U0, q0 = U.copy(), q.copy()
 
     g = grid.phys_gradient(U)
     ref = corner_gradient(grid, U)
     assert g.shape == ref.shape == (grid.d, N) + grid.cell_shape
+    assert g.flags.c_contiguous
     assert np.abs(g - ref).max() <= 1e-13 * np.abs(ref).max()
 
     K = assemble_matrix(grid, identity_tensor(grid.d, n_components=N))
@@ -82,9 +86,31 @@ def test_stencil_matches_corner_oracles(grid, N, seed):
     assert np.abs(AU - KU).max() <= 1e-12 * scale
 
     # scatter_flux is the adjoint of phys_gradient weighted by the cell volume
-    lhs = float((grid.scatter_flux(q) * U).sum())
+    Lq = grid.scatter_flux(q)
+    assert Lq.shape == U.shape and Lq.flags.c_contiguous
+    lhs = float((Lq * U).sum())
     rhs = float((q * g).sum()) * grid.cellvol
     assert abs(lhs - rhs) <= 1e-12 * grid.cellvol * float(np.abs(q * g).sum())
+    # the passes run on frames of their own; the arguments are left alone
+    assert np.array_equal(U, U0) and np.array_equal(q, q0)
+
+
+def test_stencil_memory_stays_below_the_strided_peak():
+    # the 64 x 257 node strip of the benchmark's discontinuity profile; the
+    # bound is the peak of one gradient and one scatter run as passes on
+    # arrays of each pass's own shape (strided slices, new arrays per call):
+    # 994,752 bytes, about 7.6 times the values
+    grid = planar_strip_grid(1.0, 4.0, 64, 256)
+    assert grid.node_shape == (64, 257)
+    U = np.random.default_rng(0).standard_normal((1,) + grid.node_shape)
+    grid.scatter_flux(grid.phys_gradient(U))
+    tracemalloc.start()
+    try:
+        grid.scatter_flux(grid.phys_gradient(U))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 994_752
 
 
 @settings(max_examples=80, deadline=None)
