@@ -18,7 +18,9 @@ torus solve preconditions the linear cell problems of ``homogenize``.
 Every operator is applied matrix free (``grid.scatter_flux`` of the flux
 of ``grid.phys_gradient``, or for cell tensors the
 ``grid.TensorOperator``; both run the same passes on frames); no matrix
-is assembled, and every transform runs on ``numpy.fft``.  ``solve`` writes into a given array, the free levels
+is assembled.  The transforms run on ``numpy.fft``, except the real DFT
+pair along the last lateral axis of a narrow strip, which is a product with
+cos/sin tables.  ``solve`` writes into a given array, the free levels
 straight from the last inverse transform.
 """
 
@@ -27,6 +29,15 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["StripReferenceSolver", "TorusReferenceSolver"]
+
+# Strips with fewer cells than this on their last lateral axis run its real
+# DFT pair as products with cos/sin tables built once; wider ones keep
+# numpy.fft's rfft / irfft, whose cost per entry grows as log L where the
+# tables' grows as L (and their memory as L^2).  One full solve of a 2-d
+# strip with 4 L levels, median of 9x50 in-process on a 2-core Xeon:
+# L = 49: 380 -> 265 us, L = 56: 422 -> 350 us, L = 64: 495 -> 520 us,
+# where OpenBLAS also starts a second thread for the products.
+_DENSE_DFT_CELLS = 64
 
 
 def _mode_angles(shape, half=False):
@@ -97,7 +108,7 @@ class StripReferenceSolver:
     """Exact solver for the constant-coefficient (A = I) strip operator.
 
     Solves K_ref x = r on the free nodes (bottom Dirichlet, natural top).
-    A real lateral FFT leaves, per Fourier mode, a Hermitian Toeplitz
+    A real lateral DFT leaves, per Fourier mode, a Hermitian Toeplitz
     tridiagonal in the vertical with bands (conj(a), t0, a); the natural
     top halves the last row to (conj(a), t0/2) because the shear cross
     terms cancel over corner pairs.  The twist x_k = exp(-i k arg a) y_k
@@ -115,6 +126,13 @@ class StripReferenceSolver:
     IEEE Trans. ASSP 28, 1980).  The eigenvalues divide in the order of v,
     so the reordering is never carried out, and the twist, the reversals and
     the twiddles are folded into four factor arrays built once.
+
+    The real DFT along the last lateral axis is numpy's rfft / irfft, or on
+    fewer than ``_DENSE_DFT_CELLS`` cells products with cos/sin tables of
+    that axis: there one short FFT per level costs more in call overhead
+    than the whole product, and on a prime count (41 on the (1,5) strips)
+    pocketfft falls back to Bluestein's algorithm.  Other lateral axes use
+    complex FFTs.
 
     ``null_mask`` flags the lateral modes of the rfftn half spectrum on
     which every band vanishes: hourglass modes of the one-point quadrature
@@ -157,12 +175,37 @@ class StripReferenceSolver:
         # k + 1 mod n, so that W is scaled as a whole
         self._out_rev = untwist * w[::-1]
         self._out_next = np.roll(untwist * np.conj(w[::-1]), 1, axis=-1)
+        self._dft = self._idft = None
+        L = grid.lat_cells[-1]
+        if L < _DENSE_DFT_CELLS:
+            # angles from (k j) mod L, so that every table entry is the
+            # rounded value of an exactly reduced angle
+            k = np.arange(L // 2 + 1)
+            angle = 2.0 * np.pi * ((k[:, None] * np.arange(L)) % L) / L
+            cos, sin = np.cos(angle), np.sin(angle)
+            self._dft = (cos, -sin)
+            # irfft: weight 1 on k = 0 and the Nyquist mode, 2 on the others
+            weight = np.full(len(k), 2.0 / L)
+            weight[0] = 1.0 / L
+            if L % 2 == 0:
+                weight[-1] = 1.0 / L
+            self._idft = np.concatenate((cos.T * weight, -sin.T * weight), axis=1)
 
     def _lateral_fft(self, x):
-        """Lateral modes of x (N, *lat, ...): rfft on the last lateral axis,
-        complex FFTs on the others."""
+        """Lateral modes of x (N, *lat, ...): the real DFT on the last lateral
+        axis, complex FFTs on the others."""
         *other, last = self.lat_axes
-        xhat = np.fft.rfft(x, axis=last)
+        if self._dft is None:
+            xhat = np.fft.rfft(x, axis=last)
+        else:
+            cos, sin = self._dft
+            # the bottom plane (N, *lat) has no levels axis to multiply along
+            cols = x if x.ndim > self.grid.d else x[..., None]
+            xhat = np.empty(cols.shape[:-2] + (len(cos), cols.shape[-1]), dtype=complex)
+            np.matmul(cos, cols, out=xhat.real)
+            np.matmul(sin, cols, out=xhat.imag)
+            if cols is not x:
+                xhat = xhat[..., 0]
         for ax in other:
             np.fft.fft(xhat, axis=ax, out=xhat)
         return xhat
@@ -172,7 +215,10 @@ class StripReferenceSolver:
         *other, last = self.lat_axes
         for ax in other:
             np.fft.ifft(y, axis=ax, out=y)
-        return np.fft.irfft(y, n=self.grid.lat_cells[-1], axis=last, out=out)
+        if self._idft is None:
+            return np.fft.irfft(y, n=self.grid.lat_cells[-1], axis=last, out=out)
+        parts = np.concatenate((y.real, y.imag), axis=-2)
+        return np.matmul(self._idft, parts, out=out)
 
     def solve_free(self, r_free, out=None):
         """Solve for the free-level block; r_free is (N, *lat, n_free).  The

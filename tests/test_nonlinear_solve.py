@@ -174,8 +174,8 @@ def test_descent_takes_one_gradient_per_energy(monkeypatch):
     assert counts["gradient"] - counts["lift"] == counts["potential"]
 
 
-# The benchmark's seed-0 nonlinear runs: root-kink data 1/3 + cos(2 pi y_k)
-# on the section 7 operator.
+# The benchmark's seed-0 runs.  The nonlinear ones take root-kink data
+# 1/3 + cos(2 pi y_k) on the section 7 operator.
 
 def run_pinned(tmp_path, config):
     path = tmp_path / "cfg.json"
@@ -197,6 +197,27 @@ def test_discontinuity_values_pinned(tmp_path):
     values = [demo["L_e1"][0], demo["L_e2"][0]]
     pinned = [0.008140320271891467, 0.12631366197725352]
     assert values == pytest.approx(pinned, rel=1e-12, abs=0.0)
+
+
+def test_sweep_values_pinned(tmp_path):
+    # the benchmark's seed-0 linear sweep: the laminate with data
+    # 1/3 + cos 2 pi (x1 + x2), whose far field at every direction is the
+    # data's constant (no solution mode is parallel to (1, q)); the rows
+    # miss it by 1.2e-7, 7.1e-8 and 1.1e-8 at the default mesh
+    out = run_pinned(tmp_path, {
+        "experiment": "sweep",
+        "operator": {"kind": "laminate", "d": 2},
+        "data": {"constant": 1 / 3, "terms": [{"coef": 1.0, "freq": [1, 1], "phase": "cos"}]},
+        "directions": [
+            {"unit": [math.sin(t), math.cos(t)]} for t in (math.atan2(1.0, k) for k in (6, 5, 4))
+        ],
+        "limit": {"tolerance": 1e-7, "sample_count": 8},
+        "sweep": {"Q": 6},
+    })
+    values = [row["value"][0] for row in json.loads((out / "sweep.json").read_text())["rows"]]
+    pinned = [0.33333345831523364, 0.33333340471481787, 0.33333332228598345]
+    assert values == pytest.approx(pinned, rel=1e-12, abs=0.0)
+    assert values == pytest.approx([1 / 3] * 3, rel=0.0, abs=1e-6)
 
 
 def test_cell_solve_value_pinned(tmp_path):

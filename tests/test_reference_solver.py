@@ -3,8 +3,12 @@ and its mode-space lift against the stencil lift of ``assembly_oracle``.
 
 Small sheared and planar strips in d = 2 and 3 with a natural top, one and
 two components, odd and even lateral counts (even counts on 3-d strips carry
-the hourglass modes of the one-point quadrature).
+the hourglass modes of the one-point quadrature).  The drawn strips are
+narrow, so their last lateral axis runs the matrix DFT; the examples add
+strips on both sides of ``_DENSE_DFT_CELLS``.
 """
+
+import tracemalloc
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -36,12 +40,44 @@ def strips(draw):
     return sheared_strip(v, lat, n_vert, draw(st.floats(0.5, 3.0)))
 
 
+# strips on either side of the cutoff: a 2-d 64 and 65 (rfft) and a prime 41
+# (matrix DFT), and 3-d strips whose last lateral axis has 63 and 64 cells
+WIDE_2D = sheared_strip([1, 2], (64,), 2, 1.0), sheared_strip([1, 3], (65,), 3, 1.5)
+PRIME_2D = sheared_strip([1, 5], (41,), 3, 1.0)
+CUTOFF_3D = sheared_strip([1, 2, -1], (3, 63), 2, 1.0), sheared_strip([0, 1, 2], (2, 64), 2, 1.0)
+
+
+def across_the_cutoff(test):
+    for grid, N, seed in zip((*WIDE_2D, PRIME_2D, *CUTOFF_3D), (1, 2, 2, 1, 2), range(5)):
+        test = example(grid=grid, N=N, seed=seed)(test)
+    return test
+
+
+def test_the_examples_sit_on_both_sides_of_the_cutoff():
+    for grids in ((*WIDE_2D, PRIME_2D), CUTOFF_3D):
+        assert {StripReferenceSolver(g)._dft is not None for g in grids} == {True, False}
+
+
+def test_wide_strips_keep_no_dft_tables():
+    # one cos/sin table of a 4096-cell axis would hold 2049 x 4096 doubles,
+    # 67 MB; the set-up of a wide strip stays O(L levels)
+    grid = sheared_strip([1, 2], (4096,), 2, 1.0)
+    tracemalloc.start()
+    try:
+        StripReferenceSolver(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * grid.n_nodes
+
+
 def _lateral_modes(ref, x):
     return np.fft.rfftn(x, axes=ref.lat_axes)
 
 
 @settings(max_examples=60, deadline=None)
 @given(grid=strips(), N=st.integers(1, 2), seed=st.integers(0, 2**16))
+@across_the_cutoff
 def test_solve_free_matches_dense_oracle(grid, N, seed):
     ref = StripReferenceSolver(grid)
     K = assemble_matrix(grid, identity_tensor(grid.d, n_components=N)).toarray()
@@ -89,6 +125,7 @@ def test_solve_free_matches_dense_oracle(grid, N, seed):
 @given(grid=strips(), N=st.integers(1, 2), seed=st.integers(0, 2**16))
 @example(grid=sheared_strip([0, 0, 1], (4, 6), 5, 1.0), N=2, seed=0)
 @example(grid=sheared_strip([1, 2, -1], (6, 4), 3, 1.5), N=1, seed=1)
+@across_the_cutoff
 def test_lift_matches_the_stencil_oracle(grid, N, seed):
     ref = StripReferenceSolver(grid)
     bottom = np.random.default_rng(seed).standard_normal((N,) + grid.lat_cells)
