@@ -102,7 +102,7 @@ def cmd_phi_star(cfg: ExperimentConfig, rep: Reporter) -> int:
     profile = shift_profile(
         cfg.operator, cfg.data, cfg.direction,
         sample_count=cfg.sample_count, tolerance=cfg.tolerance,
-        h=cfg.h, tau=cfg.tau,
+        h=cfg.h, tau=cfg.tau, rtol=cfg.solver_tol,
     )
     rep.stop("phi-star")
     _write_profile(rep, profile)
@@ -115,7 +115,7 @@ def cmd_second_cell(cfg: ExperimentConfig, rep: Reporter) -> int:
     profile = shift_profile(
         cfg.operator, cfg.data, cfg.direction,
         sample_count=cfg.sample_count, tolerance=cfg.tolerance,
-        h=cfg.h, tau=cfg.tau,
+        h=cfg.h, tau=cfg.tau, rtol=cfg.solver_tol,
     )
     rep.stop("profile")
     _write_profile(rep, profile)

@@ -290,6 +290,15 @@ def _validate(cfg: ExperimentConfig):
     ):
         if cfg.tau <= 0.0:
             raise ConfigError("nonlinear runs need nonlinear.tau > 0")
+    if _get(cfg.raw, "solver.tol") is not None and (
+        cfg.experiment in ("homogenize", "sweep", "discontinuity-demo")
+        or _is_nonlinear(cfg.operator)
+    ):
+        # only the Krylov solves of linear strips read it
+        raise ConfigError(
+            "solver.tol is read only by linear runs of cell-solve, phi-star, "
+            f"second-cell and decay-fit; this {cfg.experiment!r} run would ignore it"
+        )
     if isinstance(cfg.direction, RationalDirection):
         M = cfg.direction.period_bound
         if cfg.R is not None and cfg.experiment in ("cell-solve", "phi-star", "second-cell"):

@@ -20,7 +20,7 @@ import numpy as np
 from .assembly import TorusReferenceSolver
 from .errors import NonConvergedError, SolverFailureError
 from .fields import LinearTensorField, _tensor, constant_field
-from .grid import TensorOperator, TorusGrid, _symmetric_cells, build_strip_grid
+from .grid import TensorOperator, TorusGrid, build_strip_grid
 from .solve import StripProblem, _krylov_solve, solve_linear
 
 __all__ = [
@@ -67,15 +67,16 @@ def _unit_gradient(d, N, j, beta, shape):
     return E
 
 
-def _torus_linear_solve(grid, Ac, ref, b, symmetric, rtol=1e-11):
+def _torus_linear_solve(K, ref, b, symmetric, rtol=1e-11):
     """Krylov solve of the (singular, consistent) torus system K x = b, with
-    K applied matrix free from the cell tensors Ac (d, d, N, N, *cells)."""
-    x, _, _ = _krylov_solve(TensorOperator(grid, Ac), ref.solve, b, rtol, 600, symmetric, 100.0)
+    K a TensorOperator of the torus."""
+    x, _, _ = _krylov_solve(K, ref.solve, b, rtol, 600, symmetric, 100.0)
     return ref.project_out_null(x)
 
 
 def homogenize_linear(A: LinearTensorField, h_cell=None) -> HomogenizedTensor:
-    """Effective tensor of a periodic linear coefficient field."""
+    """Effective tensor of a periodic linear coefficient field, exactly
+    symmetric (under the (a, b)(i, j) swap) when every cell tensor is."""
     d, N = A.d, A.n_components
     h_cell = h_cell or _DEFAULT_CELL_MESH[d]
     n = int(round(1.0 / h_cell))
@@ -83,7 +84,7 @@ def homogenize_linear(A: LinearTensorField, h_cell=None) -> HomogenizedTensor:
     ref = TorusReferenceSolver(grid)
     centers = grid.cell_centers()
     Ac = A(centers)  # (d, d, N, N, *cells)
-    symmetric = _symmetric_cells(Ac)
+    K = TensorOperator(grid, Ac)
     A0 = np.empty((d, d, N, N))
     chis = np.empty((d, N, N) + grid.node_shape)
     for j in range(d):
@@ -91,12 +92,14 @@ def homogenize_linear(A: LinearTensorField, h_cell=None) -> HomogenizedTensor:
             E = _unit_gradient(d, N, j, beta, grid.cell_shape)
             q0 = np.einsum("abij...,bj...->ai...", Ac, E)
             b = -grid.scatter_flux(q0)
-            chi = _torus_linear_solve(grid, Ac, ref, b, symmetric)
+            chi = _torus_linear_solve(K, ref, b, K.symmetric)
             grads = grid.phys_gradient(chi)
             q = np.einsum("abij...,bj...->ai...", Ac, grads + E)
             mean_flux = q.reshape(d, N, -1).mean(axis=-1)
             A0[:, j, :, beta] = mean_flux
             chis[j, beta] = chi
+    if K.symmetric:  # the cell averages can leave A0's mirror entries an ulp apart
+        A0 = 0.5 * (A0 + A0.swapaxes(0, 1).swapaxes(2, 3))
     return HomogenizedTensor(A0=A0, correctors=chis, cell_mesh=1.0 / n, lam=A.lam)
 
 

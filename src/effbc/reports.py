@@ -21,15 +21,8 @@ __all__ = ["fmt", "canonical_json", "config_hash", "Reporter", "SvgPlot", "svg_p
 
 
 def fmt(x):
-    """17 significant digit decimal rendering of a float."""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
+    """17 significant digit decimal rendering of a number (nan, inf, -inf)."""
+    return str(int(x)) if isinstance(x, (int, np.integer)) else format(float(x), ".17g")
 
 
 def _sanitize(obj):
@@ -238,12 +231,13 @@ def _solution_chunks(solution):
 
     Each column of the node table (the indices, y1..yd, u1..uN) is reduced
     to the axes it varies along, and each distinct entry of the reduced
-    array is formatted once, with its trailing ',' or newline, into a table
-    of NUL-padded byte strings ("%.17g" renders floats exactly as fmt
-    does, nan and inf included).  A block's rows are assembled in one
-    reused byte buffer, one row per node with every column a fixed-width
-    field at a fixed offset, by broadcast copies of the tables; dropping
-    the NULs leaves the text.
+    array is formatted once, with its trailing ',' or newline ("%.17g"
+    renders floats exactly as fmt does, nan and inf included).  A column
+    that varies along the first axis on more entries than a block has (a
+    sheared coordinate, say) is formatted a block at a time instead, so no
+    text is ever larger than one block's.  A block is one structured array
+    with a byte-string field per column, filled by broadcast assignment;
+    its bytes less the NUL padding are the text.
     """
     prob = solution.problem
     op_hash = hashlib.sha256(canonical_json(prob.operator.describe()).encode()).hexdigest()[:16]
@@ -259,37 +253,38 @@ def _solution_chunks(solution):
     idx_names = [f"i{j}" for j in range(lat_axes)] + ["level"]
     coord_names = [f"y{j + 1}" for j in range(grid.d)]
     val_names = [f"u{c + 1}" for c in range(N)]
-    lines.append(",".join(idx_names + coord_names + val_names))
+    names = idx_names + coord_names + val_names
+    lines.append(",".join(names))
     yield "\n".join(lines) + "\n"
     shape = grid.node_shape
     index = np.indices(shape, sparse=True)
     floats = [*grid.coord_columns(shape), *solution.values]
-    specs = ["%d"] * len(index) + ["%.17g"] * len(floats)
-    seps = [","] * (len(specs) - 1) + ["\n"]
-    slab_size = math.prod(shape[1:])
-    block = -(-_BLOCK_ROWS // slab_size)  # slabs per piece
-    columns = [
-        _ColumnText(a, spec + sep, block * slab_size)
-        for a, spec, sep in zip([*index, *floats], specs, seps)
-    ]
-    widths = [c.dtype.itemsize for c in columns]
-    buf = np.empty((block,) + shape[1:] + (sum(widths),), dtype=np.uint8)
-    # each column's bytes in every row of buf, as one fixed-width string
-    fields = [
-        buf[..., at - w:at].view(c.dtype)[..., 0]
-        for at, w, c in zip(np.cumsum(widths), widths, columns)
-    ]
+    specs = ["%d,"] * len(index) + ["%.17g,"] * len(floats)
+    specs[-1] = "%.17g\n"
+    block = -(-_BLOCK_ROWS // math.prod(shape[1:]))  # slabs per piece
+    columns = []  # (reduced column, its spec, its text, or None if made by block)
+    for a, spec in zip([*index, *floats], specs):
+        a = _reduced(a)
+        by_block = a.shape[0] > 1 and a.size > block * math.prod(shape[1:])
+        columns.append((a, spec, None if by_block else _text_table(a, spec)))
+    buf = None
     for i0 in range(0, shape[0], block):
         n = min(block, shape[0] - i0)
-        for field, c in zip(fields, columns):
-            field[:n] = c.rows(i0, n)
+        texts = [
+            _text_table(a[i0:i0 + n], spec) if text is None
+            else text[i0:i0 + n] if text.shape[0] > 1 else text
+            for a, spec, text in columns
+        ]
+        dtype = np.dtype([(name, t.dtype) for name, t in zip(names, texts)])
+        if buf is None or buf.dtype != dtype:
+            buf = None  # the old block goes before the new one is made
+            buf = np.empty((block,) + shape[1:], dtype)
+        for name, t in zip(names, texts):
+            buf[name][:n] = t
         yield buf[:n].tobytes().translate(None, b"\0").decode("ascii")
 
 
 _BLOCK_ROWS = 4096  # rows per piece at least, unless one slab has more
-
-
-_FLOAT_WIDTH = 24  # the longest %.17g text: -1.2345678901234567e-308
 
 
 def _keys(a):
@@ -309,47 +304,14 @@ def _reduced(a):
     return a
 
 
-def _text_table(a, spec, dtype="S"):
-    """The %-``spec`` text of every entry of a as bytes, NUL-padded to one
-    width (that of ``dtype``, else the longest).  Each distinct entry is
-    formatted once."""
+def _text_table(a, spec):
+    """The %-``spec`` text of every entry of a as NUL-padded bytes of the
+    longest's width.  Each distinct entry is formatted once."""
     distinct, inverse = np.unique(_keys(a).ravel(), return_inverse=True)
     if a.dtype.kind == "f":
         distinct = distinct.view(a.dtype)
-    table = np.array(list(map(spec.__mod__, distinct.tolist())), dtype=dtype)
+    table = np.array(list(map(spec.__mod__, distinct.tolist())), dtype="S")
     return table[inverse.reshape(a.shape)]
-
-
-class _ColumnText:
-    """The text of one column of the node table (``spec`` includes its
-    separator), a block of first-index slabs at a time.
-
-    The text of the reduced column is made once, unless the column varies
-    along the first axis on more entries than a block has (a sheared
-    coordinate, say): then each block's text is made when it is asked
-    for, padded to the widest text the column can have, so that no text of
-    the column is ever larger than one block's.
-    """
-
-    def __init__(self, a, spec, block_size):
-        self.a = _reduced(a)
-        self.spec = spec
-        if self.a.shape[0] > 1 and self.a.size > block_size:
-            self.text = None
-            if self.a.dtype.kind == "f":
-                longest = _FLOAT_WIDTH + 1  # and the separator
-            else:
-                longest = max(len(spec % x) for x in (self.a.min(), self.a.max()))
-            self.dtype = np.dtype(f"S{longest}")
-        else:
-            self.text = _text_table(self.a, spec)
-            self.dtype = self.text.dtype
-
-    def rows(self, i0, n):
-        """The text of slabs i0 .. i0 + n - 1, broadcastable to (n, *shape[1:])."""
-        if self.text is None:
-            return _text_table(self.a[i0:i0 + n], self.spec, self.dtype)
-        return self.text[i0:i0 + n] if self.text.shape[0] > 1 else self.text
 
 
 def solution_text(solution, out=None):

@@ -48,10 +48,10 @@ norm) carry the replication count as a weight, so the residual, energy and
 trace reported are those of the full strip, and so are the stopping rules.
 
 Variational nonlinear equations (flux = gradient of a convex density):
-``_descent`` minimizes the strip energy: monotone accelerated descent
-preconditioned by the exact constant-coefficient solver, with
-backtracking line search; the recorded energy trace is nonincreasing by
-construction.  The momentum restarts when it overshoots in energy or
+``_descent_variational`` minimizes the strip energy: monotone
+accelerated descent preconditioned by the exact constant-coefficient
+solver, with backtracking line search; the recorded energy trace is
+nonincreasing by construction.  The momentum restarts when it overshoots in energy or
 points uphill (g . (U - U_prev) > 0, the gradient restart of O'Donoghue
 and Candes, Found. Comput. Math. 15, 2015): near the minimum the energy
 no longer resolves the steps, and the gradient test keeps the momentum
@@ -565,66 +565,16 @@ def _armijo(energy, X, d, EX, slope, t, scale):
     return None
 
 
-def _descent(energy, residual, precond, U, E, G, gtol, scale, maxiter, weight):
-    """Monotone accelerated preconditioned descent from U to sup |R| <= gtol.
-
-    ``energy(V)`` returns (E(V), G) with G the gradient field that E(V) was
-    computed from; ``residual(G)`` is the energy's nodal gradient at that
-    point, zero on fixed rows.  The start comes with its E and G, and each
-    accepted or momentum point hands its G on.  ``precond`` maps a residual
-    to a descent direction; ``scale`` sets the line search's rounding slack.
-    An energy that counts each node ``weight`` times (a reduced strip) has
-    its slopes weighted alike.
-    Returns (U, E, iterations, energy trace, sup |R(U)|).
-    """
-    trace = [E]
-    U_prev = U
-    t_prev = 1.0
-    momentum = 0.0
-    for it in range(maxiter):
-        g = residual(G)
-        gsup = float(np.abs(g).max())
-        if gsup <= gtol:
-            return U, E, it, trace, gsup
-        if momentum and _dot(g, U - U_prev) > 0.0:
-            momentum = 0.0
-        if momentum:
-            V = U + momentum * (U - U_prev)
-            EV, GV = energy(V)
-            gV = residual(GV)
-        else:
-            V, gV, EV = U, g, E  # V = U exactly
-        t0 = min(1.0, 2.0 * t_prev)
-        dV = precond(gV)
-        accepted = _armijo(energy, V, dV, EV, weight * float((gV * dV).sum()), t0, scale)
-        overshoot = accepted is None or accepted[1] > E
-        if overshoot and momentum:
-            # fall back to plain descent from U (at zero momentum that
-            # search is the one just made)
-            d = precond(g)
-            accepted = _armijo(energy, U, d, E, weight * float((g * d).sum()), t0, scale)
-        if accepted is None:
-            raise NonConvergedError("line search failed to decrease energy", trace=trace)
-        momentum = 0.0 if overshoot else min(0.9, momentum + 0.3)
-        U_prev = U
-        U, E_new, G, t_prev = accepted
-        if E_new > E + 1e-12 * scale:
-            raise NonConvergedError("energy increased, internal inconsistency", trace=trace)
-        E = E_new
-        trace.append(E)
-    raise NonConvergedError(
-        f"descent did not reach tolerance in {maxiter} iterations", trace=trace
-    )
-
-
 def _descent_variational(
     problem, grid, ref, op, U0, centers, gtol_rel=1e-9, maxiter=500, weight=1.0
 ):
-    """Preconditioned descent on the discrete strip energy, counted
-    ``weight`` times (the copies of a reduced strip in the full one).
+    """Monotone accelerated descent on the discrete strip energy, counted
+    ``weight`` times (the copies of a reduced strip in the full one), to
+    sup |R| <= gtol_rel max(1, |E(U0)|), preconditioned by ``ref.solve``.
 
     Starts from problem.start when its energy is below that of the lift U0,
-    else from U0; the tolerance scale is max(1, |E(U0)|) either way.
+    else from U0; the tolerance and line-search scale is max(1, |E(U0)|)
+    either way.  The slopes are weighted like the energy.
     Returns (U, E, iterations, energy trace, sup |R(U)|).
     """
     tau = problem.tau
@@ -645,8 +595,44 @@ def _descent_variational(
         if E_start < E:  # a start above the lift's energy is dropped
             U, E, G = start, E_start, G_start
         del start, G_start
-    return _descent(
-        energy, residual, ref.solve, U, E, G, gtol_rel * scale, scale, maxiter, weight
+    gtol = gtol_rel * scale
+    trace = [E]
+    U_prev = U
+    t_prev = 1.0
+    momentum = 0.0
+    for it in range(maxiter):
+        g = residual(G)
+        gsup = float(np.abs(g).max())
+        if gsup <= gtol:
+            return U, E, it, trace, gsup
+        if momentum and _dot(g, U - U_prev) > 0.0:
+            momentum = 0.0
+        if momentum:
+            V = U + momentum * (U - U_prev)
+            EV, GV = energy(V)
+            gV = residual(GV)
+        else:
+            V, gV, EV = U, g, E  # V = U exactly
+        t0 = min(1.0, 2.0 * t_prev)
+        dV = ref.solve(gV)
+        accepted = _armijo(energy, V, dV, EV, weight * float((gV * dV).sum()), t0, scale)
+        overshoot = accepted is None or accepted[1] > E
+        if overshoot and momentum:
+            # fall back to plain descent from U (at zero momentum that
+            # search is the one just made)
+            d = ref.solve(g)
+            accepted = _armijo(energy, U, d, E, weight * float((g * d).sum()), t0, scale)
+        if accepted is None:
+            raise NonConvergedError("line search failed to decrease energy", trace=trace)
+        momentum = 0.0 if overshoot else min(0.9, momentum + 0.3)
+        U_prev = U
+        U, E_new, G, t_prev = accepted
+        if E_new > E + 1e-12 * scale:
+            raise NonConvergedError("energy increased, internal inconsistency", trace=trace)
+        E = E_new
+        trace.append(E)
+    raise NonConvergedError(
+        f"descent did not reach tolerance in {maxiter} iterations", trace=trace
     )
 
 

@@ -166,6 +166,37 @@ def test_cli_exit_code_solver_failure(tmp_path):
     assert main(["--config", path, "cell-solve"]) == 3
 
 
+def test_phi_star_reads_the_solver_tolerance(tmp_path):
+    path, _ = write_cfg(
+        tmp_path, experiment="phi-star", solver={"tol": 1e-30},
+        limit={"tolerance": 1e-7, "sample_count": 8}, out=str(tmp_path / "o"),
+    )
+    assert main(["--config", path, "phi-star"]) == 3
+
+
+@pytest.mark.parametrize(
+    "command,patch",
+    [
+        ("sweep", {"directions": ["rational: [0,1]"], "direction": None}),
+        ("homogenize", {}),
+        ("cell-solve", {
+            "operator": {"kind": "builtin", "name": "section7"},
+            "data": {"constant": 0.25, "terms": [{"coef": 1.0, "freq": [1, 0, 0]}]},
+            "direction": "rational: [0,0,1]", "nonlinear": {"tau": 0.0625},
+        }),
+    ],
+    ids=["sweep", "homogenize", "nonlinear"],
+)
+def test_a_solver_tolerance_that_no_solve_reads_is_a_config_error(tmp_path, command, patch):
+    path, _ = write_cfg(
+        tmp_path, experiment=command, solver={"tol": 1e-9}, out=str(tmp_path / "o"), **patch
+    )
+    with pytest.raises(ConfigError, match="solver.tol"):
+        load_config(path)
+    assert main(["--config", path, command]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_exit_code_nonconvergence(tmp_path):
     path, _ = write_cfg(
         tmp_path, limit={"tolerance": 1e-30, "max_factor": 8}, out=str(tmp_path / "o4")
@@ -562,8 +593,8 @@ def _writer_case(name):
     elif name == "more_slabs_than_rows":
         # 2-d, 1400 slabs of 3 rows: the columns varying along the first
         # axis have more entries than a block of slabs (4096 rows), so their
-        # text is made block by block, padded to the longest float text (24
-        # characters, the negative subnormal's)
+        # text is made block by block, its width (up to 24 characters, the
+        # negative subnormal's) changing from block to block
         grid = build_strip_grid(make_rational_direction([1, 2]), 0.3, 0.25, cells=(1400, 2))
         pool = np.array([np.nan, -np.nan, -0.0, 1e300, -1 / 3, -5e-324, -1.2345678901234567e-308])
         values = rng.choice(pool, size=(1,) + grid.node_shape)
@@ -612,6 +643,34 @@ def test_solution_text_memory_stays_near_the_values():
     assert peak <= 6 * values.nbytes
 
 
+def test_solution_text_memory_of_unreduced_values_stays_within_a_block():
+    # random values vary along every axis, so their text is made a block of
+    # slabs at a time: formatting the whole column at once would hold about
+    # 16 times the values
+    import tracemalloc
+
+    grid = build_strip_grid(make_rational_direction([0, 0, 1]), 0.0, 4.0, h=1 / 32)
+    values = np.random.default_rng(5).standard_normal((1,) + grid.node_shape)
+    prob = StripProblem(grid, RootKinkOperator(), constant_field(3, 0.0))
+    sol = StripSolution(prob, grid, values, 0.0, 0)
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        tracemalloc.start()
+        try:
+            solution_text(sol, out=sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 2 * values.nbytes
+
+
 def test_fmt_seventeen_digits():
     assert fmt(1.0 / 3.0) == "0.33333333333333331"
     assert float(fmt(math.pi)) == math.pi  # round trip
+
+
+def test_fmt_renders_integers_and_special_floats():
+    assert [fmt(x) for x in (7, np.int64(-3), True)] == ["7", "-3", "1"]
+    specials = [math.nan, -math.nan, math.inf, -math.inf, -0.0, 5e-324, np.float32(0.5)]
+    assert [fmt(x) for x in specials] == [
+        "nan", "nan", "inf", "-inf", "-0", "4.9406564584124654e-324", "0.5"
+    ]

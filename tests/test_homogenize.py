@@ -13,7 +13,7 @@ from effbc import (
     make_field,
 )
 from effbc.assembly import TorusReferenceSolver
-from effbc.grid import TorusGrid
+from effbc.grid import TensorOperator, TorusGrid
 from effbc.homogenize import _torus_linear_solve
 
 
@@ -43,7 +43,9 @@ def test_torus_solve_fails_loudly_below_rounding(laminate2, symmetric):
     E[0, 0] = 1.0
     b = -grid.scatter_flux(np.einsum("abij...,bj...->ai...", Ac, E))
     with pytest.raises(SolverFailureError) as exc:
-        _torus_linear_solve(grid, Ac, TorusReferenceSolver(grid), b, symmetric, rtol=1e-30)
+        _torus_linear_solve(
+            TensorOperator(grid, Ac), TorusReferenceSolver(grid), b, symmetric, rtol=1e-30
+        )
     assert exc.value.trace and exc.value.residual > 1e-28
 
 
@@ -55,7 +57,7 @@ def test_torus_solve_breakdown_fails_loudly(laminate2, symmetric):
     Ac = laminate2(grid.cell_centers())
     b = np.ones((1,) + grid.node_shape)
     with pytest.raises(SolverFailureError) as exc:
-        _torus_linear_solve(grid, Ac, TorusReferenceSolver(grid), b, symmetric)
+        _torus_linear_solve(TensorOperator(grid, Ac), TorusReferenceSolver(grid), b, symmetric)
     assert exc.value.residual == pytest.approx(1.0)
 
 
@@ -82,6 +84,25 @@ def test_symmetric_coefficients_give_symmetric_tensor():
     assert A.is_symmetric()
     hom = homogenize_linear(A, h_cell=1 / 32)
     assert np.abs(hom.A0 - hom.A0.transpose(1, 0, 3, 2)).max() <= 1e-9
+
+
+def test_symmetric_cells_give_an_exactly_symmetric_tensor():
+    # a 2-d isotropic a(y1, y2): the cell averages alone leave A0[0, 1] and
+    # A0[1, 0] about 1e-18 apart, and an asymmetric A0 would send the
+    # reduced strips of second-cell and sweep limits to BiCGStab
+    from effbc.grid import _symmetric_cells
+    from effbc.second_cell import reduce_tensor
+
+    prof = make_field(
+        2, terms=[(0.2, [1, 0], "cos"), (0.15, [0, 1], "sin"), (0.1, [1, 1], "cos")],
+        constant=0.65,
+    )
+    hom = homogenize_linear(isotropic_tensor(prof, lam=0.3), h_cell=1 / 32)
+    assert abs(hom.A0[0, 1, 0, 0]) > 1e-6  # a genuinely off-diagonal tensor
+    assert _symmetric_cells(hom.A0)
+    n = np.array([0.6, 0.8])
+    red = reduce_tensor(hom.A0, n, np.array([0.8, -0.6]))
+    assert _symmetric_cells(red)
 
 
 def test_ellipticity_inherited(laminate2):

@@ -106,6 +106,40 @@ def test_reduced_operator_takes_constant_tensors_as_they_stand():
         assert np.array_equal(op2(np.zeros((2, 1)))[:, :, 0, 0, 0], expected)
 
 
+def _constant_quadratic_potential(A):
+    from effbc.homogenize import constant_tensor
+    from effbc.operators import QuadraticPotential
+
+    A0 = np.asarray(A, dtype=float)[:, :, None, None]
+    return QuadraticPotential(constant_tensor(A0, 0.5)), A0
+
+
+def test_reduced_monotone_flux_is_the_reduced_tensor_product():
+    # a constant quadratic potential has no closed-form reduction, so its
+    # limits run on Q^T a(Q p), which is the reduced tensor times p
+    from effbc.second_cell import _ReducedMonotone, _reduced_operator
+
+    op, A0 = _constant_quadratic_potential([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
+    eta, xi_hat = np.array([0.6, 0.8, 0.0]), np.array([0.0, 0.0, 1.0])
+    op2, is_linear = _reduced_operator(op, eta, xi_hat)
+    assert isinstance(op2, _ReducedMonotone) and not is_linear
+    p = np.random.default_rng(2).standard_normal((2, 5, 7))
+    expected = np.einsum("ab,b...->a...", reduce_tensor(A0, eta, xi_hat)[:, :, 0, 0], p)
+    assert np.abs(op2.flux(p) - expected).max() <= 1e-14
+
+
+def test_limit_through_the_reduced_monotone_map_converges(laminate2, xi_e2, data_diag):
+    # the constant laminate average as a quadratic potential: its limit runs
+    # the fixed point on the reduced map and, like any constant linear
+    # operator's, lands on the mean of the profile (the linear interpolant
+    # of periodic samples has their mean)
+    prof = shift_profile(laminate2, data_diag, xi_e2, sample_count=16, tolerance=1e-8, h=1 / 16)
+    op, _ = _constant_quadratic_potential(homogenize_linear(laminate2).A0[:, :, 0, 0])
+    lim = directional_limit(xi_e2, [1.0, 0.0], prof, op, tolerance=1e-8)
+    assert lim.converged and lim.diagnostics["interp"] == "linear"
+    assert np.abs(lim.value - prof.mean).max() <= max(lim.diagnostics["strip_bar"], 1e-8)
+
+
 def test_root_kink_limits_split_by_approach():
     op = RootKinkOperator()
     xi = make_rational_direction([0, 0, 1])
