@@ -128,7 +128,8 @@ def cmd_second_cell(cfg: ExperimentConfig, rep: Reporter) -> int:
     etas = cfg.etas or [cfg.direction.periods[0] / np.linalg.norm(cfg.direction.periods[0])]
     rep.start("second-cell")
     check = eta_independence_check(
-        cfg.direction, profile, effective, etas, tolerance=cfg.tolerance, tau=cfg.tau
+        cfg.direction, profile, effective, etas, tolerance=cfg.tolerance, tau=cfg.tau,
+        rtol=cfg.solver_tol,
     )
     rep.stop("second-cell")
     rows = []

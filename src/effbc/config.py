@@ -256,7 +256,10 @@ def load_config(source, out_override=None, seed_override=None,
     if top != "neumann":
         # every subcommand reads its far field from a natural top
         raise ConfigError(f"strip.top_bc must be 'neumann', got {top!r}")
-    cfg.seed = int(seed_override if seed_override is not None else raw.get("seed", 0))
+    seed = seed_override if seed_override is not None else raw.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    cfg.seed = seed
     cfg.out = out_override or raw.get("out", "out")
 
     _validate(cfg)

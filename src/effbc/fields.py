@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sampling import weyl_points
+
 __all__ = [
     "PeriodicFieldExpr",
     "LinearTensorField",
@@ -215,9 +217,8 @@ class LinearTensorField:
         )
 
     def is_symmetric(self, samples=64, seed=0):
-        rng = np.random.default_rng(seed)
-        y = rng.random((self.d, samples))
-        A = self(y)
+        """Whether A^{ab}_{ij} = A^{ba}_{ji} at sampled points of the unit cell."""
+        A = self(weyl_points(samples, self.d, 0.0, 1.0, seed))
         return bool(np.allclose(A, A.transpose(1, 0, 3, 2, 4), atol=1e-12))
 
     def describe(self):
@@ -291,15 +292,17 @@ def laminate_tensor(d=2, amplitude=0.5, mean_scale=2.0 / 3.0, axis=0, n_componen
 
 
 def validate_tensor(A: LinearTensorField, sample_count=1024, seed=0):
-    """Check lambda |xi|^2 <= xi^T A xi <= |xi|^2 on random samples.
+    """Check lambda |xi|^2 <= xi^T A xi <= |xi|^2 at sampled points.
 
+    Points y of the unit cell and directions xi of the cube [-1, 1]^(dN)
+    are drawn as one point set (the quotient does not see the scale of xi).
     Returns (lam_hat, upper_hat); raises ValueError when the declared
     bounds fail on a sample.
     """
-    rng = np.random.default_rng(seed)
-    y = rng.random((A.d, sample_count))
-    Av = A(y)  # (d, d, N, N, S)
-    xi = rng.standard_normal((A.d, A.n_components, sample_count))
+    d, N = A.d, A.n_components
+    pts = weyl_points(sample_count, d + d * N, [0.0] * d + [-1.0] * (d * N), 1.0, seed)
+    Av = A(pts[:d])  # (d, d, N, N, S)
+    xi = pts[d:].reshape(d, N, sample_count)
     sq = np.einsum("ais,ais->s", xi, xi)
     quad = np.einsum("ais,abijs,bjs->s", xi, Av, xi)
     ratios = quad / sq

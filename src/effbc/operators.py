@@ -6,7 +6,9 @@ Nonlinear operators are maps p -> a(y, p) that are uniformly monotone,
 
 Lipschitz in p, and (optionally) positively 1-homogeneous.  Validation is
 sampling based: declared constants are checked against empirical
-quotients with a recorded witness, never assumed.
+quotients with a recorded witness, never assumed.  The sampled points are
+those of ``sampling.weyl_points``, so a seed gives the same report on
+every platform and numpy version.
 
 The builtin ``root kink`` operator is the fixed 3-d map
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OperatorInvalidError
+from .sampling import weyl_points
 
 __all__ = [
     "QuadraticPotential",
@@ -230,10 +233,10 @@ class DirectMap:
         return {"kind": "direct", "name": self.name}
 
 
-def _sample_pairs(d, sample_count, radius, rng):
-    """Random pairs plus structured axis pairs that probe kink slopes."""
-    p = rng.uniform(-radius, radius, size=(d, sample_count))
-    q = rng.uniform(-radius, radius, size=(d, sample_count))
+def _sample_pairs(d, sample_count, radius, seed):
+    """Sampled pairs in [-radius, radius]^d plus structured axis pairs that probe kink slopes."""
+    pq = weyl_points(sample_count, 2 * d, -radius, radius, seed)
+    p, q = pq[:d], pq[d:]
     mags = np.concatenate([np.geomspace(1e-6, radius, 8), [0.0]])
     # per axis, (sa a, sb b) over a, b in mags and signs sa, sb in that
     # nesting order, close pairs left out
@@ -258,8 +261,7 @@ def validate_operator(op, sample_count=2000, radius=2.0, seed=0, tau=0.0):
     """
     if sample_count < 10:
         raise ValueError("sample_count too small for a meaningful estimate")
-    rng = np.random.default_rng(seed)
-    p, q = _sample_pairs(op.d, sample_count, radius, rng)
+    p, q = _sample_pairs(op.d, sample_count, radius, seed)
     ap = op.flux(p, tau=tau)
     aq = op.flux(q, tau=tau)
     dp = p - q
@@ -289,11 +291,10 @@ def validate_operator(op, sample_count=2000, radius=2.0, seed=0, tau=0.0):
 
 
 def homogeneity_check(op, sample_count=500, radius=2.0, seed=0):
-    """Max relative defect of a(t p) = t a(p) over samples and t in [0.1, 10]."""
+    """Max relative defect of a(t p) = t a(p) over sampled points and t in [0.1, 10]."""
     if not getattr(op, "homogeneous", False):
         raise ValueError("operator is not flagged positively 1-homogeneous")
-    rng = np.random.default_rng(seed)
-    p = rng.uniform(-radius, radius, size=(op.d, sample_count))
+    p = weyl_points(sample_count, op.d, -radius, radius, seed)
     ts = np.geomspace(0.1, 10.0, 13)
     defect = 0.0
     base = op.flux(p)
@@ -307,11 +308,10 @@ def homogeneity_check(op, sample_count=500, radius=2.0, seed=0):
 
 
 def potential_gradient_consistency(op, sample_count=200, h=1e-4, seed=0, tau=0.0):
-    """Max defect between the analytic flux and central differences of F."""
+    """Max defect between the analytic flux and central differences of F at sampled points."""
     if not op.is_variational:
         raise ValueError("operator has no potential")
-    rng = np.random.default_rng(seed)
-    p = rng.uniform(-2.0, 2.0, size=(op.d, sample_count))
+    p = weyl_points(sample_count, op.d, -2.0, 2.0, seed)
     a = op.flux(p, tau=tau)
     defect = 0.0
     for axis in range(op.d):
@@ -323,10 +323,8 @@ def potential_gradient_consistency(op, sample_count=200, h=1e-4, seed=0, tau=0.0
 
 
 def root_kink_identity_residual(sample_count=10000, seed=0):
-    """Relative residual of 8 f^2 - 2 p3 f - (p1^2 + p3^2) on random samples."""
-    rng = np.random.default_rng(seed)
-    p1 = rng.uniform(-3.0, 3.0, sample_count)
-    p3 = rng.uniform(-3.0, 3.0, sample_count)
+    """Relative residual of 8 f^2 - 2 p3 f - (p1^2 + p3^2) at sampled points."""
+    p1, p3 = weyl_points(sample_count, 2, -3.0, 3.0, seed)
     f = RootKinkOperator.f(p1, p3)
     res = 8.0 * f * f - 2.0 * p3 * f - (p1 * p1 + p3 * p3)
     scale = p1 * p1 + p3 * p3 + 1e-30

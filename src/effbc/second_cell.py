@@ -137,6 +137,7 @@ def directional_limit(
     tau=0.0,
     max_factor=64,
     solvers=None,
+    rtol=1e-10,
 ) -> DirectionalLimit:
     """Limit along approach direction eta of the reduced effective problem.
 
@@ -146,7 +147,8 @@ def directional_limit(
     cubic/linear interpolation gap.  ``solvers`` is the reference-solver
     cache of ladder_limit; the limits of one profile solve on the same
     planar strips whatever eta is, so a dict passed to each of them builds
-    one solver per rung height.
+    one solver per rung height.  ``rtol`` is the Krylov tolerance of the
+    reduced strip solves.
     """
     eta = np.asarray(eta, dtype=float)
     if abs(float(eta @ xi.xi)) > 1e-9:
@@ -162,7 +164,7 @@ def directional_limit(
 
     def make(R):
         grid = planar_strip_grid(T, R, n_lat, int(round(R / h_t)))
-        return StripProblem(grid, op2, data, tau=tau)
+        return StripProblem(grid, op2, data, tau=tau, rtol=rtol)
 
     result, _ = ladder_limit(make, ladder, tolerance, solvers=solvers)
     bar = result.error_bar + profile.max_error_bar + profile.interpolation_gap()
@@ -181,7 +183,9 @@ def eta_independence_check(xi, profile, effective, eta_set, tolerance=1e-8, **kw
 
     For linear effective operators the limits agree up to error bars with
     the period average of the profile, independently of eta.  The limits
-    share one reference-solver cache (``solvers``) unless given their own.
+    share one reference-solver cache (``solvers``) unless given their own;
+    the other keyword arguments (``tau``, ``n_lat``, ``rtol``, ...) go to
+    each ``directional_limit``.
     """
     kwargs.setdefault("solvers", {})
     limits = [

@@ -174,6 +174,67 @@ def test_phi_star_reads_the_solver_tolerance(tmp_path):
     assert main(["--config", path, "phi-star"]) == 3
 
 
+def test_second_cell_limits_read_the_solver_tolerance(tmp_path, monkeypatch):
+    # the reduced strips of the directional limits solve at solver.tol too,
+    # not only the shift profile
+    import effbc.cli
+    import effbc.layers
+
+    seen = {"profile": set(), "limits": set()}
+    phase = ["profile"]
+    solve, check = effbc.layers.solve_strip, effbc.cli.eta_independence_check
+
+    def recording_solve(problem, solvers=None):
+        seen[phase[0]].add(problem.rtol)
+        return solve(problem, solvers)
+
+    def limits(*args, **kwargs):
+        phase[0] = "limits"
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(effbc.layers, "solve_strip", recording_solve)
+    monkeypatch.setattr(effbc.cli, "eta_independence_check", limits)
+    path, _ = write_cfg(
+        tmp_path, experiment="second-cell", solver={"tol": 1e-9}, etas=[[1.0, 0.0]],
+        limit={"tolerance": 1e-7, "sample_count": 8}, out=str(tmp_path / "o"),
+    )
+    assert main(["--config", path, "second-cell"]) == 0
+    assert seen == {"profile": {1e-9}, "limits": {1e-9}}
+
+
+# the root-kink cell-solve of the paper's nonlinear example, at a small size
+_KINK_CELL_SOLVE = {
+    "operator": {"kind": "builtin", "name": "section7"},
+    "data": {"constant": 1 / 3, "terms": [{"coef": 1.0, "freq": [1, 0, 0], "phase": "cos"}]},
+    "direction": "rational: [0,0,1]",
+    "mesh": {"h": 1 / 16},
+    "strip": {"R_ladder": [2.0, 4.0]},
+    "nonlinear": {"tau": 1 / 16},
+    "limit": {"tolerance": 1e-6},
+}
+
+
+@pytest.mark.parametrize(
+    "flag,seed",
+    [("-1", None), (None, "abc"), (None, 1.5), (None, True)],
+    ids=["flag-negative", "text", "fraction", "bool"],
+)
+def test_a_bad_seed_is_a_config_error(tmp_path, flag, seed):
+    # a seed that is not a non-negative int would escape main as a traceback
+    # or be truncated silently
+    out = tmp_path / "o"
+    raw = dict(_KINK_CELL_SOLVE, experiment="cell-solve", out=str(out))
+    if seed is not None:
+        raw["seed"] = seed
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    extra = ["--seed", flag] if flag is not None else []
+    assert main(["--config", str(path)] + extra + ["cell-solve"]) == 2
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="seed"):
+        load_config(str(path), seed_override=None if flag is None else int(flag))
+
+
 @pytest.mark.parametrize(
     "command,patch",
     [
@@ -433,6 +494,7 @@ _SCIPY_FREE_RUNS = {
         "sweep": {"Q": 3},
     },
     "cell-solve": {k: v for k, v in BASE.items() if k not in ("experiment", "out")},
+    "cell-solve-kink": dict(_KINK_CELL_SOLVE, experiment="cell-solve"),
     "discontinuity-demo": {
         "nonlinear": {"tau": 0.0625},
         "mesh": {"h": 0.0625},
@@ -441,34 +503,48 @@ _SCIPY_FREE_RUNS = {
 }
 
 
-@pytest.mark.parametrize("experiment", sorted(_SCIPY_FREE_RUNS))
-def test_subcommand_never_loads_scipy(tmp_path, experiment):
-    # the runtime needs numpy alone: neither importing the CLI nor running a
-    # subcommand loads any scipy module
+def _modules_loaded_by_run(tmp_path, run, prefix):
+    """Modules named ``prefix...`` in a fresh process after importing the CLI, then after ``run``."""
     import subprocess
     import sys
 
     import effbc
 
-    cfg = dict(_SCIPY_FREE_RUNS[experiment], experiment=experiment, out=str(tmp_path / "out"))
+    experiment = _SCIPY_FREE_RUNS[run].get("experiment", run)
+    cfg = dict(_SCIPY_FREE_RUNS[run], experiment=experiment, out=str(tmp_path / "out"))
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
     code = (
         "import sys\n"
-        "def scipy_modules():\n"
-        "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "def loaded():\n"
+        f"    return sorted(m for m in sys.modules if m.startswith({prefix!r}))\n"
         "from effbc.cli import main\n"
-        "after_import = scipy_modules()\n"
+        "after_import = loaded()\n"
         f"assert main(['--config', {str(p)!r}, {experiment!r}]) == 0\n"
-        "print(after_import, scipy_modules())\n"
+        "print(after_import, loaded())\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(effbc.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.splitlines()[-1] == "[] []"
+    return out.stdout.splitlines()[-1]
 
 
-def test_library_source_never_imports_scipy():
+@pytest.mark.parametrize("experiment", sorted(_SCIPY_FREE_RUNS))
+def test_subcommand_never_loads_scipy(tmp_path, experiment):
+    # the runtime needs numpy alone: neither importing the CLI nor running a
+    # subcommand loads any scipy module
+    assert _modules_loaded_by_run(tmp_path, experiment, "scipy") == "[] []"
+
+
+@pytest.mark.parametrize("run", sorted(_SCIPY_FREE_RUNS))
+def test_subcommand_never_loads_numpy_random(tmp_path, run):
+    # the sampled checks draw closed-form points: no run pays for importing
+    # numpy.random, and a seed's report does not depend on the numpy release
+    assert _modules_loaded_by_run(tmp_path, run, "numpy.random") == "[] []"
+
+
+def _library_sources():
+    """(file name, AST) of every module of the effbc package."""
     import ast
 
     import effbc
@@ -476,9 +552,17 @@ def test_library_source_never_imports_scipy():
     root = os.path.dirname(effbc.__file__)
     files = sorted(f for f in os.listdir(root) if f.endswith(".py"))
     assert "assembly.py" in files and "solve.py" in files
+    sources = []
     for name in files:
         with open(os.path.join(root, name), encoding="utf-8") as f:
-            tree = ast.parse(f.read(), filename=name)
+            sources.append((name, ast.parse(f.read(), filename=name)))
+    return sources
+
+
+def test_library_source_never_imports_scipy():
+    import ast
+
+    for name, tree in _library_sources():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
@@ -487,6 +571,32 @@ def test_library_source_never_imports_scipy():
             else:
                 continue
             assert not any(m.split(".")[0] == "scipy" for m in modules), (name, node.lineno)
+
+
+def test_library_source_never_uses_numpy_random():
+    import ast
+
+    sources = _library_sources()
+    for name, tree in sources:
+        numpy_names = {"numpy"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    assert not alias.name.startswith("numpy.random"), (name, node.lineno)
+                    if alias.name == "numpy":
+                        numpy_names.add(alias.asname or "numpy")
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                assert not module.startswith("numpy.random"), (name, node.lineno)
+                if module == "numpy":
+                    assert "random" not in [a.name for a in node.names], (name, node.lineno)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "random":
+                base = node.value
+                assert not (isinstance(base, ast.Name) and base.id in numpy_names), (
+                    name, node.lineno
+                )
+    assert "sampling.py" in dict(sources)
 
 
 def test_streamed_solution_text_is_the_joined_text(tmp_path):

@@ -22,12 +22,13 @@ from effbc.operators import (
     huber_abs_integral,
     root_kink_identity_residual,
 )
+from effbc.sampling import weyl_points
 
 
-def _looped_sample_pairs(d, sample_count, radius, rng):
+def _looped_sample_pairs(d, sample_count, radius, seed):
     """The axis pairs built one by one: the oracle of _sample_pairs."""
-    p = rng.uniform(-radius, radius, size=(d, sample_count))
-    q = rng.uniform(-radius, radius, size=(d, sample_count))
+    pq = weyl_points(sample_count, 2 * d, -radius, radius, seed)
+    p, q = pq[:d], pq[d:]
     mags = np.concatenate([np.geomspace(1e-6, radius, 8), [0.0]])
     extra_p, extra_q = [], []
     for axis in range(d):
@@ -52,10 +53,20 @@ def _looped_sample_pairs(d, sample_count, radius, rng):
 def test_sample_pairs_match_the_loop(d, count, radius):
     # the witness of validate_operator depends on the order of the pairs;
     # bytes, so that the signs of zeros agree too
-    got = _sample_pairs(d, count, radius, np.random.default_rng(3))
-    expect = _looped_sample_pairs(d, count, radius, np.random.default_rng(3))
+    got = _sample_pairs(d, count, radius, 3)
+    expect = _looped_sample_pairs(d, count, radius, 3)
     for x, y in zip(got, expect):
         assert np.array_equal(x, y) and x.tobytes() == y.tobytes()
+
+
+def test_root_kink_validation_report_is_pinned():
+    # the seed-0 report of a kink-3d cell-solve (tau = 1/64); its extremes
+    # are attained at the structured axis pairs
+    _, _, report = validate_operator(RootKinkOperator(), seed=0, tau=1.0 / 64.0)
+    assert report["lambda_hat"] == 0.7500101025939303
+    assert report["lipschitz_hat"] == 1.49998989740607
+    assert report["pairs"] == 2912
+    assert report["witness_min"] == [[0.0, 0.0, -0.25169979012836524], [0.0, 0.0, -2.0]]
 
 
 def test_identity_map_constants():
