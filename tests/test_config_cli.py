@@ -504,7 +504,7 @@ _SCIPY_FREE_RUNS = {
 
 
 def _modules_loaded_by_run(tmp_path, run, prefix):
-    """Modules named ``prefix...`` in a fresh process after importing the CLI, then after ``run``."""
+    """Modules named ``prefix...`` in a fresh process: after importing the CLI, after ``run``."""
     import subprocess
     import sys
 
