@@ -16,8 +16,12 @@ their exact transpose.  These passes are the only description of the
 discrete operator: each is a list of ufunc steps on frames, arrays of the
 wrapped-node shape with the values in their leading corner, so that every
 pass is one contiguous ufunc.  ``phys_gradient`` and ``scatter_flux``
-build the steps per call on new frames, and ``TensorOperator``, the linear
-Galerkin operator of cell tensors, once on the frames it keeps, with the
+run the steps that a ``StencilWork`` built once on the frames it keeps:
+the one handed to them (a nonlinear strip solve keeps one for the whole
+solve), else a new one per call.  They combine the edge sums with the
+geometry maps on whole frames and on the contiguous flux, and copy the
+corner out or in once.  ``TensorOperator``, the linear Galerkin operator of
+cell tensors, builds the same passes once on frames of its own, with the
 flux map, the gradient map and the cell volume folded into the cell
 tensors.  The reference solvers take the operator's Fourier symbol from
 the same passes and ``_gradient_map``.
@@ -32,7 +36,7 @@ import numpy as np
 from .errors import InvalidMeshError
 from .lattice import RationalDirection
 
-__all__ = ["StripGrid", "TorusGrid", "build_strip_grid", "planar_strip_grid"]
+__all__ = ["StencilWork", "StripGrid", "TorusGrid", "build_strip_grid", "planar_strip_grid"]
 
 _DIV_TOL = 1e-9
 _MAX_SPACING = 1.0 / 8.0  # at least 8 cells per unit length
@@ -106,13 +110,14 @@ def _run(steps):
         f(*args)
 
 
-def _combine(row, arrays, out=None):
-    """sum_j row[j] * arrays[j] over the non-zero entries of row."""
+def _combination(row, arrays, out, tmp):
+    """Steps writing sum_j row[j] * arrays[j] over the non-zero entries of
+    row into out, each later product through tmp (out's shape)."""
     terms = [(m, a) for m, a in zip(row, arrays) if m]
-    acc = np.multiply(terms[0][1], terms[0][0], out=out)
+    steps = [(np.multiply, (terms[0][1], terms[0][0], out))]
     for m, a in terms[1:]:
-        acc += m * a
-    return acc
+        steps += [(np.multiply, (a, m, tmp)), (np.add, (out, tmp, out))]
+    return steps
 
 
 def _tensor_combination(blocks, sums, weights, tmp):
@@ -157,8 +162,8 @@ class _MeshBase:
     # axis of the wrapped nodes has one entry more than the cells, and every
     # pass is a sum or difference over n + 1 nodes and n cells.  Each pass
     # is one step (ufunc, args) writing into a frame given when the steps
-    # are built: phys_gradient and scatter_flux build them per call,
-    # TensorOperator once on the buffers it keeps.
+    # are built: once, on the frames of a StencilWork for phys_gradient and
+    # scatter_flux and on the buffers of a TensorOperator.
     def _wrapped_shape(self, lead):
         return lead + tuple(n + 1 for n in self.cell_shape)
 
@@ -215,43 +220,91 @@ class _MeshBase:
                 T = T[_along(axis, _LO)]
         return steps, T
 
-    def phys_gradient(self, U):
-        """Physical cell-center gradient of nodal values U (..., *node_shape).
+    def phys_gradient(self, U, out=None, work=None):
+        """Physical cell-center gradient of nodal values U (..., *node_shape),
+        into ``out`` when given, else into a new array.
 
         In reference coordinates the gradient along axis a is the forward
-        difference along a of U averaged over every other axis.
+        difference along a of U averaged over every other axis.  The passes
+        run on the frames of ``work``, a StencilWork of this grid and U's
+        leading shape, or of a new one.
         """
-        frame = self._wrapped_shape(U.shape[: U.ndim - self.d])
-        E = np.empty(frame)
-        _corner(E, self.node_shape)[...] = U
-        sums = np.empty((self.d,) + frame)
-        _run(self._gradient_passes(E, np.empty((min(2, self.d - 1),) + frame), sums))
-        del E  # freed before the result is allocated
-        sums = _corner(sums, self.cell_shape)
-        out = np.empty(sums.shape)
-        for row, g in zip(self._gradient_map, out):
-            _combine(row, sums, out=g)
+        lead = U.shape[: U.ndim - self.d]
+        work = StencilWork(self, lead) if work is None else work
+        if out is None:
+            out = np.empty((self.d,) + lead + self.cell_shape)
+        np.copyto(work._nodes, U)
+        _run(work._gradient)
+        for steps, g in zip(work._rows, out):
+            _run(steps)
+            np.copyto(g, work._row)
         return out
 
-    def scatter_flux(self, q):
+    def scatter_flux(self, q, out=None, work=None):
         """Adjoint of phys_gradient including the cell volume weight.
 
-        q has shape (d, N, *cell_shape); result (N, *node_shape).  The
-        entries are the partial derivatives of sum_cells vol * F(grad u)
-        with respect to nodal values when q = DF(grad u).
+        q has shape (d, N, *cell_shape); result (N, *node_shape), into
+        ``out`` when given.  The entries are the partial derivatives of
+        sum_cells vol * F(grad u) with respect to nodal values when
+        q = DF(grad u).  The passes run on the frames of ``work``, a
+        StencilWork of this grid and shape (N,), or of a new one; without
+        ``out`` the result is a new array, or with a new StencilWork the
+        frame itself when the fold leaves it contiguous.
         """
-        frame = self._wrapped_shape(q.shape[1 : q.ndim - self.d])
-        total = np.empty(frame)
-        scratch = np.empty((2,) + frame)
-        # zeroed: the spreads also read past the corner, into entries that a
-        # later step overwrites
-        weight = np.zeros(frame)
+        new = work is None
+        if new:
+            work = StencilWork(self, q.shape[1 : q.ndim - self.d])
+        flux, tmp = work.cells
         for a in range(self.d):
-            _combine(self._flux_map[a], q, out=_corner(weight, self.cell_shape))
-            _run(self._scatter_passes(a, weight, scratch, total, accumulate=a > 0))
-        steps, folded = self._fold_passes(total)
-        _run(steps)
-        return np.ascontiguousarray(folded)
+            _run(_combination(self._flux_map[a], q, flux, tmp))
+            np.copyto(work._weight, flux)
+            _run(work._scatter[a])
+        _run(work._fold)
+        if out is None:
+            return np.ascontiguousarray(work._folded) if new else work._folded.copy()
+        np.copyto(out, work._folded)
+        return out
+
+
+class StencilWork:
+    """The frames of phys_gradient and scatter_flux on ``grid`` for values of
+    leading shape ``lead``, and the pass steps built on them once.
+
+    A frame is a C-ordered array of the wrapped-node shape; there are
+    1 + d + min(2, d - 1) of them (d >= 2), shared by both halves as the
+    frames of a TensorOperator are.  The gradient reads the wrapped nodes E, sums into
+    ``sums`` through the pair-sum scratch W, and combines the edge sums with
+    the gradient map row by row on whole frames, into E through W[0]; each
+    row's corner is then copied out once.  The spread of axis a reads the
+    corner of W[0], which takes its weights, a combination of the flux rows
+    made on ``cells``, two contiguous arrays of shape lead + cell_shape at
+    the start of the sum frames, and copied in once; the spreads run
+    through the sum frames into E, and the fold leaves its view of E.
+    The frames start zeroed, and each call writes every entry it reads
+    first, but those past the corner of W[0]: the spreads read them (zeros,
+    or a gradient's pair sums) only into entries that a later step
+    overwrites.  So a StencilWork serves any sequence of calls, and between
+    calls ``cells`` hold nothing (a caller may use them as scratch).  The
+    results land in arrays the caller gives or owns.
+    """
+
+    def __init__(self, grid, lead):
+        d = grid.d
+        frame = grid._wrapped_shape(tuple(lead))
+        E = np.zeros(frame)
+        sums = np.zeros((d,) + frame)
+        W = np.zeros((min(2, d - 1),) + frame)
+        self._nodes = _corner(E, grid.node_shape)
+        self._gradient = grid._gradient_passes(E, W, sums)
+        self._rows = [_combination(row, sums, E, W[0]) for row in grid._gradient_map]
+        self._row = _corner(E, grid.cell_shape)
+        cells = tuple(lead) + grid.cell_shape
+        self.cells = [f.reshape(-1)[: math.prod(cells)].reshape(cells) for f in sums[:2]]
+        self._weight = _corner(W[0], grid.cell_shape)
+        self._scatter = [
+            grid._scatter_passes(a, W[0], sums, E, accumulate=a > 0) for a in range(d)
+        ]
+        self._fold, self._folded = grid._fold_passes(E)
 
 
 def _symmetric_cells(A):
@@ -277,7 +330,9 @@ class TensorOperator:
     Each buffer serves both halves: the wrapped nodes also take the spread
     sums and the combination's products, the edge sums share theirs with
     the scratch of the spreads, and the combined weights with the scratch
-    of the pair sums.
+    of the pair sums.  A StencilWork lays out the frames of phys_gradient
+    and scatter_flux the same way, with the geometry maps applied per call
+    rather than folded, since a nonlinear flux sits between the halves.
     """
 
     def __init__(self, grid, A):
@@ -298,7 +353,9 @@ class TensorOperator:
             terms = [(F[a, c] * G[e, b], x) for c, e, x in fields[i, j]]
             if any(m for m, _ in terms):
                 blocks[a, b, i, j] = np.zeros(frame)
-                _combine(*zip(*terms), out=_corner(blocks[a, b, i, j], grid.cell_shape))
+                block = _corner(blocks[a, b, i, j], grid.cell_shape)
+                # a product scratch per block, freed with the block's terms
+                _run(_combination(*zip(*terms), block, np.empty(grid.cell_shape)))
         E = np.zeros((N,) + frame)
         sums, weights = (np.zeros((d, N) + frame) for _ in range(2))
         self._nodes = _corner(E, grid.node_shape)

@@ -10,6 +10,11 @@ quotients with a recorded witness, never assumed.  The sampled points are
 those of ``sampling.weyl_points``, so a seed gives the same report on
 every platform and numpy version.
 
+The builtin fluxes and potentials write into ``out=`` when given (the
+potentials through the scratch of ``work=``), with the same ufuncs in
+the same order as into new arrays, so that every bit is the same; the
+nonlinear strip solves hand them the buffers of their workspace.
+
 The builtin ``root kink`` operator is the fixed 3-d map
 
     a(p) = (p1, p2, p3 + f(p1, p3)),   f = (sqrt(8 p1^2 + 9 p3^2) + p3) / 8,
@@ -42,28 +47,50 @@ __all__ = [
 ]
 
 
-def huber_abs(t, tau):
+def huber_abs(t, tau, out=None):
     """C^1 surrogate for |t| with width tau; exact |t| when tau <= 0.
 
     Quadratic cap t^2/(2 tau) inside |t| <= tau, |t| - tau/2 outside, so
     the value at 0 stays exactly 0 and the slope stays within [-1, 1].
+    Written into ``out`` (not t) when given, else into a new array.
     """
     t = np.asarray(t, dtype=float)
-    if tau <= 0.0:
-        return np.abs(t)
-    a = np.abs(t)
-    return np.where(a <= tau, t * t / (2.0 * tau), a - tau / 2.0)
+    a = np.abs(t, out=np.empty(t.shape) if out is None else out)
+    if tau > 0.0:
+        cap = a <= tau
+        a -= tau / 2.0
+        np.multiply(t, t, out=a, where=cap)
+        np.divide(a, 2.0 * tau, out=a, where=cap)
+    return a
 
 
-def huber_abs_integral(t, tau):
-    """Odd antiderivative of huber_abs, zero at 0 (t |t| / 2 when tau <= 0)."""
+def huber_abs_integral(t, tau, out=None, work=None):
+    """Odd antiderivative of huber_abs, zero at 0 (t |t| / 2 when tau <= 0).
+
+    Written into ``out`` when given, through the scratch array ``work`` of
+    t's shape when given (neither may be t), else into new arrays.
+    """
     t = np.asarray(t, dtype=float)
+    out = np.empty(t.shape) if out is None else out
+    a = np.abs(t, out=np.empty(t.shape) if work is None else work)
     if tau <= 0.0:
-        return t * np.abs(t) / 2.0
-    a = np.abs(t)
-    inner = a**3 / (6.0 * tau)
-    outer = a * a / 2.0 - tau * a / 2.0 + tau * tau / 6.0
-    return np.sign(t) * np.where(a <= tau, inner, outer)
+        np.multiply(t, a, out=out)
+        out /= 2.0
+        return out
+    # a^3 / (6 tau) inside |t| <= tau, a^2 / 2 - tau a / 2 + tau^2 / 6
+    # outside, each ufunc on its own cells
+    cap = np.less_equal(a, tau, out=np.empty(t.shape, dtype=bool))
+    np.power(a, 3, out=out, where=cap)
+    np.divide(out, 6.0 * tau, out=out, where=cap)
+    np.logical_not(cap, out=cap)
+    np.multiply(a, a, out=out, where=cap)
+    np.divide(out, 2.0, out=out, where=cap)
+    np.multiply(a, tau, out=a, where=cap)
+    np.divide(a, 2.0, out=a, where=cap)
+    np.subtract(out, a, out=out, where=cap)
+    np.add(out, tau * tau / 6.0, out=out, where=cap)
+    out *= np.sign(t, out=a)
+    return out
 
 
 class QuadraticPotential:
@@ -118,28 +145,47 @@ class KinkPotential2D:
     lam = 0.75
     lip = 1.5
 
-    def flux(self, p, y=None, tau=0.0):
-        out = np.empty_like(np.asarray(p, dtype=float))
-        out[0] = p[0]
-        out[1] = (9.0 / 8.0) * p[1] + (3.0 / 8.0) * huber_abs(p[1], tau)
+    def flux(self, p, y=None, tau=0.0, out=None):
+        p = np.asarray(p, dtype=float)
+        out = np.empty(p.shape) if out is None else out
+        huber_abs(p[1], tau, out=out[1])
+        out[1] *= 3.0 / 8.0
+        out[1] += np.multiply(p[1], 9.0 / 8.0, out=out[0])
+        np.copyto(out[0], p[0])
         return out
 
-    def potential(self, p, y=None, tau=0.0):
-        return (
-            0.5 * p[0] ** 2
-            + (9.0 / 16.0) * p[1] ** 2
-            + (3.0 / 8.0) * huber_abs_integral(p[1], tau)
-        )
+    def potential(self, p, y=None, tau=0.0, out=None, work=None):
+        """The density per point of p (2, ...), into ``out`` when given,
+        through the two scratch arrays of ``work`` (2, ...) when given."""
+        p = np.asarray(p, dtype=float)
+        out = np.empty(p.shape[1:]) if out is None else out
+        x, z = np.empty(p.shape) if work is None else work
+        huber_abs_integral(p[1], tau, out=out, work=x)
+        out *= 3.0 / 8.0
+        np.multiply(np.square(p[0], out=x), 0.5, out=x)
+        x += np.multiply(np.square(p[1], out=z), 9.0 / 16.0, out=z)
+        out += x
+        return out
 
     def describe(self):
         return {"kind": "builtin", "name": "section7_reduced"}
 
 
-def _smoothed_root(q, tau):
-    """sqrt(q + tau^2) - tau: vanishes with q and keeps the same slope bounds."""
-    if tau <= 0.0:
-        return np.sqrt(q)
-    return np.sqrt(q + tau * tau) - tau
+def _root_kink(w, p1, p3, tau, out, tmp):
+    """(sqrt(w p1^2 + 9 p3^2 + tau^2) - tau + p3) / 8 into out, through tmp
+    (the root without tau when tau <= 0): the kink term of the root-kink
+    map (w = 8) and of its restrictions (w = 8 mu)."""
+    q = np.multiply(np.square(p1, out=out), w, out=out)
+    q += np.multiply(np.square(p3, out=tmp), 9.0, out=tmp)
+    # sqrt(q + tau^2) - tau: vanishes with q and keeps the same slope bounds
+    if tau > 0.0:
+        q += tau * tau
+    np.sqrt(q, out=q)
+    if tau > 0.0:
+        q -= tau
+    q += p3
+    q /= 8.0
+    return q
 
 
 class RootKinkOperator:
@@ -159,14 +205,17 @@ class RootKinkOperator:
 
     @staticmethod
     def f(p1, p3, tau=0.0):
-        q = 8.0 * np.asarray(p1, dtype=float) ** 2 + 9.0 * np.asarray(p3, dtype=float) ** 2
-        return (_smoothed_root(q, tau) + p3) / 8.0
+        p1, p3 = np.asarray(p1, dtype=float), np.asarray(p3, dtype=float)
+        shape = np.broadcast_shapes(p1.shape, p3.shape)
+        return _root_kink(8.0, p1, p3, tau, np.empty(shape), np.empty(shape))
 
-    def flux(self, p, y=None, tau=0.0):
-        out = np.empty_like(np.asarray(p, dtype=float))
-        out[0] = p[0]
-        out[1] = p[1]
-        out[2] = p[2] + self.f(p[0], p[2], tau)
+    def flux(self, p, y=None, tau=0.0, out=None):
+        p = np.asarray(p, dtype=float)
+        out = np.empty(p.shape) if out is None else out
+        _root_kink(8.0, p[0], p[2], tau, out[2], out[0])
+        out[2] += p[2]
+        np.copyto(out[0], p[0])
+        np.copyto(out[1], p[1])
         return out
 
     def reduced(self, eta):
@@ -200,12 +249,12 @@ class ReducedRootKink:
     def __init__(self, mu=1.0):
         self.mu = float(mu)
 
-    def flux(self, p, y=None, tau=0.0):
-        q = 8.0 * self.mu * np.asarray(p[0], dtype=float) ** 2 + 9.0 * np.asarray(p[1], dtype=float) ** 2
-        f = (_smoothed_root(q, tau) + p[1]) / 8.0
-        out = np.empty_like(np.asarray(p, dtype=float))
-        out[0] = p[0]
-        out[1] = p[1] + f
+    def flux(self, p, y=None, tau=0.0, out=None):
+        p = np.asarray(p, dtype=float)
+        out = np.empty(p.shape) if out is None else out
+        _root_kink(8.0 * self.mu, p[0], p[1], tau, out[1], out[0])
+        out[1] += p[1]
+        np.copyto(out[0], p[0])
         return out
 
     def describe(self):

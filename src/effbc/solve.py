@@ -68,11 +68,23 @@ squares taken in the same K_ref norm (no extra operator application); a
 mix that fails the damped step's sufficient-decrease test clears the
 history and the damped step backtracks, so the norm still decreases
 strictly and a stall still fails loudly.
+
+Each nonlinear loop builds one workspace after the front and drops it
+when it returns: the frames and pass steps of phys_gradient and
+scatter_flux (a ``grid.StencilWork``), the ``out=`` buffers of the
+builtin fluxes and potentials, and the iterates, residuals and
+preconditioned residuals that the loop takes and gives back, so that
+after the first iterations it rotates through a fixed set of arrays and
+allocates none of the strip's size.  Every value is the same, bit for
+bit, as with new arrays per call; nothing of the workspace outlives the
+solve (the grid of a StripSolution and the cached reference solvers keep
+none of it), and the returned iterate shares no memory with it.
 """
 
 from __future__ import annotations
 
 import copy
+import inspect
 import math
 from dataclasses import dataclass, field, replace
 
@@ -81,7 +93,7 @@ import numpy as np
 from .assembly import StripReferenceSolver, _interior_diagonal, _plane_constant
 from .errors import NonConvergedError, SolverFailureError
 from .fields import LinearTensorField, PeriodicFieldExpr, evaluate_field
-from .grid import StripGrid, TensorOperator
+from .grid import StencilWork, StripGrid, TensorOperator
 
 __all__ = [
     "StripProblem",
@@ -169,27 +181,32 @@ def _check_start(problem, grid):
         raise ValueError(f"start has shape {shape}, the strip needs {lead + (grid.n_vert + 1,)}")
 
 
-def _start_field(problem, U0):
+def _start_field(problem, U0, out=None):
     """The initial iterate ``problem.start`` (checked by _check_start),
     continued upward by its top slice when it has fewer levels than the
-    strip, with the Dirichlet rows of the harmonic extension U0; a new
-    array."""
+    strip, with the Dirichlet rows of the harmonic extension U0; into
+    ``out`` when given, else a new array."""
     start = np.asarray(problem.start, dtype=float)
     n = start.shape[-1]
-    U = np.empty_like(U0)
+    U = np.empty_like(U0) if out is None else out
     U[..., :n] = start
     U[..., n:] = start[..., -1:]
     U[..., 0] = U0[..., 0]
     return U
 
 
-def operator_flux(op, grads, centers, tau):
-    """Physical flux per cell; grads has shape (d, N, *cells)."""
+def operator_flux(op, grads, centers, tau, out=None):
+    """Physical flux per cell; grads has shape (d, N, *cells).  A nonlinear
+    operator writes it into ``out`` (d, 1, *cells) when given, which needs a
+    flux that takes ``out=``."""
     if isinstance(op, LinearTensorField):
         A = op(centers)
         return np.einsum("abij...,bj...->ai...", A, grads)
-    q = op.flux(grads[:, 0], y=centers if op.y_dependent else None, tau=tau)
-    return q[:, None]
+    y = centers if op.y_dependent else None
+    if out is None:
+        return op.flux(grads[:, 0], y=y, tau=tau)[:, None]
+    op.flux(grads[:, 0], y=y, tau=tau, out=out[:, 0])
+    return out
 
 
 def nonlinear_energy(op, grid, U, centers, tau):
@@ -207,6 +224,85 @@ def _zero_fixed(r):
 def _masked_residual(grid, op, U, centers, tau):
     grads = grid.phys_gradient(U)
     return _zero_fixed(grid.scatter_flux(operator_flux(op, grads, centers, tau)))
+
+
+def _takes(fn, *names):
+    """Whether the callable fn takes every keyword of ``names``."""
+    try:
+        params = inspect.signature(fn).parameters
+    except (TypeError, ValueError):
+        return False
+    return all(name in params for name in names)
+
+
+class _Workspace:
+    """The arrays of one nonlinear strip solve on ``grid``, built by the
+    loop after the front and dropped when it returns.
+
+    ``stencil`` keeps the frames and pass steps of phys_gradient and
+    scatter_flux, and the flux of an operator that takes ``out=`` goes to
+    ``flux``; ``scratch`` takes the products and absolute values whose sums
+    and maxima are read.  A potential that takes ``out=`` and ``work=``
+    writes its density into the start of ``scratch`` through the stencil's
+    cell scratch, which hold nothing between the calls that use them.  Any
+    other map returns new arrays, as without a workspace.  The loops take
+    iterate-shaped arrays (iterates, residuals, preconditioned residuals)
+    and gradient fields with ``_take`` and hand back those they drop with
+    ``_give``, so that after the first iterations they rotate through a
+    fixed set; an array taken and not given back (the returned iterate) is
+    the caller's.  The methods are private, as the loops' own closures
+    are, so that a tracer of the package's public functions and methods
+    (perfbench's) still sees the loops enter operator_flux, phys_gradient
+    and scatter_flux directly.
+    """
+
+    def __init__(self, grid, op, centers, tau):
+        self.grid, self.op, self.centers, self.tau = grid, op, centers, tau
+        self.nodes = (1,) + grid.node_shape
+        self.cells = (grid.d, 1) + grid.cell_shape
+        self.stencil = StencilWork(grid, (1,))
+        self.flux = np.empty(self.cells) if _takes(op.flux, "out") else None
+        self.scratch = np.empty(self.nodes)
+        self.potential = {}
+        if op.is_variational and _takes(op.potential, "out", "work"):
+            density = self.scratch.reshape(-1)[: math.prod(grid.cell_shape)]
+            self.potential = {
+                "out": density.reshape(grid.cell_shape),
+                "work": [c[0] for c in self.stencil.cells],
+            }
+        self._free = {self.nodes: [], self.cells: []}
+
+    def _take(self, shape):
+        free = self._free[shape]
+        return free.pop() if free else np.empty(shape)
+
+    def _give(self, *arrays):
+        for a in arrays:
+            self._free[a.shape].append(a)
+
+    def _gradient(self, V, out):
+        return self.grid.phys_gradient(V, out=out, work=self.stencil)
+
+    def _residual(self, G, out):
+        """The masked residual of the point with gradient field G, into out."""
+        q = operator_flux(self.op, G, self.centers, self.tau, out=self.flux)
+        return _zero_fixed(self.grid.scatter_flux(q, out=out, work=self.stencil))
+
+    def _residual_of(self, V, out):
+        G = self._gradient(V, self._take(self.cells))
+        r = self._residual(G, out)
+        self._give(G)
+        return r
+
+    def _density(self, G):
+        return self.op.potential(G[:, 0], y=self.centers, tau=self.tau, **self.potential)
+
+    def _sup(self, a):
+        return float(np.abs(a, out=self.scratch).max())
+
+    def _inner(self, a, b):
+        """sum(a * b), summed as the product array is."""
+        return float(np.multiply(a, b, out=self.scratch).sum())
 
 
 def _lift_is_exact(problem, grid, bottom, centers):
@@ -552,15 +648,16 @@ def _linear_loop(problem, grid, ref, U0, centers, weight):
     return StripSolution(problem, grid, x, rel, iters)
 
 
-def _armijo(energy, X, d, EX, slope, t, scale):
+def _armijo(energy, X, d, EX, slope, t, scale, cand, G):
     """Backtracking search along -d from X (energy EX, slope g . d) from step
-    t; returns (X - t d, its energy, its gradient field, t) or None after 60
-    halvings."""
+    t, each trial X - t d written into ``cand`` and its gradient field into
+    ``G`` by ``energy(cand, G)``; returns (cand, its energy, G, t) or None
+    after 60 halvings."""
     for _ in range(60):
-        cand = X - t * d
-        Ec, Gc = energy(cand)
+        np.subtract(X, np.multiply(d, t, out=cand), out=cand)
+        Ec = energy(cand, G)
         if Ec <= EX - 0.25 * t * slope + 1e-15 * scale:
-            return cand, Ec, Gc, t
+            return cand, Ec, G, t
         t *= 0.5
     return None
 
@@ -576,55 +673,73 @@ def _descent_variational(
     else from U0; the tolerance and line-search scale is max(1, |E(U0)|)
     either way.  The slopes are weighted like the energy.
     Returns (U, E, iterations, energy trace, sup |R(U)|).
+
+    Every array of the loop comes from one _Workspace.  An iteration takes
+    the residual g, the search direction, the trial point and its gradient
+    field, and with momentum the extrapolated point V, its gradient field
+    and residual; the accepted trial becomes U and its gradient field G,
+    the outgoing U becomes U_prev, and the rest go back.  The returned
+    iterate is U0 itself after 0 iterations, else a workspace array that
+    nothing else holds.
     """
-    tau = problem.tau
+    ws = _Workspace(grid, op, centers, problem.tau)
+    nodes, cells = ws.nodes, ws.cells
     vol = weight * grid.cellvol
 
-    def energy(V):
-        G = grid.phys_gradient(V)
-        return float(vol * op.potential(G[:, 0], y=centers, tau=tau).sum()), G
+    def energy(V, G):
+        return float(vol * ws._density(ws._gradient(V, G)).sum())
 
-    def residual(G):
-        return _zero_fixed(grid.scatter_flux(operator_flux(op, G, centers, tau)))
-
-    U, (E, G) = U0, energy(U0)
+    U, G = U0, ws._take(cells)
+    E = energy(U, G)
     scale = max(1.0, abs(E))
     if problem.start is not None:
-        start = _start_field(problem, U0)
-        E_start, G_start = energy(start)
+        start, G_start = _start_field(problem, U0, ws._take(nodes)), ws._take(cells)
+        E_start = energy(start, G_start)
         if E_start < E:  # a start above the lift's energy is dropped
-            U, E, G = start, E_start, G_start
-        del start, G_start
+            U, E, G, G_start = start, E_start, G_start, G
+        else:
+            ws._give(start)
+        ws._give(G_start)
     gtol = gtol_rel * scale
     trace = [E]
-    U_prev = U
+    U_prev = None  # set by the first accepted step, before momentum can be non-zero
     t_prev = 1.0
     momentum = 0.0
     for it in range(maxiter):
-        g = residual(G)
-        gsup = float(np.abs(g).max())
+        g = ws._residual(G, ws._take(nodes))
+        gsup = ws._sup(g)
         if gsup <= gtol:
             return U, E, it, trace, gsup
-        if momentum and _dot(g, U - U_prev) > 0.0:
-            momentum = 0.0
         if momentum:
-            V = U + momentum * (U - U_prev)
-            EV, GV = energy(V)
-            gV = residual(GV)
+            V = np.subtract(U, U_prev, out=ws._take(nodes))
+            if _dot(g, V) > 0.0:
+                momentum = 0.0
+                ws._give(V)
+        if momentum:
+            V = np.add(U, np.multiply(V, momentum, out=V), out=V)
+            GV = ws._take(cells)
+            EV = energy(V, GV)
+            gV = ws._residual(GV, ws._take(nodes))
+            mixed = (V, GV, gV)
         else:
-            V, gV, EV = U, g, E  # V = U exactly
+            V, gV, EV, GV = U, g, E, G  # V = U exactly
+            mixed = ()
         t0 = min(1.0, 2.0 * t_prev)
-        dV = ref.solve(gV)
-        accepted = _armijo(energy, V, dV, EV, weight * float((gV * dV).sum()), t0, scale)
+        dV = ref.solve(gV, out=ws._take(nodes))
+        cand, G_cand = ws._take(nodes), ws._take(cells)
+        accepted = _armijo(energy, V, dV, EV, weight * ws._inner(gV, dV), t0, scale, cand, G_cand)
         overshoot = accepted is None or accepted[1] > E
         if overshoot and momentum:
             # fall back to plain descent from U (at zero momentum that
             # search is the one just made)
-            d = ref.solve(g)
-            accepted = _armijo(energy, U, d, E, weight * float((g * d).sum()), t0, scale)
+            d = ref.solve(g, out=dV)
+            accepted = _armijo(energy, U, d, E, weight * ws._inner(g, d), t0, scale, cand, G_cand)
         if accepted is None:
             raise NonConvergedError("line search failed to decrease energy", trace=trace)
         momentum = 0.0 if overshoot else min(0.9, momentum + 0.3)
+        ws._give(g, dV, G, *mixed)
+        if U_prev is not None and U_prev is not U0:
+            ws._give(U_prev)
         U_prev = U
         U, E_new, G, t_prev = accepted
         if E_new > E + 1e-12 * scale:
@@ -662,20 +777,26 @@ class _AndersonHistory:
 
     Since K_ref dZ = dR on the free rows, G holds K_ref inner products and is
     symmetric, so entry (i, j) is formed once, with the newer dR, when the
-    newer step arrives; the dR arrays themselves are not kept.
+    newer step arrives; the dR arrays themselves are not kept.  Arrays that
+    leave the history, and a candidate's array when the mix is singular, go
+    to ``release``.
     """
 
-    def __init__(self, depth):
+    def __init__(self, depth, release):
         self.depth = depth
+        self.release = release
         self.steps = []
         self.gram = []
 
     def clear(self):
+        for pair in self.steps:
+            self.release(*pair)
         self.steps.clear()
         self.gram.clear()
 
     def push(self, dU, dZ, dR):
         if len(self.steps) == self.depth:
+            self.release(*self.steps[0])
             del self.steps[0], self.gram[0]
             for row in self.gram:
                 del row[0]
@@ -685,9 +806,10 @@ class _AndersonHistory:
             row.append(g)
         self.gram.append(col)
 
-    def candidate(self, U, z, r, rho):
+    def candidate(self, U, z, r, rho, out, tmp):
         """Type-II Anderson mix U - rho z - sum gamma_i (dU_i - rho dZ_i) of
-        the damped step, or None when the Gram system is singular.
+        the damped step, into ``out`` through ``tmp``, or None when the Gram
+        system is singular.
 
         gamma minimizes the K_ref norm of the mixed residual
         r - sum gamma_i dR_i; its normal equations are G gamma = b with
@@ -697,12 +819,13 @@ class _AndersonHistory:
         G = [[g + ridge * (i == j) for j, g in enumerate(row)] for i, row in enumerate(self.gram)]
         gamma = _solve_small(G, [_dot(dZ, r) for _, dZ in self.steps])
         if gamma is None or not all(map(math.isfinite, gamma)):
+            self.release(out)
             return None
-        cand = z * -rho
+        cand = np.multiply(z, -rho, out=out)
         cand += U
         for g, (dU, dZ) in zip(gamma, self.steps):
-            cand -= g * dU
-            cand += (g * rho) * dZ
+            cand -= np.multiply(dU, g, out=tmp)
+            cand += np.multiply(dZ, g * rho, out=tmp)
         return cand
 
 
@@ -725,43 +848,54 @@ def _fixed_point_monotone(
     iteration.  Returns (U, iterations, trace of the accepted preconditioned
     residual norms sqrt(r . K_ref^-1 r), strictly decreasing, sup |R(U)|);
     the norms count each node ``weight`` times (a reduced strip's copies).
+
+    Every array of the loop comes from one _Workspace, and U0 is never
+    written.  Each attempt takes a trial iterate, its residual and its
+    preconditioned residual, and gives back all three when it fails; an
+    accepted step's outgoing U and z = K_ref^-1 r become its differences
+    in the history (its r the Gram column, then given back), or go back at
+    depth 0.  The returned iterate is U0 itself when it meets the target,
+    else a workspace array that nothing else holds.
     """
-    tau = problem.tau
-    r = _masked_residual(grid, op, U0, centers, tau)
-    rsup = float(np.abs(r).max())
+    ws = _Workspace(grid, op, centers, problem.tau)
+    nodes = ws.nodes
+    r = ws._residual_of(U0, ws._take(nodes))
+    rsup = ws._sup(r)
     lam = getattr(op, "lam", 0.5)
     lip = getattr(op, "lip", 1.0)
     # absolute floor: roundoff level of one residual row
-    floor = (
-        1e-12 * grid.cellvol / min(grid.spacings) ** 2 * lip * (float(np.abs(U0).max()) + 1.0)
-    )
+    floor = 1e-12 * grid.cellvol / min(grid.spacings) ** 2 * lip * (ws._sup(U0) + 1.0)
     target = max(rtol * rsup, floor)
     U = U0
     if problem.start is not None and not rsup <= target:
-        start = _start_field(problem, U0)
-        r_start = _masked_residual(grid, op, start, centers, tau)
-        sup_start = float(np.abs(r_start).max())
+        start = _start_field(problem, U0, ws._take(nodes))
+        r_start = ws._residual_of(start, ws._take(nodes))
+        sup_start = ws._sup(r_start)
         if sup_start < rsup:  # a start worse than the lift is dropped
+            ws._give(r)
             U, r, rsup = start, r_start, sup_start
-        del start, r_start  # the loop recycles the buffers of U and r
+        else:
+            ws._give(start, r_start)
     if rsup <= target:
         return U, 0, [], rsup
     if U is U0:
-        U = U0.copy()  # the Anderson history reuses the iterate's buffers
+        U = ws._take(nodes)
+        np.copyto(U, U0)
     rho = lam / lip**2
     rho_max = 1.5 * rho
-    solved = ref.solve(r)
-    n_r = math.sqrt(max(weight * float((r * solved).sum()), 0.0))
+    solved = ref.solve(r, out=ws._take(nodes))
+    n_r = math.sqrt(max(weight * ws._inner(r, solved), 0.0))
     trace = [n_r]
-    history = _AndersonHistory(depth)
+    history = _AndersonHistory(depth, ws._give)
 
     def attempt(U_new):
         # the damped step's sufficient-decrease test, at the current rho and n_r
-        r_new = _masked_residual(grid, op, U_new, centers, tau)
-        solved_new = ref.solve(r_new)
-        n_new = math.sqrt(max(weight * float((r_new * solved_new).sum()), 0.0))
+        r_new = ws._residual_of(U_new, ws._take(nodes))
+        solved_new = ref.solve(r_new, out=ws._take(nodes))
+        n_new = math.sqrt(max(weight * ws._inner(r_new, solved_new), 0.0))
         if n_new <= n_r * (1.0 - 0.25 * rho * lam) or n_new <= 1e-14 * (1.0 + n_r):
             return U_new, r_new, solved_new, n_new
+        ws._give(U_new, r_new, solved_new)
         return None
 
     for it in range(maxiter):
@@ -769,13 +903,14 @@ def _fixed_point_monotone(
             return U, it, trace, rsup
         step = None
         if history.steps:
-            cand = history.candidate(U, solved, r, rho)
+            cand = history.candidate(U, solved, r, rho, ws._take(nodes), ws.scratch)
             step = attempt(cand) if cand is not None else None
             if step is None:
                 history.clear()
         if step is None:
             for _ in range(40):
-                step = attempt(U - rho * solved)
+                cand = ws._take(nodes)
+                step = attempt(np.subtract(U, np.multiply(solved, rho, out=cand), out=cand))
                 if step is not None:
                     break
                 rho *= 0.5
@@ -789,8 +924,11 @@ def _fixed_point_monotone(
                 np.subtract(solved_new, solved, out=solved),
                 np.subtract(r_new, r, out=r),
             )
+            ws._give(r)
+        else:
+            ws._give(U, r, solved)
         U, r, solved = U_new, r_new, solved_new
-        rsup = float(np.abs(r).max())
+        rsup = ws._sup(r)
         rho = min(rho * 1.1, rho_max)
         trace.append(n_r)
     raise NonConvergedError(
