@@ -110,9 +110,18 @@ def _run(steps):
         f(*args)
 
 
+def _combine(row, arrays, out=None):
+    """sum_j row[j] * arrays[j] over the non-zero entries of row."""
+    terms = [(m, a) for m, a in zip(row, arrays) if m]
+    acc = np.multiply(terms[0][1], terms[0][0], out=out)
+    for m, a in terms[1:]:
+        acc += m * a
+    return acc
+
+
 def _combination(row, arrays, out, tmp):
-    """Steps writing sum_j row[j] * arrays[j] over the non-zero entries of
-    row into out, each later product through tmp (out's shape)."""
+    """Steps writing _combine(row, arrays) into out, each later product
+    through tmp (out's shape), for frames built on once."""
     terms = [(m, a) for m, a in zip(row, arrays) if m]
     steps = [(np.multiply, (terms[0][1], terms[0][0], out))]
     for m, a in terms[1:]:
@@ -272,10 +281,10 @@ class StencilWork:
 
     A frame is a C-ordered array of the wrapped-node shape; there are
     1 + d + min(2, d - 1) of them (d >= 2), shared by both halves as the
-    frames of a TensorOperator are.  The gradient reads the wrapped nodes E, sums into
-    ``sums`` through the pair-sum scratch W, and combines the edge sums with
-    the gradient map row by row on whole frames, into E through W[0]; each
-    row's corner is then copied out once.  The spread of axis a reads the
+    frames of a TensorOperator are.  The gradient reads the wrapped nodes
+    E, sums into ``sums`` through the pair-sum scratch W, and combines the
+    edge sums with the gradient map row by row on whole frames, into E
+    through W[0]; each row's corner is then copied out once.  The spread of axis a reads the
     corner of W[0], which takes its weights, a combination of the flux rows
     made on ``cells``, two contiguous arrays of shape lead + cell_shape at
     the start of the sum frames, and copied in once; the spreads run
@@ -353,9 +362,7 @@ class TensorOperator:
             terms = [(F[a, c] * G[e, b], x) for c, e, x in fields[i, j]]
             if any(m for m, _ in terms):
                 blocks[a, b, i, j] = np.zeros(frame)
-                block = _corner(blocks[a, b, i, j], grid.cell_shape)
-                # a product scratch per block, freed with the block's terms
-                _run(_combination(*zip(*terms), block, np.empty(grid.cell_shape)))
+                _combine(*zip(*terms), out=_corner(blocks[a, b, i, j], grid.cell_shape))
         E = np.zeros((N,) + frame)
         sums, weights = (np.zeros((d, N) + frame) for _ in range(2))
         self._nodes = _corner(E, grid.node_shape)

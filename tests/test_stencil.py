@@ -152,8 +152,9 @@ def test_nonlinear_iterations_allocate_no_strip_array(op):
     # map (fixed point) and its e2 restriction (descent) at tau = 1/16; once
     # the workspace holds its arrays, what an iteration allocates outside
     # the reference solve stays below one array of the strip's values, and
-    # so does all that the iterations keep allocated.  Before the workspace, each span between two solves
-    # allocated 0.86 MB (fixed point) and 1.18 MB (descent).
+    # so does all that the iterations keep allocated.  Before the
+    # workspace, each span between two solves allocated 0.86 MB (fixed
+    # point) and 1.18 MB (descent).
     grid = planar_strip_grid(1.0, 4.0, 64, 256)
     strip = 8 * math.prod(grid.node_shape)
     assert strip == 131_584

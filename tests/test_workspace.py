@@ -148,7 +148,10 @@ def kink_flux_formula(p, tau):
 
 
 def kink_potential_formula(p, tau):
-    return 0.5 * p[0] ** 2 + (9.0 / 16.0) * p[1] ** 2 + (3.0 / 8.0) * huber_integral_formula(p[1], tau)
+    return (
+        0.5 * p[0] ** 2 + (9.0 / 16.0) * p[1] ** 2
+        + (3.0 / 8.0) * huber_integral_formula(p[1], tau)
+    )
 
 
 @pytest.mark.parametrize("tau", [0.0, 1 / 64, 1 / 16])
@@ -194,7 +197,8 @@ def test_builtin_maps_write_into_out_bit_for_bit(tau):
         out = np.full(allocated.shape, np.nan)
         assert into(out) is out
         assert same_bits(out, allocated) and same_bits(allocated, formula)
-    assert same_bits(RootKinkOperator.f(p[0], p[2], tau), (root(8.0 * p[0] ** 2 + 9.0 * p[2] ** 2, tau) + p[2]) / 8.0)
+    f = (root(8.0 * p[0] ** 2 + 9.0 * p[2] ** 2, tau) + p[2]) / 8.0
+    assert same_bits(RootKinkOperator.f(p[0], p[2], tau), f)
     assert same_bits(p, p_then)
 
 
@@ -230,7 +234,9 @@ def arrays_of(obj, seen=None):
     return [a for item in items for a in arrays_of(item, seen)]
 
 
-@pytest.mark.parametrize("op", [ReducedRootKink(1.0), KinkPotential2D()], ids=["fixed-point", "descent"])
+@pytest.mark.parametrize(
+    "op", [ReducedRootKink(1.0), KinkPotential2D()], ids=["fixed-point", "descent"]
+)
 @pytest.mark.parametrize("start", [False, True])
 def test_returned_values_share_no_workspace_memory(monkeypatch, op, start):
     built = []
@@ -245,7 +251,8 @@ def test_returned_values_share_no_workspace_memory(monkeypatch, op, start):
     data = lambda c: 1 / 3 + np.cos(2 * np.pi * c[0])
     problem = StripProblem(grid, op, data, tau=1 / 16)
     if start:
-        lower = solve_nonlinear(StripProblem(planar_strip_grid(1.0, 1.0, 16, 16), op, data, tau=1 / 16))
+        lower_grid = planar_strip_grid(1.0, 1.0, 16, 16)
+        lower = solve_nonlinear(StripProblem(lower_grid, op, data, tau=1 / 16))
         problem.start = lower.values
         built.clear()
     sol = solve_nonlinear(problem)
