@@ -67,10 +67,13 @@ from .operators import (
 )
 from .second_cell import (
     DirectionalLimit,
+    GapCertificate,
     SweepReport,
     continuity_sweep,
     directional_limit,
+    effective_operator,
     eta_independence_check,
+    gap_certificate,
     predict_phi_star,
     reduce_tensor,
     reduced_kink_residual,

@@ -16,14 +16,14 @@ from . import __version__
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, InvalidDirectionError, InvalidMeshError, NonConvergedError, SolverFailureError
 from .fields import LinearTensorField
-from .grid import planar_strip_grid
 from .homogenize import epsilon_refinement_study, homogenize_linear
 from .layers import boundary_layer_limit, shift_profile
 from .lattice import make_rational_direction
 from .operators import validate_operator
 from .reports import Reporter, SvgPlot, solution_text, svg_panels
-from .second_cell import continuity_sweep, directional_limit, eta_independence_check
-from .solve import StripProblem, solve_nonlinear
+from .second_cell import (
+    continuity_sweep, effective_operator, eta_independence_check, gap_certificate,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -32,6 +32,9 @@ EXIT_NONCONV = 4
 
 
 def _limit_kwargs(cfg: ExperimentConfig):
+    """The ladder keywords of a config's strip solves, from limit.tolerance,
+    mesh.h, nonlinear.tau, solver.tol, strip.R / strip.R_ladder and
+    limit.max_factor."""
     kw = {"tolerance": cfg.tolerance, "h": cfg.h, "tau": cfg.tau, "rtol": cfg.solver_tol}
     if cfg.R_ladder:
         kw["R_ladder"] = list(cfg.R_ladder)
@@ -97,34 +100,28 @@ def _write_profile(rep, profile, stem="profile"):
     return profile
 
 
-def cmd_phi_star(cfg: ExperimentConfig, rep: Reporter) -> int:
-    rep.start("phi-star")
+def _config_profile(cfg: ExperimentConfig, rep: Reporter, phase):
+    """The shift profile of the config's direction, timed as ``phase`` and
+    written as profile.*."""
+    rep.start(phase)
     profile = shift_profile(
-        cfg.operator, cfg.data, cfg.direction,
-        sample_count=cfg.sample_count, tolerance=cfg.tolerance,
-        h=cfg.h, tau=cfg.tau, rtol=cfg.solver_tol,
+        cfg.operator, cfg.data, cfg.direction, sample_count=cfg.sample_count, **_limit_kwargs(cfg)
     )
-    rep.stop("phi-star")
-    _write_profile(rep, profile)
+    rep.stop(phase)
+    return _write_profile(rep, profile)
+
+
+def cmd_phi_star(cfg: ExperimentConfig, rep: Reporter) -> int:
+    profile = _config_profile(cfg, rep, "phi-star")
     rep.finalize()
     return EXIT_OK if profile.all_converged() else EXIT_NONCONV
 
 
 def cmd_second_cell(cfg: ExperimentConfig, rep: Reporter) -> int:
-    rep.start("profile")
-    profile = shift_profile(
-        cfg.operator, cfg.data, cfg.direction,
-        sample_count=cfg.sample_count, tolerance=cfg.tolerance,
-        h=cfg.h, tau=cfg.tau, rtol=cfg.solver_tol,
-    )
-    rep.stop("profile")
-    _write_profile(rep, profile)
-    if isinstance(cfg.operator, LinearTensorField):
-        rep.start("homogenize")
-        effective = homogenize_linear(cfg.operator, h_cell=cfg.h_cell)
-        rep.stop("homogenize")
-    else:
-        effective = cfg.operator
+    rep.start("homogenize")
+    effective = effective_operator(cfg.operator, h_cell=cfg.h_cell)
+    rep.stop("homogenize")
+    profile = _config_profile(cfg, rep, "profile")
     etas = cfg.etas or [cfg.direction.periods[0] / np.linalg.norm(cfg.direction.periods[0])]
     rep.start("second-cell")
     check = eta_independence_check(
@@ -194,12 +191,10 @@ def cmd_sweep(cfg: ExperimentConfig, rep: Reporter) -> int:
         d.xi_hat if hasattr(d, "xi_hat") else np.asarray(d, dtype=float) for d in cfg.directions
     ]
     rep.start("sweep")
-    effective = None
-    if isinstance(cfg.operator, LinearTensorField):
-        effective = homogenize_linear(cfg.operator, h_cell=cfg.h_cell)
     report = continuity_sweep(
         cfg.operator, cfg.data, directions, Q=cfg.Q, tolerance=cfg.tolerance,
-        profile_samples=cfg.sample_count, h=cfg.h, tau=cfg.tau, effective=effective,
+        profile_samples=cfg.sample_count, h=cfg.h, tau=cfg.tau,
+        effective=effective_operator(cfg.operator, h_cell=cfg.h_cell),
     )
     rep.stop("sweep")
     rows = []
@@ -249,6 +244,7 @@ def cmd_discontinuity_demo(cfg: ExperimentConfig, rep: Reporter) -> int:
     data = cfg.data if cfg.data is not None else cosine_field(3, [0, 0, 1], constant=1.0 / 3.0)
     xi = make_rational_direction([0, 0, 1])
     tau = cfg.tau if cfg.tau > 0 else 1.0 / 16.0
+    effective = effective_operator(op, h_cell=cfg.h_cell)
     rep.start("profile")
     profile = shift_profile(
         op, data, xi, sample_count=max(32, cfg.sample_count), tolerance=cfg.tolerance,
@@ -264,38 +260,21 @@ def cmd_discontinuity_demo(cfg: ExperimentConfig, rep: Reporter) -> int:
         + [np.array([np.cos(th), np.sin(th), 0.0]) for th in angles[1:-1]]
         + [np.array([0.0, 1.0, 0.0])]
     )
-    # every limit solves on the same planar strips: one reference solver per rung
-    solvers = {}
-    limits = [
-        directional_limit(xi, eta, profile, op, tolerance=cfg.tolerance, tau=tau, n_lat=64,
-                          solvers=solvers)
-        for eta in etas
-    ]
+    limits = eta_independence_check(
+        xi, profile, effective, etas, tolerance=cfg.tolerance, tau=tau, n_lat=64
+    )["limits"]
     lim1, lim2 = limits[0], limits[-1]
     Ls = [float(lim.value[0]) for lim in limits]
     rep.stop("limits")
 
-    # gap certificate from the comparison function, solved at the scale of
-    # the closed forms (lateral period 2 pi, gap read at height 1)
     rep.start("certificate")
-    T = 2.0 * np.pi
-    R = 8.0
-    n_lat, n_vert = 128, 128
-    grid = planar_strip_grid(T, R, n_lat, n_vert)
-    reduced = op.reduced(np.array([0.0, 1.0, 0.0])) if hasattr(op, "reduced") else op
-    prob = StripProblem(grid, reduced, lambda c: 1.0 / 3.0 + np.cos(c[0]), tau=tau)
-    sol = solve_nonlinear(prob)
-    pts = grid.node_coords()
-    w = (1.0 / 3.0 + np.cos(pts[0])) * np.exp(-pts[1])
-    k1 = grid.level_index(1.0)
-    gap = float((sol.values[0][:, k1] - w[:, k1]).min())
-    domination = float((sol.values[0] - w).min())
+    cert = gap_certificate(effective, tau)
     rep.stop("certificate")
 
     line = (
         f"L(e3,e1)={lim1.value[0]:.6f}+-{lim1.error_bar:.2e}, "
         f"L(e3,e2)={lim2.value[0]:.6f}+-{lim2.error_bar:.2e}, "
-        f"gap delta={gap:.6f}, gap>0: {'PASS' if gap > 0 else 'FAIL'}"
+        f"gap delta={cert.gap:.6f}, gap>0: {'PASS' if cert.gap > 0 else 'FAIL'}"
     )
     print(line)
     rep.write_csv("angle_sweep.csv", ["angle", "L"], [[a, l] for a, l in zip(angles, Ls)])
@@ -313,16 +292,16 @@ def cmd_discontinuity_demo(cfg: ExperimentConfig, rep: Reporter) -> int:
             "L_e1_error_bar": lim1.error_bar,
             "L_e2": lim2.value.tolist(),
             "L_e2_error_bar": lim2.error_bar,
-            "gap_certificate": gap,
-            "subsolution_domination_min": domination,
-            "certificate_height": 1.0,
+            "gap_certificate": cert.gap,
+            "subsolution_domination_min": cert.domination,
+            "certificate_height": cert.height,
             "summary": line,
         },
     )
     rep.finalize()
     if not (lim1.converged and lim2.converged):
         return EXIT_NONCONV
-    return EXIT_OK if gap > 0 else EXIT_NONCONV
+    return EXIT_OK if cert.gap > 0 else EXIT_NONCONV
 
 
 def cmd_decay_fit(cfg: ExperimentConfig, rep: Reporter) -> int:
@@ -330,9 +309,8 @@ def cmd_decay_fit(cfg: ExperimentConfig, rep: Reporter) -> int:
         raise ConfigError("decay-fit needs an explicit strip.R_ladder")
     rep.start("decay-fit")
     result = boundary_layer_limit(
-        cfg.operator, cfg.data, cfg.direction, s=0.0,
-        tolerance=cfg.tolerance, h=cfg.h, tau=cfg.tau,
-        R_ladder=list(cfg.R_ladder), stop_on_tolerance=False, rtol=cfg.solver_tol,
+        cfg.operator, cfg.data, cfg.direction, s=0.0, stop_on_tolerance=False,
+        **_limit_kwargs(cfg),
     )
     rep.stop("decay-fit")
     fit = result.diagnostics["decay_fit"]
@@ -398,10 +376,7 @@ def main(argv=None) -> int:
     rep = Reporter(cfg.out, config=cfg.raw, version=__version__)
     try:
         return _COMMANDS[args.command](cfg, rep)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InvalidMeshError as exc:
+    except (ConfigError, InvalidMeshError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverFailureError as exc:

@@ -74,6 +74,15 @@ SECTION_KEYS = {
     "sweep.Q": ("Q", _number(int)),
 }
 SECTIONS = tuple(dict.fromkeys(path.split(".")[0] for path in SECTION_KEYS))
+# Section keys that some subcommands never read -> those subcommands; a run
+# that sets one would drop it silently, so that is a ConfigError.  Only the
+# Krylov solves of linear strips read solver.tol, so nonlinear runs never do.
+UNREAD_KEYS = {
+    "solver.tol": ("homogenize", "sweep", "discontinuity-demo"),
+    "strip.R": ("sweep", "discontinuity-demo", "decay-fit"),
+    "strip.R_ladder": ("homogenize", "sweep", "discontinuity-demo"),
+    "limit.max_factor": ("homogenize", "sweep", "discontinuity-demo", "decay-fit"),
+}
 TOP_LEVEL_KEYS = (
     "experiment", "operator", "data", "direction", "directions", "eta", "etas", "seed", "out",
 ) + SECTIONS
@@ -288,20 +297,23 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError("homogenize needs an 'operator'")
     if cfg.experiment == "sweep" and not cfg.directions:
         raise ConfigError("sweep needs a nonempty 'directions' list")
-    if _is_nonlinear(cfg.operator) and cfg.experiment in (
-        "cell-solve", "phi-star", "second-cell", "discontinuity-demo"
-    ):
-        if cfg.tau <= 0.0:
+    if _is_nonlinear(cfg.operator):
+        if cfg.tau <= 0.0 and cfg.experiment in (
+            "cell-solve", "phi-star", "second-cell", "discontinuity-demo"
+        ):
             raise ConfigError("nonlinear runs need nonlinear.tau > 0")
-    if _get(cfg.raw, "solver.tol") is not None and (
-        cfg.experiment in ("homogenize", "sweep", "discontinuity-demo")
-        or _is_nonlinear(cfg.operator)
-    ):
-        # only the Krylov solves of linear strips read it
-        raise ConfigError(
-            "solver.tol is read only by linear runs of cell-solve, phi-star, "
-            f"second-cell and decay-fit; this {cfg.experiment!r} run would ignore it"
-        )
+        # only linear fields are homogenized, so a y-dependent map has no
+        # effective operator for the directional limits
+        if cfg.experiment == "homogenize":
+            raise ConfigError("homogenize needs a linear operator")
+        if cfg.operator.y_dependent and cfg.experiment in (
+            "second-cell", "sweep", "discontinuity-demo"
+        ):
+            raise ConfigError(f"a y-dependent map has no effective operator for {cfg.experiment}")
+    for path, experiments in UNREAD_KEYS.items():
+        nonlinear = path == "solver.tol" and _is_nonlinear(cfg.operator)
+        if _get(cfg.raw, path) is not None and (cfg.experiment in experiments or nonlinear):
+            raise ConfigError(f"{path} is never read by this {cfg.experiment!r} run")
     if isinstance(cfg.direction, RationalDirection):
         M = cfg.direction.period_bound
         if cfg.R is not None and cfg.experiment in ("cell-solve", "phi-star", "second-cell"):

@@ -48,8 +48,8 @@ class PeriodicFieldExpr:
     def __post_init__(self):
         self.constant.setflags(write=False)
 
-    def __call__(self, y, derivative=None):
-        return evaluate_field(self, y, derivative)
+    def __call__(self, y):
+        return evaluate_field(self, y)
 
     def scale_argument(self, factor: int) -> "PeriodicFieldExpr":
         """Field y -> f(factor * y); factor must be a positive integer
@@ -125,26 +125,18 @@ def cosine_field(d, freq, amplitude=1.0, constant=0.0, phase="cos", n_components
     )
 
 
-def evaluate_field(field: PeriodicFieldExpr, y, derivative=None):
-    """Evaluate the field (or a partial derivative) at points y.
+def evaluate_field(field: PeriodicFieldExpr, y):
+    """Evaluate the field at points y.
 
     y has shape (d, ...); the result has shape (N, ...) or (...) when the
-    field is scalar.  ``derivative`` is a multi-index of total order <= 5,
-    matching the regularity budget the rest of the pipeline assumes.
+    field is scalar.
     """
     y = np.asarray(y, dtype=float)
     if y.shape[0] != field.d:
         raise ValueError(f"points have dimension {y.shape[0]}, field expects {field.d}")
     out_shape = (field.n_components,) + y.shape[1:]
     out = np.zeros(out_shape)
-    order = 0
-    if derivative is not None:
-        derivative = tuple(int(a) for a in derivative)
-        order = sum(derivative)
-        if order > 5:
-            raise ValueError("derivative order above the supported budget (5)")
-    if order == 0:
-        out += field.constant.reshape((field.n_components,) + (1,) * (y.ndim - 1))
+    out += field.constant.reshape((field.n_components,) + (1,) * (y.ndim - 1))
     for coef, k, phase in field.terms:
         # k . y as an explicit d-term sum: a tensordot here is a BLAS gemv
         # over every point, which wakes a second BLAS thread for no gain
@@ -152,15 +144,7 @@ def evaluate_field(field: PeriodicFieldExpr, y, derivative=None):
         for kj, yj in zip(k, y):
             if kj:
                 arg += (_TWO_PI * float(kj)) * yj
-        # differentiating rotates the phase by pi/2 per order and scales by 2 pi k_j
-        shift = 0 if phase == "cos" else 3  # cos = shift 0, sin = shift 3 of the cycle d/dx cos
-        factor = 1.0
-        if order:
-            for j, a in enumerate(derivative):
-                factor *= (_TWO_PI * float(k[j])) ** a
-            shift = (shift + order) % 4
-        trig = (np.cos, lambda t: -np.sin(t), lambda t: -np.cos(t), np.sin)[shift % 4]
-        vals = trig(arg) * factor
+        vals = (np.cos if phase == "cos" else np.sin)(arg)
         out += coef.reshape((field.n_components,) + (1,) * (y.ndim - 1)) * vals
     if field.n_components == 1:
         return out[0]

@@ -110,43 +110,21 @@ def _run(steps):
         f(*args)
 
 
-def _combine(row, arrays, out=None):
-    """sum_j row[j] * arrays[j] over the non-zero entries of row."""
-    terms = [(m, a) for m, a in zip(row, arrays) if m]
-    acc = np.multiply(terms[0][1], terms[0][0], out=out)
+def _combination(terms, out, tmp):
+    """Steps writing sum m * a over the pairs (m, a) of ``terms``, m a
+    scalar or an array, into out, each later product through tmp (out's
+    shape); without terms, steps zeroing out (it may hold other scratch)."""
+    if not terms:
+        return [(np.copyto, (out, 0.0))]
+    steps = [(np.multiply, terms[0] + (out,))]
     for m, a in terms[1:]:
-        acc += m * a
-    return acc
-
-
-def _combination(row, arrays, out, tmp):
-    """Steps writing _combine(row, arrays) into out, each later product
-    through tmp (out's shape), for frames built on once."""
-    terms = [(m, a) for m, a in zip(row, arrays) if m]
-    steps = [(np.multiply, (terms[0][1], terms[0][0], out))]
-    for m, a in terms[1:]:
-        steps += [(np.multiply, (a, m, tmp)), (np.add, (out, tmp, out))]
+        steps += [(np.multiply, (m, a, tmp)), (np.add, (out, tmp, out))]
     return steps
 
 
-def _tensor_combination(blocks, sums, weights, tmp):
-    """Steps writing weights[a, i] = sum_(b, j) M^ab_ij sums[b, j] per cell,
-    over the blocks (a, b, i, j) of M that ``blocks`` holds."""
-    d, N = sums.shape[:2]
-    steps = []
-    for a, i in np.ndindex(d, N):
-        out = weights[a, i]
-        terms = [
-            (blocks[a, b, i, j], sums[b, j]) for b, j in np.ndindex(d, N) if (a, b, i, j) in blocks
-        ]
-        if not terms:  # out may hold another pass's scratch
-            steps.append((np.copyto, (out, 0.0)))
-            continue
-        steps.append((np.multiply, terms[0] + (out,)))
-        for m, x in terms[1:]:
-            steps.append((np.multiply, (m, x, tmp)))
-            steps.append((np.add, (out, tmp, out)))
-    return steps
+def _nonzero(pairs):
+    """The pairs (m, a) whose scalar coefficient m is not zero."""
+    return [(m, a) for m, a in pairs if m]
 
 
 class _MeshBase:
@@ -265,7 +243,7 @@ class _MeshBase:
             work = StencilWork(self, q.shape[1 : q.ndim - self.d])
         flux, tmp = work.cells
         for a in range(self.d):
-            _run(_combination(self._flux_map[a], q, flux, tmp))
+            _run(_combination(_nonzero(zip(self._flux_map[a], q)), flux, tmp))
             np.copyto(work._weight, flux)
             _run(work._scatter[a])
         _run(work._fold)
@@ -305,7 +283,7 @@ class StencilWork:
         W = np.zeros((min(2, d - 1),) + frame)
         self._nodes = _corner(E, grid.node_shape)
         self._gradient = grid._gradient_passes(E, W, sums)
-        self._rows = [_combination(row, sums, E, W[0]) for row in grid._gradient_map]
+        self._rows = [_combination(_nonzero(zip(row, sums)), E, W[0]) for row in grid._gradient_map]
         self._row = _corner(E, grid.cell_shape)
         cells = tuple(lead) + grid.cell_shape
         self.cells = [f.reshape(-1)[: math.prod(cells)].reshape(cells) for f in sums[:2]]
@@ -355,19 +333,24 @@ class TensorOperator:
             for i, j in np.ndindex(N, N)
         }
         blocks = {}
+        tmp = np.empty(grid.cell_shape)
         for a, b, i, j in np.ndindex(d, d, N, N):
             if symmetric and (b, a, j, i) in blocks:
                 blocks[a, b, i, j] = blocks[b, a, j, i]
                 continue
-            terms = [(F[a, c] * G[e, b], x) for c, e, x in fields[i, j]]
-            if any(m for m, _ in terms):
+            terms = _nonzero((F[a, c] * G[e, b], x) for c, e, x in fields[i, j])
+            if terms:
                 blocks[a, b, i, j] = np.zeros(frame)
-                _combine(*zip(*terms), out=_corner(blocks[a, b, i, j], grid.cell_shape))
+                _run(_combination(terms, _corner(blocks[a, b, i, j], grid.cell_shape), tmp))
         E = np.zeros((N,) + frame)
         sums, weights = (np.zeros((d, N) + frame) for _ in range(2))
         self._nodes = _corner(E, grid.node_shape)
         steps = grid._gradient_passes(E, weights, sums)
-        steps += _tensor_combination(blocks, sums, weights, E[0])
+        for a, i in np.ndindex(d, N):
+            # weights[a, i] = sum_(b, j) M^ab_ij sums[b, j] per cell
+            terms = [(blocks[a, b, i, j], sums[b, j])
+                     for b, j in np.ndindex(d, N) if (a, b, i, j) in blocks]
+            steps += _combination(terms, weights[a, i], E[0])
         for a in range(d):
             steps += grid._scatter_passes(a, weights[a], sums, E, accumulate=a > 0)
         fold, self._folded = grid._fold_passes(E)

@@ -29,16 +29,19 @@ from .lattice import (
     make_rational_direction,
 )
 from .layers import ShiftProfile, doubling_ladder, ladder_limit, shift_profile
-from .solve import StripProblem
+from .solve import StripProblem, solve_nonlinear
 
 __all__ = [
     "DirectionalLimit",
+    "GapCertificate",
     "SweepReport",
     "directional_limit",
+    "effective_operator",
     "eta_independence_check",
     "predict_phi_star",
     "continuity_sweep",
     "subsolution_residual",
+    "gap_certificate",
     "reduced_kink_residual",
     "reduce_tensor",
 ]
@@ -92,27 +95,32 @@ class _ReducedMonotone:
         return {"kind": "reduced", "base": self._op.describe(), "Q": self._Q.tolist()}
 
 
+def effective_operator(operator, h_cell=None):
+    """The operator of the directional limits of problems with ``operator``:
+    the homogenized tensor of a linear field (on the cell mesh ``h_cell``),
+    or a spatially homogeneous map as it stands.  A y-dependent nonlinear
+    map has none here, since only linear fields are homogenized."""
+    if isinstance(operator, LinearTensorField):
+        return homogenize_linear(operator, h_cell=h_cell)
+    if operator.y_dependent:
+        raise EffbcError("a y-dependent nonlinear map has no effective operator here")
+    return operator
+
+
 def _reduced_operator(effective, eta, xi_hat):
-    """Build the 2-d operator of the reduction from whatever was given."""
+    """The 2-d operator of the reduction of a spatially homogeneous
+    effective operator, and whether it is linear."""
+    if getattr(effective, "y_dependent", False):
+        raise EffbcError("directional limits need a homogeneous operator (homogenize first)")
     if isinstance(effective, HomogenizedTensor):
         red = reduce_tensor(effective.A0, eta, xi_hat)
         return constant_tensor(red, lam=effective.lam), True
     if isinstance(effective, LinearTensorField):
-        if effective.y_dependent:
-            raise EffbcError(
-                "linear directional limits need a constant effective tensor "
-                "(homogenize first)"
-            )
         A0 = effective(np.zeros((effective.d, 1)))[..., 0]
         return constant_tensor(reduce_tensor(A0, eta, xi_hat), lam=effective.lam), True
     if hasattr(effective, "reduced"):
         return effective.reduced(np.asarray(eta, dtype=float)), False
     if hasattr(effective, "flux"):
-        if effective.y_dependent:
-            raise EffbcError(
-                "nonlinear directional limits need a spatially homogeneous "
-                "effective operator (homogenize first)"
-            )
         return _ReducedMonotone(effective, eta, xi_hat), False
     raise EffbcError(f"cannot interpret effective operator {effective!r}")
 
@@ -238,6 +246,8 @@ def predict_phi_star(
     data, or 1 when it has none).
     """
     n = np.asarray(n, dtype=float)
+    if effective is None:
+        effective = effective_operator(operator)
     ap = dirichlet_approximate(n, Q)
     xi = make_rational_direction(ap.xi)
     dec = decompose_direction(n, xi)
@@ -249,13 +259,6 @@ def predict_phi_star(
         operator, data, xi, sample_count=profile_samples, tolerance=tolerance,
         h=h, tau=tau,
     )
-    if effective is None:
-        if isinstance(operator, LinearTensorField):
-            effective = homogenize_linear(operator)
-        elif not operator.y_dependent:
-            effective = operator
-        else:
-            raise EffbcError("pass a precomputed effective operator for this case")
     lim = directional_limit(xi, dec.eta, profile, effective, tolerance, tau=tau, n_lat=n_lat)
     angle_term = 0.0
     provenance = "rational"
@@ -318,12 +321,12 @@ def continuity_sweep(operator, data, directions, Q=12, tolerance=1e-7, **kwargs)
     excluded from the fit (they carry no signal about the modulus); rows
     whose solve fails are flagged, never dropped silently.  ``alpha_range``
     is the range of the fitted exponent as every fitted gap moves within
-    its numeric bars.  A linear tensor is homogenized once for the whole
+    its numeric bars.  The effective operator is found once for the whole
     sweep unless ``effective`` is given.
     """
-    if isinstance(operator, LinearTensorField) and kwargs.get("effective") is None:
+    if kwargs.get("effective") is None:
         try:
-            kwargs["effective"] = homogenize_linear(operator)
+            kwargs["effective"] = effective_operator(operator)
         except EffbcError:
             pass  # every row then meets the failure itself and is flagged
     rows = []
@@ -379,6 +382,36 @@ def subsolution_residual(y, z):
     c = np.cos(y)
     val = np.where(c < 0.0, -4.0 / 9.0 - c / 3.0, 0.25 * (c - 1.0))
     return val * np.exp(-z)
+
+
+@dataclass
+class GapCertificate:
+    gap: float  # min over t of v - w at the certificate height
+    domination: float  # min of v - w over the whole strip
+    height: float
+    solution: object  # the StripSolution v
+
+
+def gap_certificate(effective, tau) -> GapCertificate:
+    """Certificate of a positive directional limit at xi = e3 along e2.
+
+    Solves the problem of ``effective`` reduced along eta = e2, in the
+    coordinates (t, r) = (x . e2, x . e3), at the scale of the closed
+    forms: lateral period 2 pi, height 8, 128 x 128 cells, data
+    1/3 + cos t.  The comparison function w = (1/3 + cos t) e^{-r} is a
+    subsolution of the reduced kink map (subsolution_residual), so v >= w;
+    the gap is min_t (v - w) at height 1, and a positive gap bounds the
+    limit along e2 away from the limit 0 along e1.
+    """
+    height = 1.0
+    grid = planar_strip_grid(2.0 * np.pi, 8.0, 128, 128)
+    reduced, _ = _reduced_operator(effective, [0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
+    data = lambda c: 1.0 / 3.0 + np.cos(c[0])
+    sol = solve_nonlinear(StripProblem(grid, reduced, data, tau=tau))
+    pts = grid.node_coords()
+    diff = sol.values[0] - (1.0 / 3.0 + np.cos(pts[0])) * np.exp(-pts[1])
+    gap = float(diff[:, grid.level_index(height)].min())
+    return GapCertificate(gap=gap, domination=float(diff.min()), height=height, solution=sol)
 
 
 def reduced_kink_residual(y, z):

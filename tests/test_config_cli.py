@@ -258,6 +258,98 @@ def test_a_solver_tolerance_that_no_solve_reads_is_a_config_error(tmp_path, comm
     assert not (tmp_path / "o").exists()
 
 
+_QUADRATIC_LAMINATE = {"kind": "quadratic_potential", "tensor": {"kind": "laminate", "d": 2}}
+
+
+@pytest.mark.parametrize(
+    "command,patch",
+    [
+        ("sweep", {"strip": {"R": 4.0}}),
+        ("sweep", {"strip": {"R_ladder": [4.0, 8.0]}}),
+        ("sweep", {"limit": {"max_factor": 8}}),
+        ("discontinuity-demo", {"strip": {"R": 4.0}}),
+        ("discontinuity-demo", {"strip": {"R_ladder": [4.0, 8.0]}}),
+        ("discontinuity-demo", {"limit": {"max_factor": 8}}),
+        ("homogenize", {"strip": {"R_ladder": [4.0, 8.0]}}),
+        ("homogenize", {"limit": {"max_factor": 8}}),
+        ("decay-fit", {"strip": {"R_ladder": [0.75, 1.0, 1.25]}, "limit": {"max_factor": 8}}),
+        ("decay-fit", {"strip": {"R_ladder": [0.75, 1.0, 1.25], "R": 4.0}}),
+    ],
+    ids=[
+        "sweep-R", "sweep-R_ladder", "sweep-max_factor", "demo-R", "demo-R_ladder",
+        "demo-max_factor", "homogenize-R_ladder", "homogenize-max_factor",
+        "decay-fit-max_factor", "decay-fit-R",
+    ],
+)
+def test_a_ladder_key_that_no_solve_reads_is_a_config_error(tmp_path, command, patch):
+    extra = {"directions": ["rational: [0,1]"]} if command == "sweep" else {}
+    if command == "discontinuity-demo":
+        extra = {"operator": None, "data": None, "direction": None, "nonlinear": {"tau": 0.0625}}
+    path, _ = write_cfg(
+        tmp_path, experiment=command, out=str(tmp_path / "o"), **dict(extra, **patch)
+    )
+    key = "limit.max_factor" if "limit" in patch else "strip." + list(patch["strip"])[-1]
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        load_config(path)
+    assert main(["--config", path, command]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "command,patch",
+    [
+        ("homogenize", {
+            "operator": {"kind": "builtin", "name": "section7"}, "data": None, "direction": None,
+        }),
+        ("second-cell", {"operator": _QUADRATIC_LAMINATE}),
+        ("sweep", {"operator": _QUADRATIC_LAMINATE, "directions": ["rational: [0,1]"]}),
+        ("discontinuity-demo", {
+            "operator": {"kind": "quadratic_potential", "tensor": {"kind": "laminate", "d": 3}},
+            "data": None, "direction": None,
+        }),
+    ],
+    ids=["homogenize-nonlinear", "second-cell", "sweep", "discontinuity-demo"],
+)
+def test_a_run_without_an_effective_operator_is_a_config_error(tmp_path, command, patch):
+    # only linear fields are homogenized, so these runs would fail after
+    # their solves (or, for homogenize, with an AttributeError)
+    path, _ = write_cfg(
+        tmp_path, experiment=command, nonlinear={"tau": 0.0625}, out=str(tmp_path / "o"),
+        **patch,
+    )
+    with pytest.raises(ConfigError, match="linear operator|effective operator"):
+        load_config(path)
+    assert main(["--config", path, command]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["phi-star", "second-cell"])
+@pytest.mark.parametrize(
+    "patch",
+    [{"strip": {"R_ladder": [2.0, 4.0]}}, {"limit": {"tolerance": 1e-7, "max_factor": 4}}],
+    ids=["R_ladder", "max_factor"],
+)
+def test_profiles_read_the_ladder_keys(tmp_path, command, patch):
+    # the shift profile's ladders are those of cell-solve, not the defaults
+    profiles = []
+    for name, extra in (("default", {}), ("patched", patch)):
+        kw = dict({"limit": {"tolerance": 1e-7}}, **extra)
+        path, _ = write_cfg(
+            tmp_path, name=f"{name}.json", experiment=command, etas=[[1.0, 0.0]],
+            out=str(tmp_path / name), **kw,
+        )
+        main(["--config", path, command])
+        profiles.append((tmp_path / name / "profile.csv").read_text())
+    assert profiles[0] != profiles[1]
+
+
+def test_cli_commands_are_the_config_experiments():
+    import effbc.cli
+    import effbc.config
+
+    assert set(effbc.cli._COMMANDS) == set(effbc.config.EXPERIMENTS)
+
+
 def test_cli_exit_code_nonconvergence(tmp_path):
     path, _ = write_cfg(
         tmp_path, limit={"tolerance": 1e-30, "max_factor": 8}, out=str(tmp_path / "o4")

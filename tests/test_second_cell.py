@@ -10,7 +10,9 @@ from effbc import (
     continuity_sweep,
     cosine_field,
     directional_limit,
+    effective_operator,
     eta_independence_check,
+    gap_certificate,
     homogenize_linear,
     identity_tensor,
     make_field,
@@ -205,7 +207,8 @@ def test_sweep_homogenizes_once(monkeypatch, laminate2, data_diag):
 
     calls = []
     monkeypatch.setattr(
-        second_cell, "homogenize_linear", lambda A: calls.append(A) or homogenize_linear(A)
+        second_cell, "homogenize_linear",
+        lambda A, **kw: calls.append(A) or homogenize_linear(A, **kw),
     )
     dirs = [np.array([math.sin(t), math.cos(t)]) for t in (0.05, 0.2, 0.4)]
     kw = dict(Q=6, tolerance=1e-7, profile_samples=8)
@@ -215,6 +218,41 @@ def test_sweep_homogenizes_once(monkeypatch, laminate2, data_diag):
     for n, row in zip(dirs, report.rows):
         pred = predict_phi_star(n, laminate2, data_diag, effective=hom, **kw)
         assert np.array_equal(row["prediction"].value, pred.value)
+
+
+def test_effective_operator_of_each_kind(laminate2):
+    from effbc.operators import QuadraticPotential
+
+    hom = effective_operator(laminate2, h_cell=1 / 16)
+    assert np.array_equal(hom.A0, homogenize_linear(laminate2, h_cell=1 / 16).A0)
+    kink = RootKinkOperator()
+    assert effective_operator(kink) is kink
+    with pytest.raises(EffbcError, match="y-dependent"):
+        effective_operator(QuadraticPotential(laminate2))
+
+
+def test_prediction_without_an_effective_operator_fails_before_its_profile(
+    monkeypatch, laminate2, data_diag
+):
+    import effbc.second_cell as second_cell
+    from effbc.operators import QuadraticPotential
+
+    def no_profile(*args, **kwargs):
+        raise AssertionError("a shift profile was solved")
+
+    monkeypatch.setattr(second_cell, "shift_profile", no_profile)
+    with pytest.raises(EffbcError, match="y-dependent"):
+        predict_phi_star([0.0, 1.0], QuadraticPotential(laminate2), data_diag, Q=3, tau=1 / 16)
+
+
+def test_gap_certificate_of_the_kink_map():
+    # v = w on the boundary and v >= w above it; the gap at height 1 bounds
+    # the far field along e2 from below
+    cert = gap_certificate(RootKinkOperator(), tau=1 / 16)
+    assert cert.domination == 0.0
+    assert cert.height == 1.0
+    assert cert.gap == pytest.approx(0.070391, abs=1e-6)
+    assert cert.solution.top_slice().mean() >= cert.gap
 
 
 def test_subsolution_residual_closed_form():
