@@ -311,8 +311,7 @@ def test_a_ladder_key_that_no_solve_reads_is_a_config_error(tmp_path, command, p
     ids=["homogenize-nonlinear", "second-cell", "sweep", "discontinuity-demo"],
 )
 def test_a_run_without_an_effective_operator_is_a_config_error(tmp_path, command, patch):
-    # only linear fields are homogenized, so these runs would fail after
-    # their solves (or, for homogenize, with an AttributeError)
+    # only linear fields are homogenized: these runs have no effective operator
     path, _ = write_cfg(
         tmp_path, experiment=command, nonlinear={"tau": 0.0625}, out=str(tmp_path / "o"),
         **patch,
