@@ -59,7 +59,7 @@ def cmd_cell_solve(cfg: ExperimentConfig, rep: Reporter) -> int:
     )
     rep.stop("cell-solve")
     solutions = result.diagnostics.pop("solutions")
-    with rep.open_text("solution.csv") as f:
+    with rep.open_binary("solution.csv") as f:
         solution_text(solutions[-1], out=f)
     summary = result.summary()
     vreport = _operator_report(cfg)
@@ -247,7 +247,7 @@ def cmd_discontinuity_demo(cfg: ExperimentConfig, rep: Reporter) -> int:
     effective = effective_operator(op, h_cell=cfg.h_cell)
     rep.start("profile")
     profile = shift_profile(
-        op, data, xi, sample_count=max(32, cfg.sample_count), tolerance=cfg.tolerance,
+        op, data, xi, sample_count=cfg.sample_count, tolerance=cfg.tolerance,
         h=cfg.h or 1.0 / 16.0, tau=tau,
     )
     rep.stop("profile")

@@ -87,6 +87,10 @@ TOP_LEVEL_KEYS = (
     "experiment", "operator", "data", "direction", "directions", "eta", "etas", "seed", "out",
 ) + SECTIONS
 
+# the shift-profile samples of discontinuity-demo: its default, and the
+# fewest it takes (its directional limits interpolate the profile linearly)
+DEMO_SAMPLE_COUNT = 32
+
 BUILTIN_OPERATORS = {
     "section7": RootKinkOperator,
     "section7_reduced": KinkPotential2D,
@@ -261,6 +265,8 @@ def load_config(source, out_override=None, seed_override=None,
                 setattr(cfg, attr, convert(value))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"{path}: {exc}") from exc
+    if experiment == "discontinuity-demo" and _get(raw, "limit.sample_count") is None:
+        cfg.sample_count = DEMO_SAMPLE_COUNT
     top = _get(raw, "strip.top_bc", "neumann")
     if top != "neumann":
         # every subcommand reads its far field from a natural top
@@ -284,6 +290,13 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError("solver.tol must be positive")
     if cfg.sample_count < 8:
         raise ConfigError("limit.sample_count must be at least 8")
+    if cfg.experiment == "discontinuity-demo" and cfg.sample_count < DEMO_SAMPLE_COUNT:
+        raise ConfigError(
+            f"limit.sample_count must be at least {DEMO_SAMPLE_COUNT} for discontinuity-demo"
+        )
+    if cfg.R is not None and cfg.R_ladder:
+        # the ladder is explicit, so R would be dropped
+        raise ConfigError("set strip.R or strip.R_ladder, not both")
     if cfg.Q < 1:
         raise ConfigError("sweep.Q must be at least 1")
     needs_direction = cfg.experiment in ("cell-solve", "phi-star", "second-cell", "decay-fit")
@@ -315,6 +328,13 @@ def _validate(cfg: ExperimentConfig):
         if _get(cfg.raw, path) is not None and (cfg.experiment in experiments or nonlinear):
             raise ConfigError(f"{path} is never read by this {cfg.experiment!r} run")
     if isinstance(cfg.direction, RationalDirection):
+        if cfg.experiment == "second-cell":
+            for eta in cfg.etas:
+                if eta.shape != (cfg.direction.d,) or abs(float(eta @ cfg.direction.xi)) > 1e-9:
+                    raise ConfigError(
+                        f"eta {eta.tolist()} is not a {cfg.direction.d}-vector orthogonal "
+                        f"to the direction {cfg.direction.xi.tolist()}"
+                    )
         M = cfg.direction.period_bound
         if cfg.R is not None and cfg.experiment in ("cell-solve", "phi-star", "second-cell"):
             if cfg.R < 4.0 * M - 1e-12:

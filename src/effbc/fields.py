@@ -22,6 +22,7 @@ __all__ = [
     "evaluate_field",
     "constant_field",
     "cosine_field",
+    "constant_tensor",
     "identity_tensor",
     "isotropic_tensor",
     "validate_tensor",
@@ -242,6 +243,13 @@ def _tensor(d, N, entry, lam) -> LinearTensorField:
         for a in range(d)
     )
     return LinearTensorField(d, N, ent, lam=lam)
+
+
+def constant_tensor(A0, lam) -> LinearTensorField:
+    """Wrap a constant (d, d, N, N) array as a LinearTensorField."""
+    A0 = np.asarray(A0, dtype=float)
+    d, _, N, _ = A0.shape
+    return _tensor(d, N, lambda a, b, i, j: constant_field(d, A0[a, b, i, j]), lam)
 
 
 def identity_tensor(d, n_components=1, scale=1.0) -> LinearTensorField:

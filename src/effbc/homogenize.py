@@ -19,7 +19,7 @@ import numpy as np
 
 from .assembly import TorusReferenceSolver
 from .errors import NonConvergedError, SolverFailureError
-from .fields import LinearTensorField, _tensor, constant_field
+from .fields import LinearTensorField, constant_tensor
 from .grid import TensorOperator, TorusGrid, build_strip_grid
 from .solve import StripProblem, _krylov_solve, solve_linear
 
@@ -31,13 +31,6 @@ __all__ = [
 ]
 
 _DEFAULT_CELL_MESH = {2: 1.0 / 64.0, 3: 1.0 / 24.0}
-
-
-def constant_tensor(A0, lam) -> LinearTensorField:
-    """Wrap a constant (d, d, N, N) array as a LinearTensorField."""
-    A0 = np.asarray(A0, dtype=float)
-    d, _, N, _ = A0.shape
-    return _tensor(d, N, lambda a, b, i, j: constant_field(d, A0[a, b, i, j]), lam)
 
 
 @dataclass

@@ -20,8 +20,8 @@ start, so a warm rung is held to the same absolute residual.  A shift
 profile builds one reference solver per rung geometry and shares it
 between its shifts, which move only the strip's origin.  A rung whose data
 and start are constant along lateral axes, under a y-independent operator,
-is solved two cells wide along them and its values broadcast back
-(``effbc.solve``); the cache then holds only the narrow solver.
+is solved on a strip without them and its values broadcast back
+(``effbc.solve``); the cache then holds only the reduced strip's solver.
 ``diagnostics["rungs"]`` records each rung's height, iteration count,
 whether it started warm, and the lateral cells it was solved on; the
 result's ``summary()`` carries that list.
@@ -125,11 +125,12 @@ def ladder_limit(problem_for_height, ladder, tolerance, stop_on_tolerance=True, 
     whose grid nests the previous rung's starts from that rung's values,
     extended upward by their top slice.  ``solvers``, a dict, caches one
     reference solver per geometry solved on (shared by the ladders of a
-    shift profile); it is handed to the solve, so a rung that is solved two
-    cells wide (laterally invariant data and start, y-independent operator;
-    its values broadcast back) builds only the narrow solver.  Each entry of
-    ``diagnostics["rungs"]`` records the rung's height, iterations, warm
-    start and the lateral ``cells`` it was solved on.  Never silent: when
+    shift profile); it is handed to the solve, so a rung that is solved on
+    a strip without its invariant lateral axes (laterally invariant data
+    and start, y-independent operator; its values broadcast back) builds
+    only that strip's solver.  Each entry of ``diagnostics["rungs"]``
+    records the rung's height, iterations, warm start and the lateral
+    ``cells`` it was solved on (those of the reduced strip, say [32]).  Never silent: when
     the ladder is exhausted above tolerance the result carries
     converged=False plus diagnostics.
     """

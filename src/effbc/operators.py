@@ -24,6 +24,14 @@ defining algebraic identity 8 f^2 - 2 p3 f - (p1^2 + p3^2) = 0 is checked
 in the tests.  Restricting to gradients orthogonal to e1 gives the scalar
 2-d map (p1, (9/8) p2 + (3/8)|p2|), which is the gradient of the convex
 potential p1^2/2 + (9/16) p2^2 + (3/16) p2 |p2|.
+
+``restrict`` is the one restriction of a spatially homogeneous operator
+to the gradients in a plane, written in the coordinates of an orthonormal
+frame Q of that plane: Q^T A Q for a constant tensor, Q^T a(Q p) with the
+potential F(Q p) for a map, or a map's own closed form (the root kink's on
+the planes through e3).  The directional limits of ``second_cell`` solve
+on it, and so does a strip solve whose data is invariant along a lateral
+axis.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OperatorInvalidError
+from .fields import LinearTensorField, constant_tensor
 from .sampling import weyl_points
 
 __all__ = [
@@ -41,6 +50,8 @@ __all__ = [
     "DirectMap",
     "validate_operator",
     "homogeneity_check",
+    "reduce_tensor",
+    "restrict",
     "potential_gradient_consistency",
     "huber_abs",
     "huber_abs_integral",
@@ -280,6 +291,86 @@ class DirectMap:
 
     def describe(self):
         return {"kind": "direct", "name": self.name}
+
+
+def reduce_tensor(A0, *frame):
+    """Constant tensor of the restriction to the plane of the orthonormal
+    vectors ``frame``: Q^T A0 Q, Q = [frame] (say reduce_tensor(A0, eta,
+    xi_hat)).
+
+    Exactly symmetric (under the (a, b)(i, j) swap) whenever A0 is, so that
+    the reduced strip solves take the symmetric (CG) path; the einsum alone
+    can leave the off-diagonal pair an ulp apart.
+    """
+    A0 = np.asarray(A0, dtype=float)
+    Q = np.stack([np.asarray(v, dtype=float) for v in frame], axis=1)
+    B = np.einsum("xa,xyij,yb->abij", Q, A0, Q)
+    if np.array_equal(A0, A0.swapaxes(0, 1).swapaxes(2, 3)):
+        return 0.5 * (B + B.swapaxes(0, 1).swapaxes(2, 3))
+    return B
+
+
+def _frame_product(M, x, out=None):
+    """sum_b M[a, b] x[b] for every row a of M, into ``out`` when given.
+    Zero entries of M add no term, so a frame of coordinate axes moves the
+    entries of x exactly."""
+    out = np.empty((len(M),) + x.shape[1:]) if out is None else out
+    for row, o in zip(M, out):
+        terms = [(m, x[b]) for b, m in enumerate(row) if m]
+        if not terms:
+            o[...] = 0.0
+            continue
+        np.multiply(terms[0][1], terms[0][0], out=o)
+        for m, xb in terms[1:]:
+            o += m * xb
+    return out
+
+
+class _ReducedMonotone:
+    """The restriction Q^T a(Q p) of a spatially homogeneous map to the
+    plane of the orthonormal columns of Q (d, d'), and the potential
+    F(Q p) of a variational one.  The map's monotonicity and Lipschitz
+    constants bound the restriction's, so they are kept."""
+
+    y_dependent = False
+
+    def __init__(self, op, Q):
+        self._op = op
+        self._Q = Q
+        self.d = Q.shape[1]
+        self.is_variational = op.is_variational
+        for name in ("lam", "lip", "homogeneous"):
+            if hasattr(op, name):
+                setattr(self, name, getattr(op, name))
+
+    def flux(self, p, y=None, tau=0.0, out=None):
+        q = self._op.flux(_frame_product(self._Q, p), tau=tau)
+        return _frame_product(self._Q.T, q, out)
+
+    def potential(self, p, y=None, tau=0.0):
+        return self._op.potential(_frame_product(self._Q, p), tau=tau)
+
+    def describe(self):
+        return {"kind": "reduced", "base": self._op.describe(), "Q": self._Q.tolist()}
+
+
+def restrict(op, Q):
+    """The y-independent operator ``op`` on the gradients in the plane of
+    the orthonormal columns of Q (d, d'), in the coordinates of Q.
+
+    A tensor (read at y = 0) gives the constant tensor Q^T A Q, exactly
+    symmetric when A is.  A map with a closed-form ``reduced(eta)``, the
+    restriction to span(eta, e_d) in the coordinates (x . eta, x . e_d),
+    gives it when Q = [eta, e_d]; any other map gives Q^T a(Q p), variational
+    when the map is.
+    """
+    Q = np.asarray(Q, dtype=float)
+    if isinstance(op, LinearTensorField):
+        A0 = op(np.zeros((op.d, 1)))[..., 0]
+        return constant_tensor(reduce_tensor(A0, *Q.T), lam=op.lam)
+    if hasattr(op, "reduced") and Q.shape[1] == 2 and np.array_equal(Q[:, 1], np.eye(op.d)[-1]):
+        return op.reduced(Q[:, 0])
+    return _ReducedMonotone(op, Q)
 
 
 def _sample_pairs(d, sample_count, radius, seed):

@@ -10,6 +10,7 @@ keeping plots free of any plotting dependency.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -194,6 +195,10 @@ class Reporter:
         """A new file of the run, open for text writing; the caller closes it."""
         return open(self._register(name), "w", encoding="utf-8")
 
+    def open_binary(self, name):
+        """A new file of the run, open for binary writing; the caller closes it."""
+        return open(self._register(name), "wb")
+
     def write_text(self, name, text):
         with self.open_text(name) as f:
             f.write(text)
@@ -225,9 +230,10 @@ class Reporter:
 
 
 def _solution_chunks(solution):
-    """The solution file in pieces, each ending in a newline: the header,
-    then the node rows of one block of first-lateral-index slabs at a time,
-    as few slabs as make _BLOCK_ROWS rows (one, when a slab has that many).
+    """The solution file in ASCII pieces (bytes-like), each ending in a
+    newline: the header, then the node rows of one block of
+    first-lateral-index slabs at a time, as few slabs as make _BLOCK_ROWS
+    rows (one, when a slab has that many).
 
     Each column of the node table (the indices, y1..yd, u1..uN) is reduced
     to the axes it varies along, and each distinct entry of the reduced
@@ -236,8 +242,10 @@ def _solution_chunks(solution):
     that varies along the first axis on more entries than a block has (a
     sheared coordinate, say) is formatted a block at a time instead, so no
     text is ever larger than one block's.  A block is one structured array
-    with a byte-string field per column, filled by broadcast assignment;
-    its bytes less the NUL padding are the text.
+    with a byte-string field per column on a kept bytearray, filled by
+    broadcast assignment: the columns constant along the first axis once,
+    when the block is made, and the others per block.  The bytearray less
+    its NUL padding is the piece.
     """
     prob = solution.problem
     op_hash = hashlib.sha256(canonical_json(prob.operator.describe()).encode()).hexdigest()[:16]
@@ -255,7 +263,7 @@ def _solution_chunks(solution):
     val_names = [f"u{c + 1}" for c in range(N)]
     names = idx_names + coord_names + val_names
     lines.append(",".join(names))
-    yield "\n".join(lines) + "\n"
+    yield ("\n".join(lines) + "\n").encode("ascii")
     shape = grid.node_shape
     index = np.indices(shape, sparse=True)
     floats = [*grid.coord_columns(shape), *solution.values]
@@ -267,7 +275,9 @@ def _solution_chunks(solution):
         a = _reduced(a)
         by_block = a.shape[0] > 1 and a.size > block * math.prod(shape[1:])
         columns.append((a, spec, None if by_block else _text_table(a, spec)))
-    buf = None
+    # the columns whose text changes from block to block
+    varying = [text is None or text.shape[0] > 1 for _, _, text in columns]
+    raw = buf = None
     for i0 in range(0, shape[0], block):
         n = min(block, shape[0] - i0)
         texts = [
@@ -276,12 +286,16 @@ def _solution_chunks(solution):
             for a, spec, text in columns
         ]
         dtype = np.dtype([(name, t.dtype) for name, t in zip(names, texts)])
-        if buf is None or buf.dtype != dtype:
-            buf = None  # the old block goes before the new one is made
-            buf = np.empty((block,) + shape[1:], dtype)
-        for name, t in zip(names, texts):
-            buf[name][:n] = t
-        yield buf[:n].tobytes().translate(None, b"\0").decode("ascii")
+        new = buf is None or buf.dtype != dtype
+        if new:
+            raw = buf = None  # the old block goes before the new one is made
+            raw = bytearray(block * math.prod(shape[1:]) * dtype.itemsize)
+            buf = np.frombuffer(raw, dtype).reshape((block,) + shape[1:])
+        for name, t, v in zip(names, texts, varying):
+            if new or v:
+                buf[name][:n] = t
+        # a bytearray's translate drops the padding with no copy before it
+        yield (raw if n == block else raw[: buf[:n].nbytes]).translate(None, b"\0")
 
 
 _BLOCK_ROWS = 4096  # rows per piece at least, unless one slab has more
@@ -317,12 +331,15 @@ def _text_table(a, spec):
 def solution_text(solution, out=None):
     """Self-describing text serialization: '#' header plus a node CSV.
 
-    With ``out``, a text file open for writing, the pieces go to it as they
-    are made, so the whole text is never held at once, and None is returned.
+    With ``out``, a file open for binary or text writing, the pieces go to
+    it as they are made, so the whole text is never held at once, and None
+    is returned.
     """
     chunks = _solution_chunks(solution)
     if out is None:
-        return "".join(chunks)
+        return b"".join(chunks).decode("ascii")
+    if isinstance(out, io.TextIOBase):
+        chunks = (c.decode("ascii") for c in chunks)
     out.writelines(chunks)
     return None
 

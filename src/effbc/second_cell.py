@@ -21,7 +21,7 @@ import numpy as np
 from .errors import EffbcError
 from .fields import LinearTensorField
 from .grid import planar_strip_grid
-from .homogenize import HomogenizedTensor, constant_tensor, homogenize_linear
+from .homogenize import HomogenizedTensor, homogenize_linear
 from .lattice import (
     RationalDirection,
     decompose_direction,
@@ -29,6 +29,7 @@ from .lattice import (
     make_rational_direction,
 )
 from .layers import ShiftProfile, doubling_ladder, ladder_limit, shift_profile
+from .operators import reduce_tensor, restrict
 from .solve import StripProblem, solve_nonlinear
 
 __all__ = [
@@ -57,44 +58,6 @@ class DirectionalLimit:
     diagnostics: dict = field(default_factory=dict)
 
 
-def reduce_tensor(A0, eta, xi_hat):
-    """Constant tensor of the two-variable reduction: Q^T A0 Q, Q = [eta, xi_hat].
-
-    Exactly symmetric (under the (a, b)(i, j) swap) whenever A0 is, so that
-    the reduced strip solves take the symmetric (CG) path; the einsum alone
-    can leave the off-diagonal pair an ulp apart.
-    """
-    A0 = np.asarray(A0, dtype=float)
-    Q = np.stack([np.asarray(eta, dtype=float), np.asarray(xi_hat, dtype=float)], axis=1)
-    B = np.einsum("xa,xyij,yb->abij", Q, A0, Q)
-    if np.array_equal(A0, A0.swapaxes(0, 1).swapaxes(2, 3)):
-        return 0.5 * (B + B.swapaxes(0, 1).swapaxes(2, 3))
-    return B
-
-
-class _ReducedMonotone:
-    """Two-variable restriction Q^T a(Q p) of a spatially homogeneous map."""
-
-    d = 2
-    is_variational = False
-    y_dependent = False
-
-    def __init__(self, op, eta, xi_hat):
-        self._op = op
-        self._Q = np.stack([np.asarray(eta, float), np.asarray(xi_hat, float)], axis=1)
-        self.lam = getattr(op, "lam", 0.0)
-        self.lip = getattr(op, "lip", 1.0)
-        self.homogeneous = getattr(op, "homogeneous", False)
-
-    def flux(self, p, y=None, tau=0.0):
-        P = np.tensordot(self._Q, p, axes=(1, 0))
-        q = self._op.flux(P, tau=tau)
-        return np.tensordot(self._Q.T, q, axes=(1, 0))
-
-    def describe(self):
-        return {"kind": "reduced", "base": self._op.describe(), "Q": self._Q.tolist()}
-
-
 def effective_operator(operator, h_cell=None):
     """The operator of the directional limits of problems with ``operator``:
     the homogenized tensor of a linear field (on the cell mesh ``h_cell``),
@@ -109,20 +72,16 @@ def effective_operator(operator, h_cell=None):
 
 def _reduced_operator(effective, eta, xi_hat):
     """The 2-d operator of the reduction of a spatially homogeneous
-    effective operator, and whether it is linear."""
+    effective operator, ``operators.restrict`` to the frame [eta, xi_hat],
+    and whether it is linear."""
     if getattr(effective, "y_dependent", False):
         raise EffbcError("directional limits need a homogeneous operator (homogenize first)")
     if isinstance(effective, HomogenizedTensor):
-        red = reduce_tensor(effective.A0, eta, xi_hat)
-        return constant_tensor(red, lam=effective.lam), True
-    if isinstance(effective, LinearTensorField):
-        A0 = effective(np.zeros((effective.d, 1)))[..., 0]
-        return constant_tensor(reduce_tensor(A0, eta, xi_hat), lam=effective.lam), True
-    if hasattr(effective, "reduced"):
-        return effective.reduced(np.asarray(eta, dtype=float)), False
-    if hasattr(effective, "flux"):
-        return _ReducedMonotone(effective, eta, xi_hat), False
-    raise EffbcError(f"cannot interpret effective operator {effective!r}")
+        effective = effective.as_tensor_field()
+    elif not (isinstance(effective, LinearTensorField) or hasattr(effective, "flux")):
+        raise EffbcError(f"cannot interpret effective operator {effective!r}")
+    op2 = restrict(effective, np.stack([np.asarray(eta, float), np.asarray(xi_hat, float)], axis=1))
+    return op2, isinstance(op2, LinearTensorField)
 
 
 def _profile_data(profile, kind):

@@ -35,17 +35,29 @@ solver then returns the lift after 0 iterations with residual 0.0 (the
 descent with the lift's energy as its one-entry trace), the same solution
 its loop would have returned, start or no start.
 
-A laterally invariant strip is solved on a strip two cells wide.  When the
+A laterally invariant strip is solved in fewer dimensions.  When the
 operator is y-independent and the bottom data, and the start if there is
 one, are constant per component along some lateral axes (by equality, so
 NaN data never is), the discrete solution is constant along them too: the
 discrete operator commutes with lateral shifts and the solution is unique.
-If one of those axes has more than 2 cells and the lift is not exact, the
-solver runs on the same cells with 2 of them along each such axis, and its
-values are broadcast back along those axes.  Sums over the strip (the
-energy, the descent's slope and scale, the fixed point's preconditioned
-norm) carry the replication count as a weight, so the residual, energy and
-trace reported are those of the full strip, and so are the stopping rules.
+Unless the lift is exact, the solver then drops those axes.  On values
+constant along an edge e the reference gradient along e vanishes and the
+averages over e are the values themselves, so the physical gradient is
+the reduced strip's gradient Q p', Q an orthonormal frame of the plane
+orthogonal to the dropped edges.  The strip solved on lies in that plane:
+its lateral periods are the other periods projected off the dropped
+edges, in the coordinates of Q, and its normal is the strip's.  Its
+operator is the restriction to the plane (``operators.restrict``): the
+flux Q^T a(Q p), the potential F(Q p), or Q^T A Q for a constant tensor.
+Only when no lateral axis would remain is the last one kept, 2 cells wide.
+The values are broadcast back.  A node's residual on the full strip is
+its residual on the reduced one times the ratio of the cell volumes (the
+edge length of a dropped axis), and the same holds for the reference
+operator, so the loops report the full strip's residual, energy and trace
+and keep its stopping rules: sups carry the volume ratio, and sums over
+the strip (the energy, the descent's slopes, the fixed point's
+preconditioned norm) carry it times the number of full cells per reduced
+cell.
 
 Variational nonlinear equations (flux = gradient of a convex density):
 ``_descent_variational`` minimizes the strip energy: monotone
@@ -83,7 +95,6 @@ none of it), and the returned iterate shares no memory with it.
 
 from __future__ import annotations
 
-import copy
 import inspect
 import math
 from dataclasses import dataclass, field, replace
@@ -94,6 +105,7 @@ from .assembly import StripReferenceSolver, _interior_diagonal, _plane_constant
 from .errors import NonConvergedError, SolverFailureError
 from .fields import LinearTensorField, PeriodicFieldExpr, evaluate_field
 from .grid import StencilWork, StripGrid, TensorOperator
+from .operators import restrict
 
 __all__ = [
     "StripProblem",
@@ -142,7 +154,7 @@ class StripSolution:
     # fixed point whose start already meets its target records none
     energy_trace: list = field(default_factory=list)
     # lateral cells of the strip the solver ran on: grid.lat_cells, or fewer
-    # when a laterally invariant problem was solved two cells wide
+    # when a laterally invariant problem was solved in fewer dimensions
     solved_cells: tuple = None
 
     def __post_init__(self):
@@ -361,54 +373,93 @@ def _constant_along(a, axis):
     return bool((a == np.take(a, [0], axis=axis)).all())
 
 
-def _narrow_grid(grid, axes):
-    """The strip of ``grid`` with 2 cells along the lateral ``axes``: the
-    same cells (edges, origin, normal, levels), each such period 2 edges."""
-    narrow = copy.copy(grid)
-    narrow.xi = None  # its periods are no longer those of the direction
-    narrow.lat_cells = tuple(2 if j in axes else n for j, n in enumerate(grid.lat_cells))
-    narrow.node_shape = narrow.lat_cells + (grid.n_vert + 1,)
-    narrow.cell_shape = narrow.lat_cells + (grid.n_vert,)
-    return narrow
+def _orthonormal(vectors):
+    """Gram-Schmidt of ``vectors``: orthonormal columns (d, k) whose first
+    j span the first j vectors; coordinate axes come out exactly."""
+    Q = []
+    for v in vectors:
+        for q in Q:
+            v = v - (q @ v) * q
+        Q.append(v / np.linalg.norm(v))
+    return np.stack(Q, axis=1)
+
+
+def _reduced_strip(grid, axes):
+    """The strip that a problem invariant along the lateral ``axes`` of
+    ``grid`` is solved on, or None when it would have as many cells.
+
+    Every axis of ``axes`` is dropped, but the last of them when no lateral
+    axis would remain: that one keeps 2 cells.  Returns (strip, Q, kept):
+    ``kept[j]`` is the number of cells kept along lateral axis j of grid (0
+    when dropped).  The strip lies in the plane orthogonal to the dropped
+    edges, in the coordinates of the orthonormal columns of Q (d, d'), the
+    last d' of the Gram-Schmidt basis of the dropped edges, the other
+    lateral edges and the normal: its lateral periods are the others
+    projected off the dropped edges.  With no axis dropped, Q is None and
+    the strip keeps the frame of grid.
+    """
+    lat = grid.lat_cells
+    drop = axes if len(axes) < len(lat) else axes[:-1]
+    kept = [0 if j in drop else 2 if j in axes else n for j, n in enumerate(lat)]
+    if not drop and kept == list(lat):
+        return None
+    keep = [j for j, n in enumerate(kept) if n]
+    periods = [grid.edges[:, j] * kept[j] for j in keep]
+    normal, Q = grid.normal, None
+    if drop:
+        Q = _orthonormal([grid.edges[:, j] for j in drop + keep] + [normal])[:, len(drop):]
+        periods = [Q.T @ ell for ell in periods]
+        normal = Q.T @ normal
+    strip = StripGrid(periods, normal, grid.s, grid.R, [kept[j] for j in keep], grid.n_vert,
+                      check_resolution=False)
+    return strip, Q, kept
 
 
 def _reduced_solve(problem, grid, bottom, solvers, loop):
-    """The solution through a strip two cells wide, or None.
+    """The solution through a strip of fewer cells (_reduced_strip), or None.
 
     For a y-independent operator whose lift is not exact, the lateral axes
-    with more than 2 cells along which ``bottom`` (N, *lat) and the start
-    are constant are narrowed to 2 cells.  ``loop`` solves the narrow
-    strip from its lift, weighting its sums by the replication count, and
-    its values are broadcast back along those axes.
+    along which ``bottom`` (N, *lat) and the start are constant are dropped,
+    or the last of them kept 2 cells wide.  ``loop`` solves the reduced
+    strip from its lift with the operator restricted to its plane
+    (``operators.restrict``), reporting its sums for ``grid``, and its
+    values are broadcast back along those axes.
     """
     if problem.operator.y_dependent:
         return None
     arrays = [bottom] if problem.start is None else [bottom, np.asarray(problem.start, dtype=float)]
-    axes = [
-        j for j, n in enumerate(grid.lat_cells)
-        if n > 2 and all(_constant_along(a, 1 + j) for a in arrays)
-    ]
-    if not axes:
+    axes = [j for j in range(grid.d - 1) if all(_constant_along(a, 1 + j) for a in arrays)]
+    reduced = _reduced_strip(grid, axes) if axes else None
+    if reduced is None:
         return None
-    narrow = _narrow_grid(grid, axes)
-
-    def first(n):  # the first n entries along the narrowed axes
-        return (slice(None),) + tuple(
-            slice(0, n) if j in axes else slice(None) for j in range(grid.d - 1)
-        )
-
-    start = None if problem.start is None else arrays[1][first(2)]
-    weight = math.prod(grid.lat_cells[j] for j in axes) / 2 ** len(axes)
-    ref = _reference_solver(solvers, narrow)
-    sol = loop(
-        replace(problem, grid=narrow, start=start), narrow, ref, ref.lift(bottom[first(2)]),
-        _centers(problem.operator, narrow), weight,
+    strip, Q, kept = reduced
+    # the entries solved on, and where the solved values go along each axis
+    pick = (slice(None),) + tuple(slice(0, k) if k else 0 for k in kept)
+    spread = (slice(None),) + tuple(
+        None if not k else slice(0, 1) if k < n else slice(None)
+        for k, n in zip(kept, grid.lat_cells)
     )
-    values = np.broadcast_to(sol.values[first(1)], (bottom.shape[0],) + grid.node_shape).copy()
+    op = problem.operator if Q is None else restrict(problem.operator, Q)
+    start = None if problem.start is None else arrays[1][pick]
+    ref = _reference_solver(solvers, strip)
+    sol = loop(
+        replace(problem, grid=strip, operator=op, start=start), strip, ref,
+        ref.lift(bottom[pick]), _centers(op, strip), grid,
+    )
+    values = np.broadcast_to(sol.values[spread], (bottom.shape[0],) + grid.node_shape).copy()
     return StripSolution(
         problem, grid, values, sol.residual_norm, sol.iterations, energy=sol.energy,
-        energy_trace=sol.energy_trace, solved_cells=narrow.lat_cells,
+        energy_trace=sol.energy_trace, solved_cells=strip.lat_cells,
     )
+
+
+def _copies(grid, full):
+    """How the strip ``grid`` that a loop runs on stands for the strip
+    ``full`` that it reports: the number of cells of full per cell of grid,
+    and the factor full.cellvol / grid.cellvol of a node's residual and of
+    the reference operator on values invariant along the dropped axes (both
+    1.0 when the two are one strip)."""
+    return math.prod(full.lat_cells) / math.prod(grid.lat_cells), full.cellvol / grid.cellvol
 
 
 def _centers(op, grid):
@@ -421,8 +472,9 @@ def _solve(problem, solvers, loop):
     """The front shared by solve_linear and solve_nonlinear: the data, the
     start's shape and whether the lift is exact, then the exact lift (before
     any reference solver is built or taken from ``solvers``), the reduced
-    strip or ``loop(problem, grid, ref, U0, centers, weight)``, the solver
-    proper, from the lift U0 on the full strip."""
+    strip or ``loop(problem, grid, ref, U0, centers, full)``, the solver
+    proper, from the lift U0 on the strip ``full`` that it reports (here
+    grid itself)."""
     grid = problem.grid
     bottom = boundary_values(problem, grid)
     _check_start(problem, grid)
@@ -437,7 +489,7 @@ def _solve(problem, solvers, loop):
             return reduced
     ref = _reference_solver(solvers, grid)
     # handed over, not kept here: the linear loop drops them once read
-    return loop(problem, grid, ref, ref.lift(bottom), centers.pop(), 1.0)
+    return loop(problem, grid, ref, ref.lift(bottom), centers.pop(), grid)
 
 
 def _dot(u, v):
@@ -603,17 +655,18 @@ def solve_linear(problem: StripProblem, solvers=None) -> StripSolution:
     the true residual stays above 10 rtol.  An exact lift (data constant on
     the plane, finite cell tensors) is returned at once, with no operator
     application.  A constant tensor with data and start constant along
-    lateral axes of more than 2 cells is solved two cells wide along them
-    and its values are broadcast back (module docstring).
+    lateral axes is solved on the strip without them, with the tensor
+    Q^T A Q of its plane, and its values are broadcast back (module
+    docstring).
     """
     if not isinstance(problem.operator, LinearTensorField):
         raise ValueError("solve_linear needs a LinearTensorField operator")
     return _solve(problem, solvers, _linear_loop)
 
 
-def _linear_loop(problem, grid, ref, U0, centers, weight):
-    """solve_linear on ``grid`` after the front; ``weight`` is the number of
-    copies of this strip that the reported strip holds (it sizes the cap)."""
+def _linear_loop(problem, grid, ref, U0, centers, full):
+    """solve_linear on ``grid`` after the front, for the strip ``full``
+    (its size sets the cap; the relative residuals are those of full)."""
     A = problem.operator(centers)  # (d, d, N, N, *cells)
     # of the order of the largest diagonal entry of the assembled matrix
     diag = float(np.abs(A).max()) * _interior_diagonal(grid)
@@ -623,11 +676,11 @@ def _linear_loop(problem, grid, ref, U0, centers, weight):
     def matvec(V, out=None):
         return _zero_fixed(apply(V, out))
 
-    full = apply(U0)
-    r0 = _zero_fixed(-full)
+    AU0 = apply(U0)
+    r0 = _zero_fixed(-AU0)
     rnorm0 = _norm(r0)
-    scale = max(_norm(full), diag * _norm(U0), 1e-30)
-    del full
+    scale = max(_norm(AU0), diag * _norm(U0), 1e-30)
+    del AU0
     if rnorm0 <= 1e-12 * scale:
         # the harmonic-extension start already solves the discrete system
         return StripSolution(problem, grid, U0, rnorm0 / scale, 0)
@@ -637,7 +690,7 @@ def _linear_loop(problem, grid, ref, U0, centers, weight):
         r_start = _zero_fixed(-apply(start))
         if _norm(r_start) < rnorm0:  # a start worse than the extension is dropped
             U, r = start, r_start
-    n_free = weight * r0[..., 0].size * ref.n_free
+    n_free = _copies(grid, full)[0] * r0[..., 0].size * ref.n_free
     cap = max(200, int(20 * math.sqrt(n_free)))
     # the exact constant-coefficient solve is spectrally equivalent, so the
     # iteration count is mesh independent
@@ -663,15 +716,15 @@ def _armijo(energy, X, d, EX, slope, t, scale, cand, G):
 
 
 def _descent_variational(
-    problem, grid, ref, op, U0, centers, gtol_rel=1e-9, maxiter=500, weight=1.0
+    problem, grid, ref, op, U0, centers, gtol_rel=1e-9, maxiter=500, full=None
 ):
-    """Monotone accelerated descent on the discrete strip energy, counted
-    ``weight`` times (the copies of a reduced strip in the full one), to
+    """Monotone accelerated descent on the discrete strip energy to
     sup |R| <= gtol_rel max(1, |E(U0)|), preconditioned by ``ref.solve``.
 
     Starts from problem.start when its energy is below that of the lift U0,
     else from U0; the tolerance and line-search scale is max(1, |E(U0)|)
-    either way.  The slopes are weighted like the energy.
+    either way.  The energy, the slopes and the residual are those of the
+    strip ``full`` (default grid) that grid stands for (_copies).
     Returns (U, E, iterations, energy trace, sup |R(U)|).
 
     Every array of the loop comes from one _Workspace.  An iteration takes
@@ -684,6 +737,8 @@ def _descent_variational(
     """
     ws = _Workspace(grid, op, centers, problem.tau)
     nodes, cells = ws.nodes, ws.cells
+    copies, vol_ratio = _copies(grid, grid if full is None else full)
+    weight = copies * vol_ratio
     vol = weight * grid.cellvol
 
     def energy(V, G):
@@ -707,7 +762,7 @@ def _descent_variational(
     momentum = 0.0
     for it in range(maxiter):
         g = ws._residual(G, ws._take(nodes))
-        gsup = ws._sup(g)
+        gsup = vol_ratio * ws._sup(g)
         if gsup <= gtol:
             return U, E, it, trace, gsup
         if momentum:
@@ -831,7 +886,7 @@ class _AndersonHistory:
 
 def _fixed_point_monotone(
     problem, grid, ref, op, U0, centers, rtol=1e-8, maxiter=2000,
-    depth=ANDERSON_DEPTH, weight=1.0,
+    depth=ANDERSON_DEPTH, full=None,
 ):
     """Damped preconditioned fixed point for monotone non-gradient fluxes.
 
@@ -847,7 +902,8 @@ def _fixed_point_monotone(
     cleared and the damped step backtracks.  ``depth=0`` is the plain damped
     iteration.  Returns (U, iterations, trace of the accepted preconditioned
     residual norms sqrt(r . K_ref^-1 r), strictly decreasing, sup |R(U)|);
-    the norms count each node ``weight`` times (a reduced strip's copies).
+    the residuals, norms and floor are those of the strip ``full`` (default
+    grid) that grid stands for (_copies).
 
     Every array of the loop comes from one _Workspace, and U0 is never
     written.  Each attempt takes a trial iterate, its residual and its
@@ -857,20 +913,23 @@ def _fixed_point_monotone(
     depth 0.  The returned iterate is U0 itself when it meets the target,
     else a workspace array that nothing else holds.
     """
+    full = grid if full is None else full
+    copies, vol_ratio = _copies(grid, full)
+    weight = copies * vol_ratio
     ws = _Workspace(grid, op, centers, problem.tau)
     nodes = ws.nodes
     r = ws._residual_of(U0, ws._take(nodes))
-    rsup = ws._sup(r)
+    rsup = vol_ratio * ws._sup(r)
     lam = getattr(op, "lam", 0.5)
     lip = getattr(op, "lip", 1.0)
     # absolute floor: roundoff level of one residual row
-    floor = 1e-12 * grid.cellvol / min(grid.spacings) ** 2 * lip * (ws._sup(U0) + 1.0)
+    floor = 1e-12 * full.cellvol / min(full.spacings) ** 2 * lip * (ws._sup(U0) + 1.0)
     target = max(rtol * rsup, floor)
     U = U0
     if problem.start is not None and not rsup <= target:
         start = _start_field(problem, U0, ws._take(nodes))
         r_start = ws._residual_of(start, ws._take(nodes))
-        sup_start = ws._sup(r_start)
+        sup_start = vol_ratio * ws._sup(r_start)
         if sup_start < rsup:  # a start worse than the lift is dropped
             ws._give(r)
             U, r, rsup = start, r_start, sup_start
@@ -928,7 +987,7 @@ def _fixed_point_monotone(
         else:
             ws._give(U, r, solved)
         U, r, solved = U_new, r_new, solved_new
-        rsup = ws._sup(r)
+        rsup = vol_ratio * ws._sup(r)
         rho = min(rho * 1.1, rho_max)
         trace.append(n_r)
     raise NonConvergedError(
@@ -949,26 +1008,27 @@ def solve_nonlinear(problem: StripProblem, solvers=None) -> StripSolution:
     exact lift (data constant on the plane, a flux that vanishes at zero
     gradient on every cell) is returned at once, before any stencil pass,
     with residual 0.0 and 0 iterations.  A y-independent operator with data
-    and start constant along lateral axes of more than 2 cells is solved
-    two cells wide along them, its values broadcast back, and its energy,
-    trace and residual reported for the full strip (module docstring).
+    and start constant along lateral axes is solved on the strip without
+    them, restricted to its plane, its values broadcast back, and its
+    energy, trace and residual reported for the full strip (module
+    docstring).
     """
     if isinstance(problem.operator, LinearTensorField):
         raise ValueError("use solve_linear for tensor operators")
     return _solve(problem, solvers, _nonlinear_loop)
 
 
-def _nonlinear_loop(problem, grid, ref, U0, centers, weight):
-    """solve_nonlinear on ``grid`` after the front; the loops weight their
-    sums by ``weight``, the copies of this strip in the reported one."""
+def _nonlinear_loop(problem, grid, ref, U0, centers, full):
+    """solve_nonlinear on ``grid`` after the front; the loops report their
+    sums for the strip ``full``."""
     op = problem.operator
     if op.is_variational:
         U, E, iters, trace, rsup = _descent_variational(
-            problem, grid, ref, op, U0, centers, weight=weight
+            problem, grid, ref, op, U0, centers, full=full
         )
         return StripSolution(problem, grid, U, rsup, iters, energy=E, energy_trace=trace)
     U, iters, trace, rsup = _fixed_point_monotone(
-        problem, grid, ref, op, U0, centers, weight=weight
+        problem, grid, ref, op, U0, centers, full=full
     )
     return StripSolution(problem, grid, U, rsup, iters, energy=None, energy_trace=trace)
 

@@ -342,6 +342,45 @@ def test_profiles_read_the_ladder_keys(tmp_path, command, patch):
     assert profiles[0] != profiles[1]
 
 
+@pytest.mark.parametrize(
+    "etas", [[[0.0, 1.0]], [[1.0, 0.0], [0.6, 0.8]], [[1.0, 0.0, 0.0]]],
+    ids=["along", "second-oblique", "wrong-dimension"],
+)
+def test_an_eta_off_the_plane_of_the_direction_is_a_config_error(tmp_path, etas):
+    # rejected before the shift profile is solved: nothing is written
+    path, _ = write_cfg(tmp_path, experiment="second-cell", etas=etas, out=str(tmp_path / "o"))
+    with pytest.raises(ConfigError, match="orthogonal to the direction"):
+        load_config(path)
+    assert main(["--config", path, "second-cell"]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["cell-solve", "phi-star", "second-cell"])
+def test_strip_R_with_R_ladder_is_a_config_error(tmp_path, command):
+    # the explicit ladder would drop R without a word
+    path, _ = write_cfg(
+        tmp_path, experiment=command, strip={"R": 4.0, "R_ladder": [2.0, 3.0]},
+        out=str(tmp_path / "o"),
+    )
+    with pytest.raises(ConfigError, match="not both"):
+        load_config(path)
+    assert main(["--config", path, command]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_discontinuity_demo_takes_32_samples_at_least(tmp_path):
+    demo = {"experiment": "discontinuity-demo", "nonlinear": {"tau": 0.0625}}
+    assert load_config(demo).sample_count == 32  # its default
+    assert load_config(dict(demo, limit={"sample_count": 40})).sample_count == 40
+    cfg = dict(demo, limit={"sample_count": 31}, out=str(tmp_path / "o"))
+    with pytest.raises(ConfigError, match="at least 32"):
+        load_config(cfg)
+    path = tmp_path / "demo.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--config", str(path), "discontinuity-demo"]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_commands_are_the_config_experiments():
     import effbc.cli
     import effbc.config
@@ -555,7 +594,7 @@ def test_cli_discontinuity_demo(tmp_path, capsys):
         "experiment": "discontinuity-demo",
         "nonlinear": {"tau": 0.0625},
         "mesh": {"h": 0.0625},
-        "limit": {"tolerance": 1e-6, "sample_count": 8},
+        "limit": {"tolerance": 1e-6, "sample_count": 32},
         "out": out,
     }
     p = tmp_path / "demo.json"
@@ -589,7 +628,7 @@ _SCIPY_FREE_RUNS = {
     "discontinuity-demo": {
         "nonlinear": {"tau": 0.0625},
         "mesh": {"h": 0.0625},
-        "limit": {"tolerance": 1e-6, "sample_count": 8},
+        "limit": {"tolerance": 1e-6, "sample_count": 32},
     },
 }
 
@@ -760,15 +799,15 @@ def _writer_case(name):
     """A solution whose columns reduce in the way ``name`` says."""
     rng = np.random.default_rng(11)
     if name == "broadcast_3d":
-        # the root kink on e3 with data varying along y1 only: solved two
-        # cells wide and broadcast along the second lateral axis
+        # the root kink on e3 with data varying along y1 only: solved on the
+        # 2-d strip without y2 and broadcast along the second lateral axis
         prob = StripProblem(
             build_strip_grid(make_rational_direction([0, 0, 1]), 0.0, 0.5, h=1 / 8),
             RootKinkOperator(), make_field(3, terms=[(1.0, [1, 0, 0], "cos")], constant=1 / 3),
             tau=1 / 16,
         )
         sol = solve_strip(prob)
-        assert sol.solved_cells == (8, 2)
+        assert sol.solved_cells == (8,)
         return sol
     if name == "sheared_3d_N2":
         grid = build_strip_grid(

@@ -18,7 +18,7 @@ from assembly_oracle import (
 )
 from effbc.assembly import StripReferenceSolver, TorusReferenceSolver
 from effbc.grid import TorusGrid
-from effbc.solve import _narrow_grid
+from effbc.solve import _reduced_strip
 
 
 def test_axis_grid_shape():
@@ -148,8 +148,11 @@ def _coords_grids():
         ),
     }
     wide = build_strip_grid(make_rational_direction([0, 0, 1]), 0.25, 1.0, cells=(16, 12, 8))
-    grids["narrowed"] = _narrow_grid(wide, [1])
-    grids["narrowed_sheared"] = _narrow_grid(grids["sheared_3d"], [0, 1])
+    # the strips of laterally invariant problems: y2 dropped; and on the
+    # sheared strip the first period dropped, the second projected off it
+    # and kept 2 cells wide
+    grids["narrowed"] = _reduced_strip(wide, [1])[0]
+    grids["narrowed_sheared"] = _reduced_strip(grids["sheared_3d"], [0, 1])[0]
     return grids
 
 

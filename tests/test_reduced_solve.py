@@ -1,16 +1,23 @@
-"""The two-cell-wide solve of laterally invariant strips, next to its oracle.
+"""The solve of laterally invariant strips in fewer dimensions, next to
+its oracle.
 
 Under a y-independent operator, data (and a start) constant along some
 lateral axes make the discrete solution constant along them, and
-``solve._reduced_solve`` solves the strip with 2 cells along those axes,
-broadcasting the values back and weighting the strip sums by the number of
-copies.  The oracle is the full path, the same solve with the helper
-switched off.  Cases: the monotone fixed point (root kink, d = 3), the
-energy descent (constant anisotropic quadratic potential, d = 3), the
-linear path (constant anisotropic tensors, N = 1 and N = 2) and a 2-d
+``solve._reduced_solve`` drops those axes (or keeps the last 2 cells wide
+when no lateral axis would remain): it solves on the strip of
+``solve._reduced_strip`` with the operator restricted to its plane,
+broadcasts the values back, and reports the residual, energy and trace of
+the full strip.  The oracle is the full path, the same solve with the
+helper switched off.  Cases: the monotone fixed point (root kink, d = 3,
+through its closed-form restriction), the energy descent (constant
+anisotropic quadratic potential, d = 3), the linear path (constant
+anisotropic tensors, N = 1 and N = 2), the first three again on a sheared
+3-d strip whose dropped period is not orthogonal to the other (the fixed
+point through the generic restriction Q^T a(Q p)), and a 2-d and a 3-d
 strip whose data is constant on the plane but whose flux at rest is not
-zero, each cold and warm.  Agreement is relative to each quantity's own
-scale: the values' sup, the first trace entry, the energy, and the
+zero (solved 2 cells wide, the 3-d one after dropping its first axis),
+each cold and warm.  Agreement is relative to each quantity's
+own scale: the values' sup, the first trace entry, the energy, and the
 residual at the lift (the scale of every stopping target).  Cases that
 must take the full path: a y-dependent tensor, data that vary along every
 lateral axis, a start that varies along the data's invariant axis, and NaN
@@ -46,41 +53,72 @@ from effbc.grid import StripGrid
 A3 = np.array([[0.9, 0.2, 0.1], [0.2, 0.6, -0.15], [0.1, -0.15, 0.8]])
 
 
-def anisotropic(N):
+def anisotropic(N, coupling=(2, 2)):
     """A constant tensor (3, 3, N, N): A3 on each component, and for N = 2 a
-    small coupling that is not symmetric (the BiCGStab path)."""
+    small coupling of the components that is not symmetric, in the block
+    ``coupling`` of the axes.  The (z, z) block survives the restriction to
+    every plane that these tests reduce to, so both paths take BiCGStab."""
     A = np.einsum("ab,ij->abij", A3, np.eye(N))
     if N == 2:
-        A[0, 1, 0, 1] = 0.05
+        A[coupling + (0, 1)] = 0.05
     return constant_tensor(A, lam=0.3)
 
 
+OPERATORS = {
+    "fixed_point": (RootKinkOperator(), 1),
+    "descent": (QuadraticPotential(anisotropic(1)), 1),
+    "linear_N1": (anisotropic(1), 1),
+    "linear_N2": (anisotropic(2), 2),
+}
+# the sheared strip: a dropped period along e1, 12 cells, and a kept one
+# that is not orthogonal to it, 16 cells, both orthogonal to the normal
+SHEARED_PERIODS = [[1.0, 0.0, 0.0], [0.5, 0.8, -0.6]]
+SHEARED_NORMAL = [0.0, 0.6, 0.8]
+
+
+def sheared_grid(R):
+    return StripGrid(SHEARED_PERIODS, SHEARED_NORMAL, 0.0, R, (12, 16), int(16 * R))
+
+
+def sheared_data(N):
+    """Data of t = y . (0, 0.8, -0.6), the kept period projected off e1: exactly
+    constant along the e1 edges, whose y2 and y3 entries are zero."""
+
+    def data(c):
+        t = 0.8 * c[1] - 0.6 * c[2]
+        return np.stack([1 / 3 + np.cos(2 * np.pi * t), 0.2 - 0.5 * np.sin(2 * np.pi * t)][:N])
+
+    return data
+
+
 def invariant_problem(case, warm):
-    """A strip whose data, and start if ``warm``, are constant along y2."""
-    if case == "flux_at_rest":
-        op = DirectMap(lambda p: p + 0.5, d=2, lam=1.0, lip=1.0)
-        xi, data, N = make_rational_direction([0, 1]), constant_field(2, 0.25), 1
+    """A strip whose data, and start if ``warm``, are constant along one
+    lateral axis: y2 on the e3 strips, e1 on the sheared one."""
+    if case.startswith("flux_at_rest"):
+        d = 3 if case.endswith("3d") else 2
+        op = DirectMap(lambda p: p + 0.5, d=d, lam=1.0, lip=1.0)
+        xi, data, N = make_rational_direction([0] * (d - 1) + [1]), constant_field(d, 0.25), 1
+        grid_for = lambda R: build_strip_grid(xi, 0.0, R, h=1 / 16)
+    elif case.startswith("sheared_"):
+        op, N = OPERATORS[case[len("sheared_"):]]
+        data, grid_for = sheared_data(N), sheared_grid
     else:
-        op, N = {
-            "fixed_point": (RootKinkOperator(), 1),
-            "descent": (QuadraticPotential(anisotropic(1)), 1),
-            "linear_N1": (anisotropic(1), 1),
-            "linear_N2": (anisotropic(2), 2),
-        }[case]
+        op, N = OPERATORS[case]
         xi = make_rational_direction([0, 0, 1])
         data = make_field(
             3, terms=[([1.0, -0.5][:N], [1, 0, 0], "cos")], constant=[1 / 3, 0.2][:N],
             n_components=N,
         )
-    problem = StripProblem(build_strip_grid(xi, 0.0, 1.0, h=1 / 16), op, data, tau=1 / 16)
+        grid_for = lambda R: build_strip_grid(xi, 0.0, R, h=1 / 16)
+    problem = StripProblem(grid_for(1.0), op, data, tau=1 / 16)
     if warm:
         # a lower rung as the start, as a ladder hands it on; its values are
         # broadcast, so exactly invariant
-        lower = solve_strip(StripProblem(build_strip_grid(xi, 0.0, 0.5, h=1 / 16), op, data,
-                                         tau=1 / 16))
+        lower = solve_strip(StripProblem(grid_for(0.5), op, data, tau=1 / 16))
         assert lower.solved_cells != lower.grid.lat_cells
         problem.start = lower.values
     return problem
+
 
 
 def full_path(monkeypatch, problem):
@@ -99,29 +137,35 @@ def lift_residual(problem):
 
 @pytest.fixture
 def narrowed(monkeypatch):
-    """The lateral cells of every strip that a solve narrowed."""
+    """The lateral cells of every strip that a solve was reduced to."""
     seen = []
-    narrow_grid = solve._narrow_grid
+    reduced_strip = solve._reduced_strip
 
     def spy(grid, axes):
-        out = narrow_grid(grid, axes)
-        seen.append(out.lat_cells)
+        out = reduced_strip(grid, axes)
+        if out is not None:
+            seen.append(out[0].lat_cells)
         return out
 
-    monkeypatch.setattr(solve, "_narrow_grid", spy)
+    monkeypatch.setattr(solve, "_reduced_strip", spy)
     return seen
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 @pytest.mark.parametrize(
-    "case", ["fixed_point", "descent", "linear_N1", "linear_N2", "flux_at_rest"]
+    "case",
+    ["fixed_point", "descent", "linear_N1", "linear_N2", "flux_at_rest", "flux_at_rest_3d",
+     "sheared_fixed_point", "sheared_descent", "sheared_linear_N2"],
 )
 def test_reduced_solve_equals_the_full_path(monkeypatch, narrowed, case, warm):
     problem = invariant_problem(case, warm)
     narrowed.clear()
     fast = solve_strip(problem)
     assert narrowed == [fast.solved_cells]
-    assert fast.solved_cells == problem.grid.lat_cells[:-1] + (2,)
+    # data constant on the plane keeps one lateral axis, 2 cells wide (the
+    # 3-d strip drops the other); the other 3-d strips drop their invariant
+    # axis and keep the other's 16 cells
+    assert fast.solved_cells == ((2,) if case.startswith("flux_at_rest") else (16,))
     oracle = full_path(monkeypatch, problem)
     assert oracle.solved_cells == problem.grid.lat_cells
     assert fast.grid is problem.grid and fast.values.shape == oracle.values.shape
@@ -141,6 +185,25 @@ def test_reduced_solve_equals_the_full_path(monkeypatch, narrowed, case, warm):
         t_scale = max(abs(t) for t in oracle.energy_trace)
         gaps = np.abs(np.subtract(fast.energy_trace, oracle.energy_trace))
         assert gaps.max() <= 1e-12 * t_scale
+
+
+def test_coupling_along_a_dropped_axis_leaves_a_symmetric_strip(monkeypatch):
+    # a nonsymmetric coupling in the (x, y) block acts on no field constant
+    # along y, so the strip that drops y has the symmetric tensor Q^T A Q:
+    # the reduced solve runs CG where the full path runs BiCGStab, and the
+    # two agree to their Krylov tolerance
+    problem = invariant_problem("linear_N2", warm=False)
+    problem.operator = anisotropic(2, coupling=(0, 1))
+    methods = []
+    for name in ("_pcg", "_bicgstab"):
+        real = getattr(solve, name)
+        monkeypatch.setattr(solve, name, lambda *a, _n=name, _f=real: methods.append(_n) or _f(*a))
+    fast = solve_strip(problem)
+    oracle = full_path(monkeypatch, problem)
+    assert methods == ["_pcg", "_bicgstab"] and fast.solved_cells == (16,)
+    scale = float(np.abs(oracle.values).max())
+    assert np.abs(fast.values - oracle.values).max() <= 1e-8 * scale
+    assert max(fast.residual_norm, oracle.residual_norm) <= 10 * problem.rtol
 
 
 def test_values_are_constant_along_the_narrowed_axis():
@@ -211,7 +274,7 @@ def test_rungs_record_their_cells():
     cos_y1 = make_field(3, terms=[(1.0, [1, 0, 0], "cos")], constant=1 / 3)
     result = boundary_layer_limit(RootKinkOperator(), cos_y1, xi, **kw)
     rungs = result.diagnostics["rungs"]
-    assert [r["cells"] for r in rungs] == [[16, 2], [16, 2]]
+    assert [r["cells"] for r in rungs] == [[16], [16]]
     assert rungs[1]["warm"]  # the broadcast lower rung is an invariant start
     assert result.summary()["rungs"] == rungs
     json.dumps(result.summary())
@@ -235,5 +298,5 @@ def test_cell_solve_result_shows_the_reduced_rungs(tmp_path):
     path.write_text(json.dumps(cfg))
     assert main(["--config", str(path), "--out", str(tmp_path / "out"), "cell-solve"]) == 0
     result = json.loads((tmp_path / "out" / "result.json").read_text())
-    assert [r["cells"] for r in result["rungs"]] == [[16, 2], [16, 2]]
+    assert [r["cells"] for r in result["rungs"]] == [[16], [16]]
     assert [r["R"] for r in result["rungs"]] == result["heights_used"]

@@ -119,7 +119,8 @@ def _constant_quadratic_potential(A):
 def test_reduced_monotone_flux_is_the_reduced_tensor_product():
     # a constant quadratic potential has no closed-form reduction, so its
     # limits run on Q^T a(Q p), which is the reduced tensor times p
-    from effbc.second_cell import _ReducedMonotone, _reduced_operator
+    from effbc.operators import _ReducedMonotone
+    from effbc.second_cell import _reduced_operator
 
     op, A0 = _constant_quadratic_potential([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
     eta, xi_hat = np.array([0.6, 0.8, 0.0]), np.array([0.0, 0.0, 1.0])
@@ -132,7 +133,8 @@ def test_reduced_monotone_flux_is_the_reduced_tensor_product():
 
 def test_limit_through_the_reduced_monotone_map_converges(laminate2, xi_e2, data_diag):
     # the constant laminate average as a quadratic potential: its limit runs
-    # the fixed point on the reduced map and, like any constant linear
+    # the descent on the reduced map (variational, as the potential is) and,
+    # like any constant linear
     # operator's, lands on the mean of the profile (the linear interpolant
     # of periodic samples has their mean)
     prof = shift_profile(laminate2, data_diag, xi_e2, sample_count=16, tolerance=1e-8, h=1 / 16)
