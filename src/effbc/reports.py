@@ -294,7 +294,8 @@ def _solution_chunks(solution):
         for name, t, v in zip(names, texts, varying):
             if new or v:
                 buf[name][:n] = t
-        # a bytearray's translate drops the padding with no copy before it
+        # the bytearray's own translate drops the padding; only the last,
+        # partial block is sliced (copied) first
         yield (raw if n == block else raw[: buf[:n].nbytes]).translate(None, b"\0")
 
 

@@ -50,7 +50,8 @@ edges, in the coordinates of Q, and its normal is the strip's.  Its
 operator is the restriction to the plane (``operators.restrict``): the
 flux Q^T a(Q p), the potential F(Q p), or Q^T A Q for a constant tensor.
 Only when no lateral axis would remain is the last one kept, 2 cells wide.
-The values are broadcast back.  A node's residual on the full strip is
+The values are broadcast back, as a read-only view of the reduced strip's
+(no copy of the full strip's size is made).  A node's residual on the full strip is
 its residual on the reduced one times the ratio of the cell volumes (the
 edge length of a dropped axis), and the same holds for the reference
 operator, so the loops report the full strip's residual, energy and trace
@@ -145,7 +146,7 @@ class StripProblem:
 class StripSolution:
     problem: StripProblem
     grid: StripGrid
-    values: np.ndarray  # (N, *lat, levels)
+    values: np.ndarray  # (N, *lat, levels), read-only; a broadcast view when reduced
     residual_norm: float
     iterations: int
     energy: float = None
@@ -446,7 +447,7 @@ def _reduced_solve(problem, grid, bottom, solvers, loop):
         replace(problem, grid=strip, operator=op, start=start), strip, ref,
         ref.lift(bottom[pick]), _centers(op, strip), grid,
     )
-    values = np.broadcast_to(sol.values[spread], (bottom.shape[0],) + grid.node_shape).copy()
+    values = np.broadcast_to(sol.values[spread], (bottom.shape[0],) + grid.node_shape)
     return StripSolution(
         problem, grid, values, sol.residual_norm, sol.iterations, energy=sol.energy,
         energy_trace=sol.energy_trace, solved_cells=strip.lat_cells,

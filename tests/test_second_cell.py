@@ -131,6 +131,21 @@ def test_reduced_monotone_flux_is_the_reduced_tensor_product():
     assert np.abs(op2.flux(p) - expected).max() <= 1e-14
 
 
+@pytest.mark.parametrize("eta", [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], ids=["e2", "e3"])
+def test_root_kink_off_e3_is_restricted_to_its_own_plane(eta):
+    # the closed forms of RootKinkOperator.reduced hold on the planes
+    # through e3; at xi = e1 the limits run on Q^T a(Q p) of the plane
+    # spanned by eta and e1
+    from effbc.second_cell import _reduced_operator
+
+    op, xi_hat = RootKinkOperator(), np.array([1.0, 0.0, 0.0])
+    op2, is_linear = _reduced_operator(op, eta, xi_hat)
+    Q = np.stack([np.asarray(eta), xi_hat], axis=1)
+    p = np.random.default_rng(4).standard_normal((2, 9))
+    assert not is_linear and not op2.is_variational
+    assert np.array_equal(op2.flux(p), Q.T @ op.flux(Q @ p))
+
+
 def test_limit_through_the_reduced_monotone_map_converges(laminate2, xi_e2, data_diag):
     # the constant laminate average as a quadratic potential: its limit runs
     # the descent on the reduced map (variational, as the potential is) and,
