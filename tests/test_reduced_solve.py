@@ -92,8 +92,9 @@ def sheared_data(N):
 
 
 def invariant_problem(case, warm):
-    """A strip whose data, and start if ``warm``, are constant along one
-    lateral axis: y2 on the e3 strips, e1 on the sheared one."""
+    """A strip whose data, and start if ``warm``, are constant along y2 on
+    the e3 strips, e1 on the sheared one, and on the whole plane for the
+    flux at rest."""
     if case.startswith("flux_at_rest"):
         d = 3 if case.endswith("3d") else 2
         op = DirectMap(lambda p: p + 0.5, d=d, lam=1.0, lip=1.0)
@@ -118,7 +119,6 @@ def invariant_problem(case, warm):
         assert lower.solved_cells != lower.grid.lat_cells
         problem.start = lower.values
     return problem
-
 
 
 def full_path(monkeypatch, problem):
