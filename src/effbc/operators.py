@@ -310,22 +310,6 @@ def reduce_tensor(A0, *frame):
     return B
 
 
-def _frame_product(M, x, out=None):
-    """sum_b M[a, b] x[b] for every row a of M, into ``out`` when given.
-    Zero entries of M add no term, so a frame of coordinate axes moves the
-    entries of x exactly."""
-    out = np.empty((len(M),) + x.shape[1:]) if out is None else out
-    for row, o in zip(M, out):
-        terms = [(m, x[b]) for b, m in enumerate(row) if m]
-        if not terms:
-            o[...] = 0.0
-            continue
-        np.multiply(terms[0][1], terms[0][0], out=o)
-        for m, xb in terms[1:]:
-            o += m * xb
-    return out
-
-
 class _ReducedMonotone:
     """The restriction Q^T a(Q p) of a spatially homogeneous map to the
     plane of the orthonormal columns of Q (d, d'), and the potential
@@ -344,11 +328,12 @@ class _ReducedMonotone:
                 setattr(self, name, getattr(op, name))
 
     def flux(self, p, y=None, tau=0.0, out=None):
-        q = self._op.flux(_frame_product(self._Q, p), tau=tau)
-        return _frame_product(self._Q.T, q, out)
+        # einsum's own loop, not BLAS, as solve._dot
+        q = self._op.flux(np.einsum("xa,a...->x...", self._Q, p), tau=tau)
+        return np.einsum("xa,x...->a...", self._Q, q, out=out)
 
     def potential(self, p, y=None, tau=0.0):
-        return self._op.potential(_frame_product(self._Q, p), tau=tau)
+        return self._op.potential(np.einsum("xa,a...->x...", self._Q, p), tau=tau)
 
     def describe(self):
         return {"kind": "reduced", "base": self._op.describe(), "Q": self._Q.tolist()}

@@ -10,7 +10,6 @@ keeping plots free of any plotting dependency.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 import os
@@ -332,15 +331,13 @@ def _text_table(a, spec):
 def solution_text(solution, out=None):
     """Self-describing text serialization: '#' header plus a node CSV.
 
-    With ``out``, a file open for binary or text writing, the pieces go to
-    it as they are made, so the whole text is never held at once, and None
-    is returned.
+    With ``out``, a file open for binary writing, the ASCII pieces go to it
+    as they are made, so the whole text is never held at once, and None is
+    returned.
     """
     chunks = _solution_chunks(solution)
     if out is None:
         return b"".join(chunks).decode("ascii")
-    if isinstance(out, io.TextIOBase):
-        chunks = (c.decode("ascii") for c in chunks)
     out.writelines(chunks)
     return None
 

@@ -58,7 +58,9 @@ operator, so the loops report the full strip's residual, energy and trace
 and keep its stopping rules: sups carry the volume ratio, and sums over
 the strip (the energy, the descent's slopes, the fixed point's
 preconditioned norm) carry it times the number of full cells per reduced
-cell.
+cell.  A linear solve also keeps the full strip's Krylov method: Q^T A Q
+can be exactly symmetric when A is not (a coupling along a dropped axis
+acts on no invariant field), and BiCGStab is then still run.
 
 Variational nonlinear equations (flux = gradient of a convex density):
 ``_descent_variational`` minimizes the strip energy: monotone
@@ -105,7 +107,7 @@ import numpy as np
 from .assembly import StripReferenceSolver, _interior_diagonal, _plane_constant
 from .errors import NonConvergedError, SolverFailureError
 from .fields import LinearTensorField, PeriodicFieldExpr, evaluate_field
-from .grid import StencilWork, StripGrid, TensorOperator
+from .grid import StencilWork, StripGrid, TensorOperator, _symmetric_cells
 from .operators import restrict
 
 __all__ = [
@@ -423,8 +425,9 @@ def _reduced_solve(problem, grid, bottom, solvers, loop):
     along which ``bottom`` (N, *lat) and the start are constant are dropped,
     or the last of them kept 2 cells wide.  ``loop`` solves the reduced
     strip from its lift with the operator restricted to its plane
-    (``operators.restrict``), reporting its sums for ``grid``, and its
-    values are broadcast back along those axes.
+    (``operators.restrict``), reporting for ``problem`` (its sums, and the
+    Krylov method of its tensor), and its values are broadcast back along
+    those axes.
     """
     if problem.operator.y_dependent:
         return None
@@ -445,7 +448,7 @@ def _reduced_solve(problem, grid, bottom, solvers, loop):
     ref = _reference_solver(solvers, strip)
     sol = loop(
         replace(problem, grid=strip, operator=op, start=start), strip, ref,
-        ref.lift(bottom[pick]), _centers(op, strip), grid,
+        ref.lift(bottom[pick]), _centers(op, strip), problem,
     )
     values = np.broadcast_to(sol.values[spread], (bottom.shape[0],) + grid.node_shape)
     return StripSolution(
@@ -474,8 +477,8 @@ def _solve(problem, solvers, loop):
     start's shape and whether the lift is exact, then the exact lift (before
     any reference solver is built or taken from ``solvers``), the reduced
     strip or ``loop(problem, grid, ref, U0, centers, full)``, the solver
-    proper, from the lift U0 on the strip ``full`` that it reports (here
-    grid itself)."""
+    proper, from the lift U0 on grid, for the problem ``full`` that it
+    reports (here problem itself)."""
     grid = problem.grid
     bottom = boundary_values(problem, grid)
     _check_start(problem, grid)
@@ -490,7 +493,7 @@ def _solve(problem, solvers, loop):
             return reduced
     ref = _reference_solver(solvers, grid)
     # handed over, not kept here: the linear loop drops them once read
-    return loop(problem, grid, ref, ref.lift(bottom), centers.pop(), grid)
+    return loop(problem, grid, ref, ref.lift(bottom), centers.pop(), problem)
 
 
 def _dot(u, v):
@@ -657,8 +660,8 @@ def solve_linear(problem: StripProblem, solvers=None) -> StripSolution:
     the plane, finite cell tensors) is returned at once, with no operator
     application.  A constant tensor with data and start constant along
     lateral axes is solved on the strip without them, with the tensor
-    Q^T A Q of its plane, and its values are broadcast back (module
-    docstring).
+    Q^T A Q of its plane but the Krylov method of A, and its values are
+    broadcast back (module docstring).
     """
     if not isinstance(problem.operator, LinearTensorField):
         raise ValueError("solve_linear needs a LinearTensorField operator")
@@ -666,12 +669,21 @@ def solve_linear(problem: StripProblem, solvers=None) -> StripSolution:
 
 
 def _linear_loop(problem, grid, ref, U0, centers, full):
-    """solve_linear on ``grid`` after the front, for the strip ``full``
-    (its size sets the cap; the relative residuals are those of full)."""
+    """solve_linear on ``grid`` after the front, for the problem ``full``
+    that it reports: its strip's size sets the cap, and its cell tensors
+    pick the Krylov method and the scale of the exact-start exit, so the
+    method and the relative residuals are those of full (a restriction can
+    leave a tensor that is not symmetric exactly symmetric)."""
     A = problem.operator(centers)  # (d, d, N, N, *cells)
-    # of the order of the largest diagonal entry of the assembled matrix
-    diag = float(np.abs(A).max()) * _interior_diagonal(grid)
     apply = TensorOperator(grid, A)
+    symmetric = apply.symmetric
+    vol_ratio = _copies(grid, full.grid)[1]
+    if full is not problem:  # full's tensor is y-independent
+        A = full.operator(np.zeros((full.grid.d, 1)))
+        symmetric = _symmetric_cells(A)
+    # of the order of the largest diagonal entry of full's assembled
+    # matrix, per unit of grid's residual
+    diag = float(np.abs(A).max()) * _interior_diagonal(full.grid) / vol_ratio
     del A, centers  # folded into the operator
 
     def matvec(V, out=None):
@@ -691,12 +703,12 @@ def _linear_loop(problem, grid, ref, U0, centers, full):
         r_start = _zero_fixed(-apply(start))
         if _norm(r_start) < rnorm0:  # a start worse than the extension is dropped
             U, r = start, r_start
-    n_free = _copies(grid, full)[0] * r0[..., 0].size * ref.n_free
+    n_free = _copies(grid, full.grid)[0] * r0[..., 0].size * ref.n_free
     cap = max(200, int(20 * math.sqrt(n_free)))
     # the exact constant-coefficient solve is spectrally equivalent, so the
     # iteration count is mesh independent
     x, iters, rel = _krylov_solve(
-        matvec, ref.solve, r, problem.rtol, cap, apply.symmetric, 10.0, ref_norm=rnorm0
+        matvec, ref.solve, r, problem.rtol, cap, symmetric, 10.0, ref_norm=rnorm0
     )
     x += U
     return StripSolution(problem, grid, x, rel, iters)
@@ -1021,15 +1033,15 @@ def solve_nonlinear(problem: StripProblem, solvers=None) -> StripSolution:
 
 def _nonlinear_loop(problem, grid, ref, U0, centers, full):
     """solve_nonlinear on ``grid`` after the front; the loops report their
-    sums for the strip ``full``."""
+    sums for the strip of the problem ``full``."""
     op = problem.operator
     if op.is_variational:
         U, E, iters, trace, rsup = _descent_variational(
-            problem, grid, ref, op, U0, centers, full=full
+            problem, grid, ref, op, U0, centers, full=full.grid
         )
         return StripSolution(problem, grid, U, rsup, iters, energy=E, energy_trace=trace)
     U, iters, trace, rsup = _fixed_point_monotone(
-        problem, grid, ref, op, U0, centers, full=full
+        problem, grid, ref, op, U0, centers, full=full.grid
     )
     return StripSolution(problem, grid, U, rsup, iters, energy=None, energy_trace=trace)
 

@@ -740,9 +740,9 @@ def test_streamed_solution_text_is_the_joined_text(tmp_path):
         make_field(2, terms=[(1.0, [1, 1], "cos")], constant=0.25),
     )
     sol = solve_strip(prob)
-    stream = io.StringIO()
+    stream = io.BytesIO()
     assert solution_text(sol, out=stream) is None
-    assert stream.getvalue() == solution_text(sol)
+    assert stream.getvalue().decode("ascii") == solution_text(sol)
     # and the CLI's streamed solution.csv is the text of its final rung
     from effbc import boundary_layer_limit
     from effbc.cli import _limit_kwargs
@@ -855,9 +855,9 @@ def test_solution_text_matches_per_node_loop_on_reduced_columns(name):
     sol = _writer_case(name)
     text = solution_text(sol)
     assert text == _solution_text_per_node(sol)
-    stream = io.StringIO()
+    stream = io.BytesIO()
     assert solution_text(sol, out=stream) is None
-    assert stream.getvalue() == text
+    assert stream.getvalue().decode("ascii") == text
 
 
 def test_solution_text_memory_stays_near_the_values():
@@ -873,7 +873,7 @@ def test_solution_text_memory_stays_near_the_values():
     values = np.broadcast_to(column, (1,) + grid.node_shape).copy()
     prob = StripProblem(grid, RootKinkOperator(), constant_field(3, 0.0))
     sol = StripSolution(prob, grid, values, 0.0, 0)
-    with open(os.devnull, "w", encoding="utf-8") as sink:
+    with open(os.devnull, "wb") as sink:
         tracemalloc.start()
         try:
             solution_text(sol, out=sink)
@@ -893,7 +893,7 @@ def test_solution_text_memory_of_unreduced_values_stays_within_a_block():
     values = np.random.default_rng(5).standard_normal((1,) + grid.node_shape)
     prob = StripProblem(grid, RootKinkOperator(), constant_field(3, 0.0))
     sol = StripSolution(prob, grid, values, 0.0, 0)
-    with open(os.devnull, "w", encoding="utf-8") as sink:
+    with open(os.devnull, "wb") as sink:
         tracemalloc.start()
         try:
             solution_text(sol, out=sink)
