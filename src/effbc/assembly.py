@@ -97,11 +97,11 @@ def _interior_diagonal(grid):
     return grid.cellvol * 2.0**grid.d * float((grid._gradient_map**2).sum())
 
 
-def _plane_constant(bottom):
-    """Whether bottom values (N, *lat) are constant on the plane, per
-    component; decided by equality, so NaN data is never constant."""
-    first = bottom[(slice(None),) + (slice(0, 1),) * (bottom.ndim - 1)]
-    return bool((bottom == first).all())
+def _invariant_axes(a, axes):
+    """The lateral axes j of ``axes`` along which a (N, *lat, ...) is
+    constant (a's axis 1 + j), per component; decided by equality, so NaN
+    data never is."""
+    return [j for j in axes if (a == a.take([0], axis=1 + j)).all()]
 
 
 class StripReferenceSolver:
@@ -270,7 +270,8 @@ class StripReferenceSolver:
         On a null mode every band vanishes, and so does its residual.
         """
         U = np.repeat(bottom[..., None], self.grid.n_vert + 1, axis=-1)
-        if _plane_constant(bottom):
+        lat = range(bottom.ndim - 1)
+        if _invariant_axes(bottom, lat) == list(lat):
             return U  # a constant column is exactly harmonic
         bhat = self._lateral_fft(bottom)
         rhat = np.empty(bhat.shape + (self.n_free,), dtype=complex)

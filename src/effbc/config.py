@@ -302,6 +302,9 @@ def _validate(cfg: ExperimentConfig):
     needs_direction = cfg.experiment in ("cell-solve", "phi-star", "second-cell", "decay-fit")
     if needs_direction and cfg.direction is None:
         raise ConfigError(f"experiment {cfg.experiment!r} needs a 'direction'")
+    if needs_direction and not isinstance(cfg.direction, RationalDirection):
+        # its strips need the periods of a rational direction
+        raise ConfigError(f"experiment {cfg.experiment!r} needs a rational 'direction'")
     if cfg.experiment in ("cell-solve", "phi-star", "second-cell", "sweep", "decay-fit") and (
         cfg.operator is None or cfg.data is None
     ):

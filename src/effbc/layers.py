@@ -19,9 +19,12 @@ from the first rung's height.  The stopping targets are those of a cold
 start, so a warm rung is held to the same absolute residual.  A shift
 profile builds one reference solver per rung geometry and shares it
 between its shifts, which move only the strip's origin.  A rung whose data
-and start are constant along lateral axes, under a y-independent operator,
-is solved on a strip without them and its values broadcast back
-(``effbc.solve``); the cache then holds only the reduced strip's solver.
+and start are constant along some but not all lateral axes, under a
+y-independent operator, is solved on a strip without them and its values
+broadcast back (``effbc.solve``); the cache then holds only the reduced
+strip's solver.  A rung whose lift is exact (data constant on the plane,
+zero flux at rest) builds no solver at all, and its values are the bottom
+broadcast along the levels.
 ``diagnostics["rungs"]`` records each rung's height, iteration count,
 whether it started warm, and the lateral cells it was solved on; the
 result's ``summary()`` carries that list.

@@ -235,9 +235,12 @@ def _solution_chunks(solution):
     rows (one, when a slab has that many).
 
     Each column of the node table (the indices, y1..yd, u1..uN) is reduced
-    to the axes it varies along, and each distinct entry of the reduced
-    array is formatted once, with its trailing ',' or newline ("%.17g"
-    renders floats exactly as fmt does, nan and inf included).  A column
+    to the axes it is not broadcast along: the index and coordinate columns
+    come with length 1 along their constant axes, and the values of an
+    invariant solution with zero strides along theirs.  Each distinct entry
+    of the reduced array is formatted once, with its trailing ',' or newline
+    ("%.17g" renders floats exactly as fmt does, nan and inf included), so
+    the reduction decides how often a text is made, never the text.  A column
     that varies along the first axis on more entries than a block has (a
     sheared coordinate, say) is formatted a block at a time instead, so no
     text is ever larger than one block's.  A block is one structured array
@@ -308,14 +311,9 @@ def _keys(a):
 
 
 def _reduced(a):
-    """a with length 1 along every axis it is constant on, bit for bit."""
-    for ax in range(a.ndim):
-        if a.shape[ax] > 1:
-            first = (slice(None),) * ax + (slice(0, 1),)
-            keys = _keys(a)
-            if (keys == keys[first]).all():
-                a = a[first]
-    return a
+    """a with length 1 along every axis it is broadcast along (stride 0):
+    constant there, read from its layout, not from its entries."""
+    return a[tuple(slice(0, 1) if stride == 0 else slice(None) for stride in a.strides)]
 
 
 def _text_table(a, spec):

@@ -27,40 +27,50 @@ extension by the solver's own cheap measure (residual norm, sup residual,
 energy) is dropped, and a start that already meets the target returns
 without an iteration.
 
+The front scans the bottom data once for the lateral axes along which it
+is constant per component (by equality, so NaN data never is), and that
+scan picks the path: the exact lift when it is constant along all of
+them, the reduced strip when along some, and otherwise the full strip,
+which also takes what those two turn down.
+
 An exact lift is returned before any reference solver is set up and
-before any stencil pass: when the boundary data is constant on the plane,
-its lift is a constant column, and when the flux of a zero gradient is
-exactly zero on every cell, that column solves the strip exactly.  Every
-solver then returns the lift after 0 iterations with residual 0.0 (the
-descent with the lift's energy as its one-entry trace), the same solution
-its loop would have returned, start or no start.
+before any stencil pass: when the boundary data is finite and constant on
+the plane, its lift is a constant column, and when the flux of a zero
+gradient is exactly zero on every cell, that column solves the strip
+exactly.  Every solver then returns the lift after 0 iterations with
+residual 0.0 (the descent with the lift's energy as its one-entry trace),
+the same solution its loop would have returned, start or no start, its
+values a read-only view of the bottom broadcast along the levels.  Data
+constant on the plane whose lift is not exact (infinite data, or a flux
+at rest that is not zero) is solved on the full strip.
 
 A laterally invariant strip is solved in fewer dimensions.  When the
 operator is y-independent and the bottom data, and the start if there is
-one, are constant per component along some lateral axes (by equality, so
-NaN data never is), the discrete solution is constant along them too: the
-discrete operator commutes with lateral shifts and the solution is unique.
-Unless the lift is exact, the solver then drops those axes.  On values
-constant along an edge e the reference gradient along e vanishes and the
-averages over e are the values themselves, so the physical gradient is
-the reduced strip's gradient Q p', Q an orthonormal frame of the plane
-orthogonal to the dropped edges.  The strip solved on lies in that plane:
-its lateral periods are the other periods projected off the dropped
-edges, in the coordinates of Q, and its normal is the strip's.  Its
-operator is the restriction to the plane (``operators.restrict``): the
-flux Q^T a(Q p), the potential F(Q p), or Q^T A Q for a constant tensor.
-Only when no lateral axis would remain is the last one kept, 2 cells wide.
-The values are broadcast back, as a read-only view of the reduced strip's
-(no copy of the full strip's size is made).  A node's residual on the full strip is
-its residual on the reduced one times the ratio of the cell volumes (the
-edge length of a dropped axis), and the same holds for the reference
-operator, so the loops report the full strip's residual, energy and trace
-and keep its stopping rules: sups carry the volume ratio, and sums over
-the strip (the energy, the descent's slopes, the fixed point's
-preconditioned norm) carry it times the number of full cells per reduced
-cell.  A linear solve also keeps the full strip's Krylov method: Q^T A Q
-can be exactly symmetric when A is not (a coupling along a dropped axis
-acts on no invariant field), and BiCGStab is then still run.
+one, are constant along some but not all lateral axes, the discrete
+solution is constant along them too: the discrete operator commutes with
+lateral shifts and the solution is unique.  The solver then drops those
+axes.  On values constant along an edge e the reference gradient along e
+vanishes and the averages over e are the values themselves, so the
+physical gradient is the reduced strip's gradient Q p', Q an orthonormal
+frame of the plane orthogonal to the dropped edges.  The strip solved on
+lies in that plane: its lateral periods are the other periods projected
+off the dropped edges, in the coordinates of Q, and its normal is the
+strip's.  Its operator is the restriction to the plane
+(``operators.restrict``): the flux Q^T a(Q p), the potential F(Q p), or
+Q^T A Q for a constant tensor.  The values are broadcast back, as a
+read-only view of the reduced strip's (no copy of the full strip's size is
+made), with zero strides along the dropped axes, as an exact lift has
+along its levels; the solution writer reads those strides.  A node's
+residual on the full strip is its residual on the reduced one times the
+ratio of the cell volumes (the edge length of a dropped axis), and the
+same holds for the reference operator, so the loops report the full
+strip's residual, energy and trace and keep its stopping rules: sups
+carry the volume ratio, and sums over the strip (the energy, the
+descent's slopes, the fixed point's preconditioned norm) carry it times
+the number of full cells per reduced cell.  A linear solve also keeps the
+full strip's Krylov method: Q^T A Q can be exactly symmetric when A is
+not (a coupling along a dropped axis acts on no invariant field), and
+BiCGStab is then still run.
 
 Variational nonlinear equations (flux = gradient of a convex density):
 ``_descent_variational`` minimizes the strip energy: monotone
@@ -104,7 +114,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .assembly import StripReferenceSolver, _interior_diagonal, _plane_constant
+from .assembly import StripReferenceSolver, _interior_diagonal, _invariant_axes
 from .errors import NonConvergedError, SolverFailureError
 from .fields import LinearTensorField, PeriodicFieldExpr, evaluate_field
 from .grid import StencilWork, StripGrid, TensorOperator, _symmetric_cells
@@ -148,7 +158,9 @@ class StripProblem:
 class StripSolution:
     problem: StripProblem
     grid: StripGrid
-    values: np.ndarray  # (N, *lat, levels), read-only; a broadcast view when reduced
+    # (N, *lat, levels), read-only; a view with zero strides along the
+    # levels of an exact lift and along the dropped axes of a reduced strip
+    values: np.ndarray
     residual_norm: float
     iterations: int
     energy: float = None
@@ -320,38 +332,29 @@ class _Workspace:
         return float(np.multiply(a, b, out=self.scratch).sum())
 
 
-def _lift_is_exact(problem, grid, bottom, centers):
-    """Whether the lift of ``bottom`` solves the strip exactly: finite data
-    constant on the plane, and a flux of a zero gradient that is exactly
-    zero on every cell (NaN is not).  ``centers`` are the cell centers,
-    needed by a tensor or a y-dependent operator."""
-    if not (_plane_constant(bottom) and np.isfinite(bottom).all()):
-        return False
+def _exact_lift(problem, grid, bottom, centers):
+    """The solution when the lift of ``bottom``, data constant on the plane,
+    is exact, else None.
+
+    Finite data that is constant on the plane lifts to a constant column
+    U0, the bottom on every level (what the reference solver's lift returns
+    for it, bit for bit), whose discrete gradient is zero on every cell;
+    when the flux of a zero gradient is exactly zero on every cell (NaN is
+    not), the residual of U0 is exactly zero and every solver would return
+    U0 after 0 iterations, dropping any start (the descent's too: U0 is the
+    minimum of its convex energy).  This returns that same solution with no
+    reference solver and no stencil pass, its values a read-only view of
+    ``bottom`` broadcast along the levels: residual 0.0, and for the
+    descent the energy of U0, summed over the full cell shape as the
+    descent sums it.  ``centers`` are the cell centers, needed by a tensor
+    or a y-dependent operator.
+    """
     op = problem.operator
     cells = grid.cell_shape if op.y_dependent else (1,) * grid.d
     zero = np.zeros((grid.d, problem.n_components) + cells)
-    return not operator_flux(op, zero, centers, problem.tau).any()
-
-
-def _exact_lift(problem, grid, bottom, centers, exact):
-    """The solution when the lift of ``bottom`` is exact (``exact``, the
-    verdict of _lift_is_exact on this strip's data), else None.
-
-    Finite bottom data that is constant on the plane lifts to a constant
-    column U0, the bottom repeated on every level (what the reference
-    solver's lift returns for it, bit for bit), whose discrete gradient is
-    zero on every cell; when the flux of a zero gradient is exactly zero on
-    every cell, the residual of U0 is exactly zero and every solver would
-    return U0 after 0 iterations, dropping any start (the descent's too: U0
-    is the minimum of its convex energy).  This returns that same solution
-    with no reference solver and no stencil pass: residual 0.0, and for the
-    descent the energy of U0, summed over the full cell shape as the
-    descent sums it.
-    """
-    if not exact:
+    if not np.isfinite(bottom).all() or operator_flux(op, zero, centers, problem.tau).any():
         return None
-    U0 = np.repeat(bottom[..., None], grid.n_vert + 1, axis=-1)
-    op = problem.operator
+    U0 = np.broadcast_to(bottom[..., None], bottom.shape + (grid.n_vert + 1,))
     if isinstance(op, LinearTensorField) or not op.is_variational:
         return StripSolution(problem, grid, U0, 0.0, 0)
     zero = np.zeros((grid.d,) + grid.cell_shape)
@@ -371,11 +374,6 @@ def _reference_solver(solvers, grid):
     return ref
 
 
-def _constant_along(a, axis):
-    """Whether array a is constant along ``axis``, by equality."""
-    return bool((a == np.take(a, [0], axis=axis)).all())
-
-
 def _orthonormal(vectors):
     """Gram-Schmidt of ``vectors``: orthonormal columns (d, k) whose first
     j span the first j vectors; coordinate axes come out exactly."""
@@ -389,70 +387,50 @@ def _orthonormal(vectors):
 
 def _reduced_strip(grid, axes):
     """The strip that a problem invariant along the lateral ``axes`` of
-    ``grid`` is solved on, or None when it would have as many cells.
+    ``grid``, some but not all, is solved on, and its frame Q.
 
-    Every axis of ``axes`` is dropped, but the last of them when no lateral
-    axis would remain: that one keeps 2 cells.  Returns (strip, Q, kept):
-    ``kept[j]`` is the number of cells kept along lateral axis j of grid (0
-    when dropped).  The strip lies in the plane orthogonal to the dropped
-    edges, in the coordinates of the orthonormal columns of Q (d, d'), the
-    last d' of the Gram-Schmidt basis of the dropped edges, the other
-    lateral edges and the normal: its lateral periods are the others
-    projected off the dropped edges.  With no axis dropped, Q is None and
-    the strip keeps the frame of grid.
+    The strip lies in the plane orthogonal to the dropped edges, in the
+    coordinates of the orthonormal columns of Q (d, d'), the last d' of the
+    Gram-Schmidt basis of the dropped edges, the other lateral edges and
+    the normal: its lateral periods are the others projected off the
+    dropped edges, with their cells.
     """
-    lat = grid.lat_cells
-    drop = axes if len(axes) < len(lat) else axes[:-1]
-    kept = [0 if j in drop else 2 if j in axes else n for j, n in enumerate(lat)]
-    if not drop and kept == list(lat):
-        return None
-    keep = [j for j, n in enumerate(kept) if n]
-    periods = [grid.edges[:, j] * kept[j] for j in keep]
-    normal, Q = grid.normal, None
-    if drop:
-        Q = _orthonormal([grid.edges[:, j] for j in drop + keep] + [normal])[:, len(drop):]
-        periods = [Q.T @ ell for ell in periods]
-        normal = Q.T @ normal
-    strip = StripGrid(periods, normal, grid.s, grid.R, [kept[j] for j in keep], grid.n_vert,
-                      check_resolution=False)
-    return strip, Q, kept
+    keep = [j for j in range(len(grid.lat_cells)) if j not in axes]
+    Q = _orthonormal([grid.edges[:, j] for j in axes + keep] + [grid.normal])[:, len(axes):]
+    periods = [Q.T @ (grid.edges[:, j] * grid.lat_cells[j]) for j in keep]
+    strip = StripGrid(periods, Q.T @ grid.normal, grid.s, grid.R,
+                      [grid.lat_cells[j] for j in keep], grid.n_vert, check_resolution=False)
+    return strip, Q
 
 
-def _reduced_solve(problem, grid, bottom, solvers, loop):
-    """The solution through a strip of fewer cells (_reduced_strip), or None.
+def _reduced_solve(problem, grid, bottom, axes, solvers, loop):
+    """The solution through the strip without those of the lateral ``axes``
+    of ``bottom`` (N, *lat) along which the start is constant too
+    (_reduced_strip), or None when none is or the operator is y-dependent.
 
-    For a y-independent operator whose lift is not exact, the lateral axes
-    along which ``bottom`` (N, *lat) and the start are constant are dropped,
-    or the last of them kept 2 cells wide.  ``loop`` solves the reduced
-    strip from its lift with the operator restricted to its plane
-    (``operators.restrict``), reporting for ``problem`` (its sums, and the
-    Krylov method of its tensor), and its values are broadcast back along
-    those axes.
+    ``loop`` solves the reduced strip from its lift with the operator
+    restricted to its plane (``operators.restrict``), reporting for
+    ``problem`` (its sums, and the Krylov method of its tensor), and its
+    values are broadcast back along the dropped axes.
     """
-    if problem.operator.y_dependent:
+    start = None if problem.start is None else np.asarray(problem.start, dtype=float)
+    if start is not None:
+        axes = _invariant_axes(start, axes)
+    if problem.operator.y_dependent or not axes:
         return None
-    arrays = [bottom] if problem.start is None else [bottom, np.asarray(problem.start, dtype=float)]
-    axes = [j for j in range(grid.d - 1) if all(_constant_along(a, 1 + j) for a in arrays)]
-    reduced = _reduced_strip(grid, axes) if axes else None
-    if reduced is None:
-        return None
-    strip, Q, kept = reduced
-    # the entries solved on, and where the solved values go along each axis
-    pick = (slice(None),) + tuple(slice(0, k) if k else 0 for k in kept)
-    spread = (slice(None),) + tuple(
-        None if not k else slice(0, 1) if k < n else slice(None)
-        for k, n in zip(kept, grid.lat_cells)
-    )
-    op = problem.operator if Q is None else restrict(problem.operator, Q)
-    start = None if problem.start is None else arrays[1][pick]
+    strip, Q = _reduced_strip(grid, axes)
+    # the entries solved on
+    pick = (slice(None),) + tuple(0 if j in axes else slice(None) for j in range(grid.d - 1))
+    op = restrict(problem.operator, Q)
     ref = _reference_solver(solvers, strip)
     sol = loop(
-        replace(problem, grid=strip, operator=op, start=start), strip, ref,
-        ref.lift(bottom[pick]), _centers(op, strip), problem,
+        replace(problem, grid=strip, operator=op, start=None if start is None else start[pick]),
+        strip, ref, ref.lift(bottom[pick]), _centers(op, strip), problem,
     )
-    values = np.broadcast_to(sol.values[spread], (bottom.shape[0],) + grid.node_shape)
+    values = np.expand_dims(sol.values, tuple(1 + j for j in axes))
     return StripSolution(
-        problem, grid, values, sol.residual_norm, sol.iterations, energy=sol.energy,
+        problem, grid, np.broadcast_to(values, (bottom.shape[0],) + grid.node_shape),
+        sol.residual_norm, sol.iterations, energy=sol.energy,
         energy_trace=sol.energy_trace, solved_cells=strip.lat_cells,
     )
 
@@ -473,24 +451,26 @@ def _centers(op, grid):
 
 
 def _solve(problem, solvers, loop):
-    """The front shared by solve_linear and solve_nonlinear: the data, the
-    start's shape and whether the lift is exact, then the exact lift (before
-    any reference solver is built or taken from ``solvers``), the reduced
-    strip or ``loop(problem, grid, ref, U0, centers, full)``, the solver
-    proper, from the lift U0 on grid, for the problem ``full`` that it
-    reports (here problem itself)."""
+    """The front shared by solve_linear and solve_nonlinear: the data and
+    the start's shape, then one scan of the data for its invariant lateral
+    axes, which picks the path.  Invariant along all of them: the exact
+    lift, when it is exact, before any reference solver is built or taken
+    from ``solvers``.  Along some: the reduced strip.  Otherwise, or when
+    those return None, ``loop(problem, grid, ref, U0, centers, full)``, the
+    solver proper, from the lift U0 on grid, for the problem ``full`` that
+    it reports (here problem itself)."""
     grid = problem.grid
     bottom = boundary_values(problem, grid)
     _check_start(problem, grid)
     centers = [_centers(problem.operator, grid)]
-    exact = _lift_is_exact(problem, grid, bottom, centers[0])
-    lifted = _exact_lift(problem, grid, bottom, centers[0], exact)
-    if lifted is not None:
-        return lifted
-    if not exact:
-        reduced = _reduced_solve(problem, grid, bottom, solvers, loop)
-        if reduced is not None:
-            return reduced
+    lat = range(grid.d - 1)
+    axes = _invariant_axes(bottom, lat)
+    if axes == list(lat):
+        solved = _exact_lift(problem, grid, bottom, centers[0])
+    else:
+        solved = _reduced_solve(problem, grid, bottom, axes, solvers, loop)
+    if solved is not None:
+        return solved
     ref = _reference_solver(solvers, grid)
     # handed over, not kept here: the linear loop drops them once read
     return loop(problem, grid, ref, ref.lift(bottom), centers.pop(), problem)
@@ -656,9 +636,10 @@ def solve_linear(problem: StripProblem, solvers=None) -> StripSolution:
     harmonic extension, else from the extension, to residual problem.rtol
     times that of the extension within 20 sqrt(n_free) iterations (at least
     200).  Fails loudly (SolverFailureError with the residual history) when
-    the true residual stays above 10 rtol.  An exact lift (data constant on
-    the plane, finite cell tensors) is returned at once, with no operator
-    application.  A constant tensor with data and start constant along
+    the true residual stays above 10 rtol.  An exact lift (finite data
+    constant on the plane, finite cell tensors) is returned at once, with
+    no operator application, its values broadcast along the levels.  A
+    constant tensor with data and start constant along some but not all
     lateral axes is solved on the strip without them, with the tensor
     Q^T A Q of its plane but the Krylov method of A, and its values are
     broadcast back (module docstring).
@@ -1018,13 +999,15 @@ def solve_nonlinear(problem: StripProblem, solvers=None) -> StripSolution:
     are preconditioned by a StripReferenceSolver of the strip solved on
     (from the dict ``solvers`` keyed by geometry when given, else built).
     The reported residual is the sup of the one the loop tested last.  An
-    exact lift (data constant on the plane, a flux that vanishes at zero
-    gradient on every cell) is returned at once, before any stencil pass,
-    with residual 0.0 and 0 iterations.  A y-independent operator with data
-    and start constant along lateral axes is solved on the strip without
-    them, restricted to its plane, its values broadcast back, and its
-    energy, trace and residual reported for the full strip (module
-    docstring).
+    exact lift (finite data constant on the plane, a flux that vanishes at
+    zero gradient on every cell) is returned at once, before any stencil
+    pass, with residual 0.0, 0 iterations and its values broadcast along
+    the levels; data constant on the plane whose lift is not exact is
+    solved on the full strip.  A y-independent operator with data and
+    start constant along some but not all lateral axes is solved on the
+    strip without them, restricted to its plane, its values broadcast
+    back, and its energy, trace and residual reported for the full strip
+    (module docstring).
     """
     if isinstance(problem.operator, LinearTensorField):
         raise ValueError("use solve_linear for tensor operators")

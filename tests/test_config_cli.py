@@ -355,6 +355,21 @@ def test_an_eta_off_the_plane_of_the_direction_is_a_config_error(tmp_path, etas)
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["cell-solve", "phi-star", "second-cell", "decay-fit"])
+def test_a_unit_direction_is_a_config_error(tmp_path, command):
+    # a strip needs the periods of a rational direction: rejected before
+    # anything is solved or written
+    path, _ = write_cfg(
+        tmp_path, experiment=command, direction="unit: [0.6, 0.8]",
+        etas=[[0.8, -0.6]] if command == "second-cell" else None,
+        strip={"R_ladder": [2.0, 3.0]}, out=str(tmp_path / "o"),
+    )
+    with pytest.raises(ConfigError, match="needs a rational 'direction'"):
+        load_config(path)
+    assert main(["--config", path, command]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["cell-solve", "phi-star", "second-cell"])
 def test_strip_R_with_R_ladder_is_a_config_error(tmp_path, command):
     # the explicit ladder would drop R without a word
@@ -809,6 +824,17 @@ def _writer_case(name):
         sol = solve_strip(prob)
         assert sol.solved_cells == (8,)
         return sol
+    if name == "exact_lift":
+        # the root kink on e3 with data varying along y3 only, so constant on
+        # the plane: the exact lift, the bottom broadcast along the levels
+        prob = StripProblem(
+            build_strip_grid(make_rational_direction([0, 0, 1]), 0.3, 0.5, h=1 / 8),
+            RootKinkOperator(), make_field(3, terms=[(1.0, [0, 0, 1], "cos")], constant=1 / 3),
+            tau=1 / 16,
+        )
+        sol = solve_strip(prob)
+        assert sol.iterations == 0 and sol.values.strides[-1] == 0
+        return sol
     if name == "sheared_3d_N2":
         grid = build_strip_grid(
             make_rational_direction([2, -1, 3]), 0.45, 0.5, cells=(30, 30, 4)
@@ -846,8 +872,8 @@ def _writer_case(name):
 
 @pytest.mark.parametrize(
     "name",
-    ["broadcast_3d", "sheared_3d_N2", "signed_zeros", "specials_on_reduced_axes",
-     "more_slabs_than_rows"],
+    ["broadcast_3d", "exact_lift", "sheared_3d_N2", "signed_zeros",
+     "specials_on_reduced_axes", "more_slabs_than_rows"],
 )
 def test_solution_text_matches_per_node_loop_on_reduced_columns(name):
     import io

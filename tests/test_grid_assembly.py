@@ -150,9 +150,8 @@ def _coords_grids():
     wide = build_strip_grid(make_rational_direction([0, 0, 1]), 0.25, 1.0, cells=(16, 12, 8))
     # the strips of laterally invariant problems: y2 dropped; and on the
     # sheared strip the first period dropped, the second projected off it
-    # and kept 2 cells wide
     grids["narrowed"] = _reduced_strip(wide, [1])[0]
-    grids["narrowed_sheared"] = _reduced_strip(grids["sheared_3d"], [0, 1])[0]
+    grids["narrowed_sheared"] = _reduced_strip(grids["sheared_3d"], [0])[0]
     return grids
 
 

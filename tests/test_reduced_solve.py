@@ -3,9 +3,9 @@ its oracle.
 
 Under a y-independent operator, data (and a start) constant along some
 lateral axes make the discrete solution constant along them, and
-``solve._reduced_solve`` drops those axes (or keeps the last 2 cells wide
-when no lateral axis would remain): it solves on the strip of
-``solve._reduced_strip`` with the operator restricted to its plane,
+``solve._reduced_solve`` drops those axes when some lateral axis remains:
+it solves on the strip of ``solve._reduced_strip`` with the operator
+restricted to its plane,
 broadcasts the values back, and reports the residual, energy and trace of
 the full strip.  The oracle is the full path, the same solve with the
 helper switched off.  Cases: the monotone fixed point (root kink, d = 3,
@@ -13,15 +13,14 @@ through its closed-form restriction), the energy descent (constant
 anisotropic quadratic potential, d = 3), the linear path (constant
 anisotropic tensors, N = 1 and N = 2), the first three again on a sheared
 3-d strip whose dropped period is not orthogonal to the other (the fixed
-point through the generic restriction Q^T a(Q p)), and a 2-d and a 3-d
-strip whose data is constant on the plane but whose flux at rest is not
-zero (solved 2 cells wide, the 3-d one after dropping its first axis),
-each cold and warm.  Agreement is relative to each quantity's
-own scale: the values' sup, the first trace entry, the energy, and the
-residual at the lift (the scale of every stopping target).  Cases that
-must take the full path: a y-dependent tensor, data that vary along every
-lateral axis, a start that varies along the data's invariant axis, and NaN
-data.
+point through the generic restriction Q^T a(Q p)), each cold and warm.
+Agreement is relative to each quantity's own scale: the values' sup, the
+first trace entry, the energy, and the residual at the lift (the scale of
+every stopping target).  Cases that must take the full path, equal to the
+oracle bit for bit: a y-dependent tensor, data that vary along every
+lateral axis, a start that varies along the data's invariant axis, a 2-d
+and a 3-d strip whose data is constant on the plane but whose flux at rest
+is not zero (so the lift is not exact), cold and warm, and NaN data.
 """
 
 import json
@@ -91,14 +90,8 @@ def sheared_data(N):
 
 def invariant_problem(case, warm):
     """A strip whose data, and start if ``warm``, are constant along y2 on
-    the e3 strips, e1 on the sheared one, and on the whole plane for the
-    flux at rest."""
-    if case.startswith("flux_at_rest"):
-        d = 3 if case.endswith("3d") else 2
-        op = DirectMap(lambda p: p + 0.5, d=d, lam=1.0, lip=1.0)
-        xi, data, N = make_rational_direction([0] * (d - 1) + [1]), constant_field(d, 0.25), 1
-        grid_for = lambda R: build_strip_grid(xi, 0.0, R, h=1 / 16)
-    elif case.startswith("sheared_"):
+    the e3 strips and e1 on the sheared one."""
+    if case.startswith("sheared_"):
         op, N = OPERATORS[case[len("sheared_"):]]
         data, grid_for = sheared_data(N), sheared_grid
     else:
@@ -116,6 +109,20 @@ def invariant_problem(case, warm):
         lower = solve_strip(StripProblem(grid_for(0.5), op, data, tau=1 / 16))
         assert lower.solved_cells != lower.grid.lat_cells
         problem.start = lower.values
+    return problem
+
+
+def flux_at_rest_problem(d, warm):
+    """Data constant on the plane under a map whose flux at rest is not zero,
+    so the lift is not exact; with the lower rung's values as the start if
+    ``warm``."""
+    op = DirectMap(lambda p: p + 0.5, d=d, lam=1.0, lip=1.0)
+    xi = make_rational_direction([0] * (d - 1) + [1])
+    data = constant_field(d, 0.25)
+    problem = StripProblem(build_strip_grid(xi, 0.0, 1.0, h=1 / 16), op, data, tau=1 / 16)
+    if warm:
+        lower = StripProblem(build_strip_grid(xi, 0.0, 0.5, h=1 / 16), op, data, tau=1 / 16)
+        problem.start = solve_strip(lower).values
     return problem
 
 
@@ -141,8 +148,7 @@ def narrowed(monkeypatch):
 
     def spy(grid, axes):
         out = reduced_strip(grid, axes)
-        if out is not None:
-            seen.append(out[0].lat_cells)
+        seen.append(out[0].lat_cells)
         return out
 
     monkeypatch.setattr(solve, "_reduced_strip", spy)
@@ -152,7 +158,7 @@ def narrowed(monkeypatch):
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 @pytest.mark.parametrize(
     "case",
-    ["fixed_point", "descent", "linear_N1", "linear_N2", "flux_at_rest", "flux_at_rest_3d",
+    ["fixed_point", "descent", "linear_N1", "linear_N2",
      "sheared_fixed_point", "sheared_descent", "sheared_linear_N2"],
 )
 def test_reduced_solve_equals_the_full_path(monkeypatch, narrowed, case, warm):
@@ -160,10 +166,8 @@ def test_reduced_solve_equals_the_full_path(monkeypatch, narrowed, case, warm):
     narrowed.clear()
     fast = solve_strip(problem)
     assert narrowed == [fast.solved_cells]
-    # data constant on the plane keeps one lateral axis, 2 cells wide (the
-    # 3-d strip drops the other); the other 3-d strips drop their invariant
-    # axis and keep the other's 16 cells
-    assert fast.solved_cells == ((2,) if case.startswith("flux_at_rest") else (16,))
+    # the 3-d strips drop their invariant axis and keep the other's 16 cells
+    assert fast.solved_cells == (16,)
     oracle = full_path(monkeypatch, problem)
     assert oracle.solved_cells == problem.grid.lat_cells
     assert fast.grid is problem.grid and fast.values.shape == oracle.values.shape
@@ -190,7 +194,7 @@ def test_a_symmetric_restriction_keeps_the_full_krylov_method(monkeypatch):
     # along y, so the tensor Q^T A Q of the strip without y is exactly
     # symmetric; the reduced solve still runs BiCGStab, as the full path does
     problem = invariant_problem("linear_N2", warm=False)
-    strip, Q, _ = solve._reduced_strip(problem.grid, [1])
+    strip, Q = solve._reduced_strip(problem.grid, [1])
     A = solve.restrict(problem.operator, Q)(strip.cell_centers())
     assert solve._symmetric_cells(A)
     methods = []
@@ -210,30 +214,39 @@ def test_values_are_constant_along_the_narrowed_axis():
 
 
 def full_path_cases():
+    """Makers of the problems that must take the full path."""
     xi3 = make_rational_direction([0, 0, 1])
     grid = build_strip_grid(xi3, 0.0, 1.0, h=1 / 16)
     cos_y1 = make_field(3, terms=[(1.0, [1, 0, 0], "cos")], constant=1 / 3)
     rng = np.random.default_rng(3)
     return {
-        "y_dependent_tensor": StripProblem(grid, laminate_tensor(3, axis=0), cos_y1),
-        "data_vary_on_every_axis": StripProblem(
+        "y_dependent_tensor": lambda: StripProblem(grid, laminate_tensor(3, axis=0), cos_y1),
+        "data_vary_on_every_axis": lambda: StripProblem(
             grid, RootKinkOperator(), make_field(3, terms=[(1.0, [1, 1, 0], "cos")]), tau=1 / 16
         ),
-        "start_varies_along_the_data_axis": StripProblem(
+        "start_varies_along_the_data_axis": lambda: StripProblem(
             grid, RootKinkOperator(), cos_y1, tau=1 / 16,
             start=rng.standard_normal((1,) + grid.lat_cells + (4,)),
         ),
+        "flux_at_rest-cold": lambda: flux_at_rest_problem(2, warm=False),
+        "flux_at_rest-warm": lambda: flux_at_rest_problem(2, warm=True),
+        "flux_at_rest_3d-cold": lambda: flux_at_rest_problem(3, warm=False),
+        "flux_at_rest_3d-warm": lambda: flux_at_rest_problem(3, warm=True),
     }
 
 
 @pytest.mark.parametrize("case", sorted(full_path_cases()))
 def test_full_path_cases(monkeypatch, narrowed, case):
-    problem = full_path_cases()[case]
+    problem = full_path_cases()[case]()
     sol = solve_strip(problem)
     assert narrowed == [] and sol.solved_cells == problem.grid.lat_cells
     oracle = full_path(monkeypatch, problem)
+    assert sol.grid is problem.grid and sol.values.shape == oracle.values.shape
     assert np.array_equal(sol.values, oracle.values)
-    assert sol.iterations == oracle.iterations
+    assert sol.iterations == oracle.iterations > 0
+    assert sol.residual_norm == oracle.residual_norm
+    assert sol.energy == oracle.energy
+    assert sol.energy_trace == oracle.energy_trace
 
 
 def test_nan_data_takes_the_full_path_and_fails_loudly(narrowed):

@@ -230,8 +230,8 @@ def test_start_dirichlet_rows_are_ignored(case, levels):
 
 def test_start_must_live_on_the_grid(xi_e2, laminate2, data_diag):
     # on the full path, on the exact-lift return (data constant on the
-    # plane, zero flux at rest) and on the two-cell-wide return (data
-    # constant on the plane, flux at rest not zero)
+    # plane, zero flux at rest) and on the full path again when that data
+    # has a flux at rest that is not zero
     grid = build_strip_grid(xi_e2, 0.0, 1.0, h=1 / 16)
     flat = constant_field(2, 0.25)
     problems = [
@@ -240,7 +240,7 @@ def test_start_must_live_on_the_grid(xi_e2, laminate2, data_diag):
         StripProblem(grid, DirectMap(lambda p: p + 0.5, d=2, lam=1.0, lip=1.0), flat),
     ]
     assert solve_strip(problems[1]).iterations == 0
-    assert solve_strip(problems[2]).solved_cells == (2,)
+    assert solve_strip(problems[2]).solved_cells == grid.lat_cells
     for problem in problems:
         for shape in [(1, 15, 17), (1, 16, 18), (2, 16, 17), (1, 16, 0), (1, 16)]:
             with pytest.raises(ValueError):

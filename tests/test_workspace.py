@@ -6,9 +6,8 @@ the ``out=`` buffers of the builtin fluxes and potentials, and iterate
 arrays that the loops rotate through.  The oracles are the same calls
 without a workspace (new arrays per call) and, for the builtin maps, their
 formulas as plain numpy expressions, compared bit for bit.  Strips: a 2-d
-planar strip, a 3-d sheared strip and the two-cell strip that a problem
-invariant along both lateral axes of a 3-d strip is solved on, with one and
-two components.
+planar strip, a 3-d sheared strip and a 2-d strip 2 cells wide, with one
+and two components.
 """
 
 import numpy as np
@@ -45,10 +44,8 @@ def sheared():
 
 
 def two_cell():
-    # the first lateral axis dropped, the second kept 2 cells wide
-    xi = make_rational_direction([0, 0, 1])
-    wide = StripGrid(xi.periods, xi.xi_hat, 0.0, 1.0, (8, 6), 8, xi=xi, check_resolution=False)
-    return solve._reduced_strip(wide, [0, 1])[0]
+    # a 2-d strip 2 cells wide, the narrowest a lateral axis can be
+    return StripGrid([[1 / 3, 0.0]], [0.0, 1.0], 0.0, 1.0, (2,), 8, check_resolution=False)
 
 
 GRIDS = {"planar": planar, "sheared": sheared, "two-cell": two_cell}
