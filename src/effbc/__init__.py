@@ -61,8 +61,6 @@ from .operators import (
     QuadraticPotential,
     ReducedRootKink,
     RootKinkOperator,
-    homogeneity_check,
-    potential_gradient_consistency,
     validate_operator,
 )
 from .second_cell import (

@@ -305,8 +305,6 @@ def cmd_discontinuity_demo(cfg: ExperimentConfig, rep: Reporter) -> int:
 
 
 def cmd_decay_fit(cfg: ExperimentConfig, rep: Reporter) -> int:
-    if not cfg.R_ladder:
-        raise ConfigError("decay-fit needs an explicit strip.R_ladder")
     rep.start("decay-fit")
     result = boundary_layer_limit(
         cfg.operator, cfg.data, cfg.direction, s=0.0, stop_on_tolerance=False,

@@ -299,6 +299,8 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError("set strip.R or strip.R_ladder, not both")
     if cfg.Q < 1:
         raise ConfigError("sweep.Q must be at least 1")
+    if cfg.experiment == "decay-fit" and not cfg.R_ladder:
+        raise ConfigError("decay-fit needs an explicit strip.R_ladder")
     needs_direction = cfg.experiment in ("cell-solve", "phi-star", "second-cell", "decay-fit")
     if needs_direction and cfg.direction is None:
         raise ConfigError(f"experiment {cfg.experiment!r} needs a 'direction'")

@@ -36,7 +36,10 @@ import numpy as np
 from .errors import InvalidMeshError
 from .lattice import RationalDirection
 
-__all__ = ["StencilWork", "StripGrid", "TorusGrid", "build_strip_grid", "planar_strip_grid"]
+__all__ = [
+    "StencilWork", "StripGrid", "TorusGrid", "build_strip_grid", "coord_columns",
+    "planar_strip_grid",
+]
 
 _DIV_TOL = 1e-9
 _MAX_SPACING = 1.0 / 8.0  # at least 8 cells per unit length
@@ -367,6 +370,32 @@ class TensorOperator:
         return out
 
 
+def coord_columns(edges, origin, shape, offset=0.0):
+    """Per component, the coordinates of the points (index + offset) of an
+    index block ``shape`` of the grid with cell edges the columns of
+    ``edges`` and node 0 at ``origin``, as an array broadcastable to
+    ``shape`` with length 1 along every axis it is constant on.
+
+    Each component starts from 0.0 and adds (index + offset) * edge per
+    axis in axis order, then the origin: the same operations, entry by
+    entry, as a sum over full meshgrid arrays.  A term is the same float
+    at every index when its axis has one entry or its edge entry is zero
+    (index + offset is never negative, so every product is the same signed
+    zero); it keeps one entry, which adds what every entry would have
+    added.  ``StripGrid`` and ``reports.parse_solution_text`` both take
+    their coordinates from here, so a reread file has the grid's bits.
+    """
+    cols = []
+    for comp in range(len(origin)):
+        acc = 0.0
+        for ax, n in enumerate(shape):
+            edge = edges[comp, ax]
+            term = (np.arange(1 if edge == 0.0 else n) + offset) * edge
+            acc = acc + term.reshape(_along_shape(len(shape), ax, term.size))
+        cols.append(acc + origin[comp])
+    return cols
+
+
 class StripGrid(_MeshBase):
     """Periodic-lateral strip mesh.
 
@@ -405,34 +434,12 @@ class StripGrid(_MeshBase):
         self._setup(edges)
 
     # --- coordinates -----------------------------------------------------
-    def coord_columns(self, shape, offset=0.0):
-        """Per component, the coordinates of the points (index + offset) of
-        an index block ``shape``, as an array broadcastable to ``shape``
-        with length 1 along every axis it is constant on.
-
-        Each component starts from 0.0 and adds (index + offset) * edge per
-        axis in axis order, then the origin: the same operations, entry by
-        entry, as a sum over full meshgrid arrays.  A term is the same float
-        at every index when its axis has one entry or its edge entry is zero
-        (index + offset is never negative, so every product is the same
-        signed zero); it keeps one entry, which adds what every entry would
-        have added.
-        """
-        cols = []
-        for comp in range(self.d):
-            acc = 0.0
-            for ax, n in enumerate(shape):
-                edge = self.edges[comp, ax]
-                term = (np.arange(1 if edge == 0.0 else n) + offset) * edge
-                acc = acc + term.reshape(_along_shape(len(shape), ax, term.size))
-            cols.append(acc + self.origin[comp])
-        return cols
-
     def _coords(self, shape, offset):
         # (d, *shape): one broadcast copy per component, no meshgrid, and the
         # same bits as the meshgrid sum (tests/assembly_oracle.py); the node
         # coordinates, the cell centers and the bottom plane all come here
-        return np.stack([np.broadcast_to(c, shape) for c in self.coord_columns(shape, offset)])
+        cols = coord_columns(self.edges, self.origin, shape, offset)
+        return np.stack([np.broadcast_to(c, shape) for c in cols])
 
     def node_coords(self):
         return self._coords(self.node_shape, 0.0)

@@ -17,6 +17,8 @@ import time
 
 import numpy as np
 
+from .grid import coord_columns
+
 __all__ = ["fmt", "canonical_json", "config_hash", "Reporter", "SvgPlot", "svg_panels"]
 
 
@@ -229,91 +231,77 @@ class Reporter:
 
 
 def _solution_chunks(solution):
-    """The solution file in ASCII pieces (bytes-like), each ending in a
+    """The solution file (v2) in ASCII pieces (bytes-like), each ending in a
     newline: the header, then the node rows of one block of
     first-lateral-index slabs at a time, as few slabs as make _BLOCK_ROWS
     rows (one, when a slab has that many).
 
-    Each column of the node table (the indices, y1..yd, u1..uN) is reduced
-    to the axes it is not broadcast along: the index and coordinate columns
-    come with length 1 along their constant axes, and the values of an
-    invariant solution with zero strides along theirs.  Each distinct entry
-    of the reduced array is formatted once, with its trailing ',' or newline
-    ("%.17g" renders floats exactly as fmt does, nan and inf included), so
-    the reduction decides how often a text is made, never the text.  A column
-    that varies along the first axis on more entries than a block has (a
-    sheared coordinate, say) is formatted a block at a time instead, so no
-    text is ever larger than one block's.  A block is one structured array
-    with a byte-string field per column on a kept bytearray, filled by
-    broadcast assignment: the columns constant along the first axis once,
-    when the block is made, and the others per block.  The bytearray less
-    its NUL padding is the piece.
+    The rows are those of the nodes that were solved: a node axis along
+    which ``solution.values`` has stride 0 (the dropped axes of a reduced
+    strip, the levels of an exact lift) is a broadcast axis, read from the
+    layout of the values, not from their entries, and only its index 0 is
+    written.  The header names these axes and carries the cell edges and
+    the origin as exact JSON floats, from which ``parse_solution_text``
+    rebuilds the other nodes.  Each column of the table (the indices,
+    y1..yd, u1..uN) comes with length 1 along the axes it is constant on,
+    and each distinct entry of a block is formatted once, with its trailing
+    ',' or newline ("%.17g" renders floats exactly as fmt does, nan and inf
+    included).  A block is one structured array with a byte-string field
+    per column on a bytearray, filled by broadcast assignment; the
+    bytearray less its NUL padding is the piece.
     """
     prob = solution.problem
     op_hash = hashlib.sha256(canonical_json(prob.operator.describe()).encode()).hexdigest()[:16]
     grid = solution.grid
-    lines = []
-    lines.append("# effbc strip solution v1")
-    lines.append(f"# geometry: {json.dumps(_sanitize(grid.describe()), sort_keys=True)}")
-    lines.append(f"# operator_hash: {op_hash}")
-    lines.append(f"# residual_norm: {fmt(solution.residual_norm)}")
-    lines.append(f"# iterations: {solution.iterations}")
     N = solution.values.shape[0]
-    lat_axes = len(grid.lat_cells)
-    idx_names = [f"i{j}" for j in range(lat_axes)] + ["level"]
-    coord_names = [f"y{j + 1}" for j in range(grid.d)]
-    val_names = [f"u{c + 1}" for c in range(N)]
-    names = idx_names + coord_names + val_names
-    lines.append(",".join(names))
+    idx_names = [f"i{j}" for j in range(len(grid.lat_cells))] + ["level"]
+    names = idx_names + [f"y{j + 1}" for j in range(grid.d)] + [f"u{c + 1}" for c in range(N)]
+    broadcast = [ax for ax, stride in enumerate(solution.values.strides[1:]) if stride == 0]
+    shape = tuple(1 if ax in broadcast else n for ax, n in enumerate(grid.node_shape))
+    lines = [
+        "# effbc strip solution v2",
+        f"# geometry: {json.dumps(_sanitize(grid.describe()), sort_keys=True)}",
+        f"# operator_hash: {op_hash}",
+        f"# residual_norm: {fmt(solution.residual_norm)}",
+        f"# iterations: {solution.iterations}",
+        f"# broadcast: {json.dumps([idx_names[ax] for ax in broadcast])}",
+        f"# edges: {json.dumps(grid.edges.tolist())}",
+        f"# origin: {json.dumps(grid.origin.tolist())}",
+        ",".join(names),
+    ]
     yield ("\n".join(lines) + "\n").encode("ascii")
-    shape = grid.node_shape
-    index = np.indices(shape, sparse=True)
-    floats = [*grid.coord_columns(shape), *solution.values]
-    specs = ["%d,"] * len(index) + ["%.17g,"] * len(floats)
+    values = solution.values[(slice(None),) + tuple(slice(0, n) for n in shape)]
+    columns = [
+        *np.indices(shape, sparse=True), *coord_columns(grid.edges, grid.origin, shape), *values
+    ]
+    specs = ["%d,"] * len(shape) + ["%.17g,"] * (grid.d + N)
     specs[-1] = "%.17g\n"
     block = -(-_BLOCK_ROWS // math.prod(shape[1:]))  # slabs per piece
-    columns = []  # (reduced column, its spec, its text, or None if made by block)
-    for a, spec in zip([*index, *floats], specs):
-        a = _reduced(a)
-        by_block = a.shape[0] > 1 and a.size > block * math.prod(shape[1:])
-        columns.append((a, spec, None if by_block else _text_table(a, spec)))
-    # the columns whose text changes from block to block
-    varying = [text is None or text.shape[0] > 1 for _, _, text in columns]
-    raw = buf = None
     for i0 in range(0, shape[0], block):
-        n = min(block, shape[0] - i0)
-        texts = [
-            _text_table(a[i0:i0 + n], spec) if text is None
-            else text[i0:i0 + n] if text.shape[0] > 1 else text
-            for a, spec, text in columns
-        ]
-        dtype = np.dtype([(name, t.dtype) for name, t in zip(names, texts)])
-        new = buf is None or buf.dtype != dtype
-        if new:
-            raw = buf = None  # the old block goes before the new one is made
-            raw = bytearray(block * math.prod(shape[1:]) * dtype.itemsize)
-            buf = np.frombuffer(raw, dtype).reshape((block,) + shape[1:])
-        for name, t, v in zip(names, texts, varying):
-            if new or v:
-                buf[name][:n] = t
-        # the bytearray's own translate drops the padding; only the last,
-        # partial block is sliced (copied) first
-        yield (raw if n == block else raw[: buf[:n].nbytes]).translate(None, b"\0")
+        slabs = [c[i0:i0 + block] if c.shape[0] > 1 else c for c in columns]
+        yield _block_text(names, slabs, specs, (min(block, shape[0] - i0),) + shape[1:])
 
 
 _BLOCK_ROWS = 4096  # rows per piece at least, unless one slab has more
+
+
+def _block_text(names, columns, specs, shape):
+    """The rows of the index block ``shape`` whose columns (broadcastable
+    to it) are ``columns``: their texts laid into one structured array,
+    less the NUL padding of the shorter texts."""
+    texts = [_text_table(a, spec) for a, spec in zip(columns, specs)]
+    dtype = np.dtype([(name, t.dtype) for name, t in zip(names, texts)])
+    raw = bytearray(math.prod(shape) * dtype.itemsize)
+    buf = np.frombuffer(raw, dtype).reshape(shape)
+    for name, t in zip(names, texts):
+        buf[name] = t
+    return raw.translate(None, b"\0")
 
 
 def _keys(a):
     """a, or for floats their bit patterns, so that 0.0 and -0.0 (and nans
     of two signs) differ."""
     return a.view(f"i{a.itemsize}") if a.dtype.kind == "f" else a
-
-
-def _reduced(a):
-    """a with length 1 along every axis it is broadcast along (stride 0):
-    constant there, read from its layout, not from its entries."""
-    return a[tuple(slice(0, 1) if stride == 0 else slice(None) for stride in a.strides)]
 
 
 def _text_table(a, spec):
@@ -341,24 +329,37 @@ def solution_text(solution, out=None):
 
 
 def parse_solution_text(text):
-    """Read back header metadata and the node table of a solution file."""
+    """Read back the header metadata and the node table of a solution file.
+
+    Returns (meta, header, rows): one row per node of the strip in index
+    order, its index columns as ints and its y and u columns as floats.
+    A v2 file's broadcast axes are expanded: its values are repeated along
+    them, and the coordinates of every node are made again from the
+    header's edges and origin by ``grid.coord_columns``, so the rows carry
+    the bits a v1 file (one row per node) gives.
+    """
+    lines = text.splitlines()
     meta = {}
-    rows = []
-    header = None
-    for line in text.splitlines():
-        if line.startswith("# "):
-            if ":" in line:
-                key, _, val = line[2:].partition(":")
-                meta[key.strip()] = val.strip()
-            continue
-        if header is None:
-            header = line.split(",")
-            continue
-        row = []
-        for x in line.split(","):
-            try:
-                row.append(int(x))
-            except ValueError:
-                row.append(float(x))
-        rows.append(row)
-    return meta, header, rows
+    k = 0
+    while lines[k].startswith("# "):
+        key, colon, val = lines[k][2:].partition(":")
+        if colon:
+            meta[key.strip()] = val.strip()
+        k += 1
+    header = lines[k].split(",")
+    n_idx = header.index("y1")
+    table = list(zip(*(line.split(",") for line in lines[k + 1:])))
+    cols = [list(map(int, c)) for c in table[:n_idx]] + [list(map(float, c)) for c in table[n_idx:]]
+    broadcast = json.loads(meta.get("broadcast", "[]"))
+    if broadcast:
+        geometry = json.loads(meta["geometry"])
+        shape = (*geometry["lat_cells"], geometry["n_vert"] + 1)
+        solved = tuple(1 if name in broadcast else n for name, n in zip(header, shape))
+        edges, origin = np.array(json.loads(meta["edges"])), np.array(json.loads(meta["origin"]))
+        full = [
+            *np.indices(shape, sparse=True),
+            *coord_columns(edges, origin, shape),
+            *(np.reshape(c, solved) for c in cols[n_idx + len(origin):]),
+        ]
+        cols = [np.broadcast_to(c, shape).ravel().tolist() for c in full]
+    return meta, header, list(map(list, zip(*cols)))

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from effbc.fields import LinearTensorField
 from effbc.operators import KinkPotential2D, RootKinkOperator
 from effbc.reports import canonical_json, fmt, parse_solution_text, solution_text
 from effbc.solve import StripProblem, StripSolution, solve_strip
+from solution_v1 import solution_text_v1
 
 
 BASE = {
@@ -380,6 +382,16 @@ def test_strip_R_with_R_ladder_is_a_config_error(tmp_path, command):
     with pytest.raises(ConfigError, match="not both"):
         load_config(path)
     assert main(["--config", path, command]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_decay_fit_without_a_ladder_writes_nothing(tmp_path):
+    # the fit needs the heights it is given: rejected by load_config, before
+    # the output directory is made
+    path, _ = write_cfg(tmp_path, experiment="decay-fit", out=str(tmp_path / "o"))
+    with pytest.raises(ConfigError, match="explicit strip.R_ladder"):
+        load_config(path)
+    assert main(["--config", path, "decay-fit"]) == 2
     assert not (tmp_path / "o").exists()
 
 
@@ -773,13 +785,15 @@ def test_streamed_solution_text_is_the_joined_text(tmp_path):
 
 
 def _solution_text_per_node(solution):
-    """The per-node serialization loop that solution_text replaced."""
+    """The per-node serialization loop that solution_text replaced, over the
+    nodes a v2 file writes: those at index 0 of every broadcast axis."""
     grid = solution.grid
-    head = solution_text(solution).split("\n")[:6]
+    head = solution_text(solution).split("\n")[:9]
     lines = list(head)
     coords = grid.node_coords()
     N = solution.values.shape[0]
-    for idx in np.ndindex(*grid.node_shape):
+    strides = solution.values.strides[1:]
+    for idx in np.ndindex(*[1 if st == 0 else n for n, st in zip(grid.node_shape, strides)]):
         row = [str(i) for i in idx]
         row += [fmt(coords[(c,) + idx]) for c in range(grid.d)]
         row += [fmt(solution.values[(c,) + idx]) for c in range(N)]
@@ -856,6 +870,15 @@ def _writer_case(name):
         values = np.empty((2,) + grid.node_shape)
         values[0] = levels
         values[1] = rng.choice(pool, size=grid.node_shape[0])[:, None, None]
+    elif name == "specials_broadcast":
+        # the specials along the first lateral axis and the levels, as a view
+        # with zero strides along the second one: written once, read back
+        # along it by parse_solution_text
+        grid = build_strip_grid(make_rational_direction([0, 0, 1]), -0.25, 0.5, h=1 / 8)
+        pool = np.array([np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.5e-310, 0.0, -0.0])
+        n0, _, levels = grid.node_shape
+        solved = rng.choice(pool, size=(2, n0, 1, levels))
+        values = np.broadcast_to(solved, (2,) + grid.node_shape)
     elif name == "more_slabs_than_rows":
         # 2-d, 1400 slabs of 3 rows: the columns varying along the first
         # axis have more entries than a block of slabs (4096 rows), so their
@@ -870,11 +893,13 @@ def _writer_case(name):
     return StripSolution(prob, grid, values, 0.0, 0)
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["broadcast_3d", "exact_lift", "sheared_3d_N2", "signed_zeros",
-     "specials_on_reduced_axes", "more_slabs_than_rows"],
-)
+_WRITER_CASES = [
+    "broadcast_3d", "exact_lift", "sheared_3d_N2", "signed_zeros",
+    "specials_on_reduced_axes", "specials_broadcast", "more_slabs_than_rows",
+]
+
+
+@pytest.mark.parametrize("name", _WRITER_CASES)
 def test_solution_text_matches_per_node_loop_on_reduced_columns(name):
     import io
 
@@ -884,6 +909,76 @@ def test_solution_text_matches_per_node_loop_on_reduced_columns(name):
     stream = io.BytesIO()
     assert solution_text(sol, out=stream) is None
     assert stream.getvalue().decode("ascii") == text
+
+
+def _bits(rows):
+    """rows with each float as its bit pattern, so that 0.0 and -0.0, and
+    nans of two signs, differ (and a nan equals itself)."""
+    return [[x if isinstance(x, int) else struct.pack("<d", x) for x in row] for row in rows]
+
+
+def _assert_reads_as_v1(text, solution):
+    """text, a v2 solution file, reads back into the rows of the v1 file of
+    ``solution``, bit for bit, one row per node."""
+    meta, header, rows = parse_solution_text(text)
+    meta1, header1, rows1 = parse_solution_text(solution_text_v1(solution))
+    assert meta1.keys() <= meta.keys() and header == header1
+    assert all(meta[key] == val for key, val in meta1.items())
+    assert len(rows) == math.prod(solution.grid.node_shape)
+    d = solution.grid.d  # d index columns, then y1..yd and u1..uN
+    assert [type(x) for x in rows[0]] == [int] * d + [float] * (len(header) - d)
+    assert _bits(rows) == _bits(rows1)
+    return meta
+
+
+_BROADCAST = {"broadcast_3d": ["i1"], "exact_lift": ["level"], "specials_broadcast": ["i1"]}
+
+
+@pytest.mark.parametrize("name", _WRITER_CASES)
+def test_v2_solution_reads_back_as_the_v1_rows(name):
+    sol = _writer_case(name)
+    text = solution_text(sol)
+    meta = _assert_reads_as_v1(text, sol)
+    broadcast = _BROADCAST.get(name, [])
+    assert meta["broadcast"] == json.dumps(broadcast)
+    # only the solved nodes are written: index 0 of each broadcast axis
+    names = text.splitlines()[8].split(",")
+    solved = math.prod(n for a, n in zip(names, sol.grid.node_shape) if a not in broadcast)
+    assert len(text.splitlines()) == 9 + solved
+
+
+def test_cell_solve_writes_the_solved_rows_once(tmp_path):
+    # kink-3d-ladder at h = 1/8: the root kink on e3 with data along y1 is
+    # solved on an 8 x 33 strip and broadcast along i1.  The file holds
+    # those rows alone, and reads back as perfbench's cell-solve gate reads
+    # it: a row for each of the 8 x 8 x 33 nodes, each as long as the header
+    from effbc import boundary_layer_limit
+    from effbc.cli import _limit_kwargs
+
+    raw = dict(
+        _KINK_CELL_SOLVE, experiment="cell-solve", mesh={"h": 1 / 8},
+        nonlinear={"tau": 1 / 64}, out=str(tmp_path / "out"),
+    )
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["--config", str(path), "cell-solve"]) == 0
+    text = (tmp_path / "out" / "solution.csv").read_text()
+    lines = text.splitlines()
+    assert lines[0] == "# effbc strip solution v2" and "# broadcast: [\"i1\"]" in lines
+    assert len([line for line in lines if not line.startswith("#")]) == 1 + 8 * 33
+    meta, header, rows = parse_solution_text(text)
+    geometry = json.loads(meta["geometry"])
+    assert geometry["lat_cells"] == [8, 8] and geometry["n_vert"] == 32
+    nodes = math.prod(geometry["lat_cells"]) * (geometry["n_vert"] + 1)
+    assert len(rows) == nodes and all(len(row) == len(header) for row in rows)
+    # the same rows, bit for bit, as the v1 file of the final rung
+    cfg = load_config(str(path))
+    res = boundary_layer_limit(
+        cfg.operator, cfg.data, cfg.direction, s=0.0, keep_solutions=True, **_limit_kwargs(cfg)
+    )
+    final = res.diagnostics["solutions"][-1]
+    assert text == solution_text(final)
+    _assert_reads_as_v1(text, final)
 
 
 def test_solution_text_memory_stays_near_the_values():

@@ -8,21 +8,17 @@ from effbc import (
     QuadraticPotential,
     ReducedRootKink,
     RootKinkOperator,
-    homogeneity_check,
     identity_tensor,
     isotropic_tensor,
     laminate_tensor,
     make_field,
-    potential_gradient_consistency,
     validate_operator,
 )
-from effbc.operators import (
-    _sample_pairs,
-    huber_abs,
-    huber_abs_integral,
-    root_kink_identity_residual,
-)
+from effbc.operators import _sample_pairs, huber_abs, huber_abs_integral
 from effbc.sampling import weyl_points
+from operator_checks import (
+    homogeneity_check, potential_gradient_consistency, root_kink_identity_residual,
+)
 
 
 def _looped_sample_pairs(d, sample_count, radius, seed):
