@@ -964,7 +964,7 @@ def test_cell_solve_writes_the_solved_rows_once(tmp_path):
     assert main(["--config", str(path), "cell-solve"]) == 0
     text = (tmp_path / "out" / "solution.csv").read_text()
     lines = text.splitlines()
-    assert lines[0] == "# effbc strip solution v2" and "# broadcast: [\"i1\"]" in lines
+    assert lines[0] == "# effbc strip solution v2" and '# broadcast: ["i1"]' in lines
     assert len([line for line in lines if not line.startswith("#")]) == 1 + 8 * 33
     meta, header, rows = parse_solution_text(text)
     geometry = json.loads(meta["geometry"])
